@@ -134,11 +134,13 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         paths=int(raw.get("paths", 1)),
         master_seed=int(raw["master_seed"]),
         output_dir=str(raw["output_dir"]),
-        truth_level=raw.get("truth_level"),
+        truth_level=_optional_int(raw.get("truth_level"), "config.truth_level"),
         truth_n=int(raw.get("truth_n", 51200)),
         workers=int(raw.get("workers", 1)),
         wall_time_in_csv=bool(raw.get("wall_time_in_csv", False)),
     )
+    if cfg.data_mode not in ("pbar", "p"):
+        raise ConfigError(f"config.data_mode: {cfg.data_mode!r} must be 'pbar' or 'p'")
     if cfg.T < 1 or cfg.L_data < 1:
         raise ConfigError("config.T / config.L_data: must be >= 1")
     if cfg.repeats < 2:
@@ -152,6 +154,15 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     if tl > cfg.L_data:
         raise ConfigError(f"config.truth_level: {tl} exceeds L_data {cfg.L_data}")
     return cfg
+
+
+def _optional_int(value, where: str):
+    """None or a JSON integer; anything else is a ConfigError."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Euler propagation over one unit time interval with accumulated log-potentials.
 
-All operations are vectorized over a leading particle axis.  The coupled
+States are scalar; the per-step loop works on flat (N,) views and does
+only arithmetic, with its input checks at the interval boundary.  The coupled
 propagation drives the coarse chain with pairwise sums of the fine Brownian
 increments, so its fine half is bit-identical to a standalone fine
 propagation given the same noise block.
@@ -28,10 +29,10 @@ class UnitPropagation:
     """Result of propagating a batch of particles across one unit interval."""
 
     level: int
-    endpoint: np.ndarray  # (N, d_x)
+    endpoint: np.ndarray  # (N, 1)
     log_g_total: np.ndarray  # (N,)
     partial_log_g: np.ndarray | None = None  # (N, 2**level) running sums
-    intermediate_states: np.ndarray | None = None  # (N, 2**level + 1, d_x)
+    intermediate_states: np.ndarray | None = None  # (N, 2**level + 1, 1)
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,23 @@ class CoupledUnitPropagation:
     coarse: UnitPropagation
 
 
+_NON_FINITE = "non-finite inputs to log_potential"
+
+
+def _log_g(h, dy: float, delta: float):
+    """Per-step log-potential h * dy - delta/2 * h^2 for observed values h."""
+    return h * dy - 0.5 * delta * (h * h)
+
+
 def log_potential(model: ModelSpec, x: np.ndarray, dy: np.ndarray, delta: float) -> np.ndarray:
-    """log G for states x (N, d_x), observation increment dy (d_y,), step delta."""
+    """log G for states x (N, 1), observation increment dy (1,), step delta."""
     if delta <= 0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(dy))):
-        raise ValueError("non-finite inputs to log_potential")
-    h = model.observation(x)
-    return h @ dy - 0.5 * delta * np.einsum("...i,...i->...", h, h)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    dy = np.asarray(dy, dtype=float).reshape(())
+    if not (np.all(np.isfinite(x)) and np.isfinite(dy)):
+        raise ValueError(_NON_FINITE)
+    return _log_g(model.observation(x), float(dy), delta)
 
 
 def propagate_unit(
@@ -60,37 +68,51 @@ def propagate_unit(
     noise: np.ndarray,
     retain: bool = False,
 ) -> UnitPropagation:
-    """Iterate 2**l Euler steps from x0 (N, d_x), accumulating log-potentials.
+    """Iterate 2**l Euler steps from x0 (N, 1), accumulating log-potentials.
 
     ``obs`` holds the 2**l level-l observation increments, ``noise`` the
-    2**l Brownian increments per particle (shape (N, 2**l, d_x), each with
-    covariance 2**-l * I).  The potential at each step is evaluated at the
+    2**l Brownian increments per particle (shape (N, 2**l, 1), each with
+    variance 2**-l).  The potential at each step is evaluated at the
     pre-step state; the endpoint's potential belongs to the next interval.
+
+    Inputs are checked once: x0 and ``obs`` on entry, and the last pre-step
+    state after the loop.  That is the same as checking every pre-step
+    state, because a non-finite state stays non-finite through
+    x + b(x) * delta + sigma(x) * xi.  A state that first turns non-finite
+    at the endpoint is reported by the next interval.
     """
     steps = 1 << l
     delta = 2.0 ** (-l)
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n = x0.shape[0]
+    x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if obs.shape[0] != steps:
-        raise ValueError(f"expected {steps} observation increments, got {obs.shape[0]}")
-    if noise.shape[:2] != (n, steps):
-        raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps}, d_x)")
-    x = x0
+    if x0.ndim != 2 or x0.shape[1] != 1:
+        raise ValueError(f"x0 must have shape (N, 1), got {x0.shape}")
+    n = x0.shape[0]
+    if obs.shape != (steps, 1):
+        raise ValueError(f"expected {steps} observation increments of shape ({steps}, 1), got {obs.shape}")
+    if noise.shape != (n, steps, 1):
+        raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps}, 1)")
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(obs))):
+        raise ValueError(_NON_FINITE)
+    dys = obs[:, 0].tolist()
+    xi = noise[:, :, 0].T  # row k: the step-k increments of every particle
+    x = x0[:, 0]
     log_g = np.zeros(n)
     partials = np.empty((n, steps)) if retain else None
-    states = np.empty((n, steps + 1, x0.shape[1])) if retain else None
+    states = np.empty((n, steps + 1, 1)) if retain else None
     if retain:
-        states[:, 0] = x
+        states[:, 0, 0] = x
     for k in range(steps):
-        log_g = log_g + log_potential(model, x, obs[k], delta)
-        sig = model.diffusion(x)
-        x = x + model.drift(x) * delta + np.einsum("nij,nj->ni", sig, noise[:, k])
+        log_g += _log_g(model.observation(x), dys[k], delta)
+        pre = x
+        x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
         if retain:
             partials[:, k] = log_g
-            states[:, k + 1] = x
-    return UnitPropagation(l, x, log_g, partials, states)
+            states[:, k + 1, 0] = x
+    if not np.all(np.isfinite(pre)):
+        raise ValueError(_NON_FINITE)
+    return UnitPropagation(l, x[:, None], log_g, partials, states)
 
 
 def propagate_unit_coupled(

@@ -19,7 +19,6 @@ from .euler import UnitPropagation, propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
-    WeightVector,
     ess,
     log_mean_weight,
     maximal_coupling_indices,

@@ -1,8 +1,11 @@
 """Signal/observation model family and the four built-in benchmark models.
 
-All built-ins are scalar (d_x = d_y = 1) with identity observation function.
-Drift and diffusion callables are vectorized over a leading particle axis:
-they map arrays of shape (..., d_x) to (..., d_x) and (..., d_x, d_x).
+Models are scalar (d_x = d_y = 1); the built-ins observe through the
+identity.  Drift, diffusion and observation callables act elementwise: each
+maps an array of states to an array of the same shape, the diffusion giving
+sigma(x).  ``ModelSpec`` checks the diffusion contract once, at
+construction, so the Euler loop can multiply sigma(x) into the noise
+without reshaping.
 """
 
 from __future__ import annotations
@@ -33,9 +36,16 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d_x < 1 or self.d_y < 1:
-            raise ValueError("dimensions must be positive")
-        object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=float).reshape(self.d_x))
+        if self.d_x != 1 or self.d_y != 1:
+            raise ValueError(f"models are scalar: need d_x = d_y = 1, got {self.d_x}, {self.d_y}")
+        object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=float).reshape(1))
+        probe = np.full(2, self.x_star[0])
+        shape = np.shape(self.diffusion(probe))
+        if shape != probe.shape:
+            raise ValueError(
+                f"{self.name}: diffusion must return sigma(x) elementwise, "
+                f"shape {probe.shape} for states of shape {probe.shape}; got {shape}"
+            )
 
 
 def langevin_drift(x, nu: float):
@@ -80,7 +90,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         return _scalar_model(
             "ou",
             lambda x: th * (mu - x),
-            lambda x: np.full(np.shape(x) + (1,), sg),
+            lambda x: np.full(np.shape(x), sg),
             p["x_star"], p, linear=True, const_diff=True,
         )
     if name == "langevin":
@@ -91,7 +101,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         return _scalar_model(
             "langevin",
             lambda x: langevin_drift(x, nu),
-            lambda x: np.ones(np.shape(x) + (1,)),
+            lambda x: np.ones(np.shape(x)),
             p["x_star"], p, const_diff=True,
         )
     if name == "gbm":
@@ -103,7 +113,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         return _scalar_model(
             "gbm",
             lambda x: mu * x,
-            lambda x: (sg * x)[..., None],
+            lambda x: sg * x,
             p["x_star"], p,
         )
     if name == "nonlinear_sigma":
@@ -112,7 +122,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         return _scalar_model(
             "nonlinear_sigma",
             lambda x: th * (mu - x),
-            lambda x: (1.0 / np.sqrt(1.0 + x * x))[..., None],
+            lambda x: 1.0 / np.sqrt(1.0 + x * x),
             p["x_star"], p,
         )
     raise ValueError(f"unknown model {name!r}; expected one of {BUILTIN_NAMES}")

@@ -4,6 +4,8 @@ The stored primitive is the increment array at level ``L_data``; all coarser
 views are exact partial sums of those increments, so every discretization
 level consumes literally the same data.  Coarsening accumulates children
 left to right, which pins the floating-point result bit-for-bit across runs.
+Each path keeps a pyramid of its coarsened levels, built on first use, one
+read-only array per level for the whole path.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class ObservationPath:
     mode: str
     seed: int
     latent: np.ndarray | None = field(default=None, compare=False)
+    # level -> read-only (T * 2**level, d_y) coarsening, filled by increments_at_level
+    _pyramid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -63,6 +67,14 @@ class ObservationPath:
             )
         object.__setattr__(self, "increments", inc)
         self.increments.setflags(write=False)
+        self._pyramid[self.L_data] = self.increments
+
+
+def _increment_count(T: int, L_data: int) -> int:
+    """T * 2**L_data, checked against MAX_INCREMENTS before the shift is taken."""
+    if L_data >= MAX_INCREMENTS.bit_length() or T > MAX_INCREMENTS >> L_data:
+        raise ValueError(f"T * 2**L_data for T={T}, L_data={L_data} exceeds the maximum {MAX_INCREMENTS}")
+    return T << L_data
 
 
 def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed: int) -> ObservationPath:
@@ -75,11 +87,7 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     """
     if T < 1 or L_data < 1:
         raise ValueError("need T >= 1 and L_data >= 1")
-    n = T * (1 << L_data)
-    if n > MAX_INCREMENTS:
-        raise ValueError(f"T * 2**L_data = {n} exceeds the configured maximum {MAX_INCREMENTS}")
-    if model.d_y != model.d_x and mode == "p":
-        raise ValueError("latent generation currently requires d_y == d_x")
+    n = _increment_count(T, L_data)
     delta = 2.0 ** (-L_data)
     g_obs = streams.generator(seed, streams.TAG_OBS)
     brownian = np.sqrt(delta) * g_obs.standard_normal((n, model.d_y))
@@ -93,8 +101,7 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     latent[0] = model.x_star
     x = model.x_star.copy()
     for k in range(n):
-        sig = model.diffusion(x)
-        x = x + model.drift(x) * delta + sig @ xi[k]
+        x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
         latent[k + 1] = x
     h_vals = model.observation(latent[:-1])
     increments = h_vals * delta + brownian
@@ -102,23 +109,25 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
 
 
 def increments_at_level(path: ObservationPath, l: int, p: int) -> np.ndarray:
-    """Level-``l`` increments covering the unit interval [p, p+1), shape (2**l, d_y)."""
+    """Level-``l`` increments covering the unit interval [p, p+1), shape (2**l, d_y).
+
+    The result is a read-only view into the path's level-``l`` array.
+    """
     if l < 0 or p < 0 or p >= path.T:
         raise ValueError(f"invalid level {l} or interval {p}")
     if l > path.L_data:
         raise FrequencyExceededError(
             f"level {l} exceeds the data observation frequency (L_data={path.L_data})"
         )
-    per_unit = 1 << path.L_data
-    block = path.increments[p * per_unit : (p + 1) * per_unit]
-    if l == path.L_data:
-        return block
-    children = 1 << (path.L_data - l)
-    grouped = block.reshape(1 << l, children, path.d_y)
-    acc = grouped[:, 0].copy()
-    for j in range(1, children):  # fixed left-to-right order: bit-stable coarsening
-        acc += grouped[:, j]
-    return acc
+    level = path._pyramid.get(l)
+    if level is None:
+        grouped = path.increments.reshape(path.T << l, 1 << (path.L_data - l), path.d_y)
+        # cumsum adds the children strictly left to right, so its last column is
+        # bit-equal to a sequential loop over each group
+        level = np.cumsum(grouped, axis=1)[:, -1].copy()
+        level.setflags(write=False)
+        path._pyramid[l] = level
+    return level[p << l : (p + 1) << l]
 
 
 _HEADER = struct.Struct("<8sIIIQB")
@@ -151,7 +160,10 @@ def read_path(file) -> ObservationPath:
             raise PathFormatError(f"unknown mode code {mode_code}")
         if T < 1 or L_data < 1 or d_y < 1:
             raise PathFormatError("invalid dimensions in header")
-        n = T * (1 << L_data)
+        try:
+            n = _increment_count(T, L_data)
+        except ValueError as exc:
+            raise PathFormatError(str(exc)) from None
         body = f.read()
         expected = n * d_y * 8
         if len(body) != expected:

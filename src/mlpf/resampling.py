@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "WeightVector",
@@ -52,7 +51,8 @@ class IndexPairs:
     coupled: np.ndarray  # (N,) bool; True => fine == coarse
 
     def __post_init__(self):
-        assert np.all(self.fine[self.coupled] == self.coarse[self.coupled])
+        if not np.array_equal(self.fine[self.coupled], self.coarse[self.coupled]):
+            raise ValueError("coupled pairs must have equal fine and coarse indices")
 
 
 def normalize_log_weights(log_weights) -> WeightVector:
@@ -74,9 +74,19 @@ def ess(weights: WeightVector) -> float:
 
 
 def log_mean_weight(log_weights) -> float:
-    """log of the arithmetic mean of exp(log_weights); stable."""
+    """log of the arithmetic mean of exp(log_weights); stable.
+
+    As in ``scipy.special.logsumexp``, the largest term is taken out of the
+    sum and the rest enters through log1p.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    return float(logsumexp(lw) - np.log(lw.size))
+    i = int(np.argmax(lw))  # the first nan, if there is one
+    top = lw[i]
+    if not np.isfinite(top):
+        return float(top)
+    rest = np.exp(lw - top)
+    rest[i] = 0.0
+    return float(np.log1p(rest.sum()) + top - np.log(lw.size))
 
 
 def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -56,6 +56,8 @@ class TestParseConfig:
         (lambda r: r["estimators"][0].update(coupling="odd"), "coupling"),
         (lambda r: r.update(truth_level=7), "truth_level"),
         (lambda r: r.update(paths=0), "paths"),
+        (lambda r: r.update(truth_level="3"), "config.truth_level"),
+        (lambda r: r.update(data_mode="bogus"), "data_mode"),
     ])
     def test_rejections_name_the_field(self, mutate, fragment):
         raw = copy.deepcopy(BASE_CONFIG)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +109,13 @@ class TestBenchmarkCommand:
         cfg = self.config(tmp_path, repeats=1)
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field,value", [("truth_level", "3"), ("data_mode", "bogus")])
+    def test_bad_field_is_named_config_error(self, tmp_path, capsys, field, value):
+        cfg = self.config(tmp_path, **{field: value})
+        assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"config.{field}" in err
+
     def test_output_dir_override(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         alt = tmp_path / "alt"
@@ -121,3 +131,16 @@ class TestBenchmarkCommand:
         rc = main(["slope", "--summary", str(tmp_path / "out" / "summary.csv"),
                    "--estimator", "ghost"])
         assert rc == EXIT_CONFIG
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def test_coupling_study_smoke():
+    argv = [sys.executable, os.path.join(SCRIPTS, "coupling_study.py"), "strong", "ancestors", "variance",
+            "--samples", "200", "--l-min", "1", "--l-max", "3", "--T", "1", "--n", "50", "--repeats", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for header in ("strong coupling", "same-ancestor fraction", "variance of the time-T"):
+        assert header in done.stdout
+    assert done.stdout.count("l=") == 3 + 3 + 3

@@ -13,7 +13,7 @@ def constant_model(c):
     return ModelSpec(
         name="const", d_x=1, d_y=1,
         drift=lambda x: np.zeros_like(x),
-        diffusion=lambda x: np.full(np.shape(x) + (1,), c),
+        diffusion=lambda x: np.full(np.shape(x), c),
         observation=lambda x: x, x_star=np.array([0.0]),
     )
 
@@ -80,6 +80,64 @@ class TestPropagateUnit:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             propagate_unit(OU, 2, np.zeros((1, 1)), np.zeros((3, 1)), np.zeros((1, 4, 1)))
+
+    def test_constant_sigma_many_particles(self):
+        # sigma(x) has the states' shape, so N > 1 particles each get their own noise
+        m = constant_model(0.3)
+        noise = np.random.default_rng(5).standard_normal((4, 2, 1))
+        prop = propagate_unit(m, 1, np.zeros((4, 1)), np.zeros((2, 1)), noise)
+        assert prop.endpoint.shape == (4, 1)
+        assert np.array_equal(prop.endpoint[:, 0], 0.3 * noise[:, 0, 0] + 0.3 * noise[:, 1, 0])
+
+    def test_non_finite_observation_rejected(self):
+        obs = np.array([[0.1], [np.nan]])
+        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
+            propagate_unit(OU, 1, np.zeros((2, 1)), obs, np.zeros((2, 2, 1)))
+
+
+def blow_up_model(threshold):
+    """Driftless unit-diffusion model whose drift is +inf above ``threshold``."""
+    return ModelSpec(
+        name="blow_up", d_x=1, d_y=1,
+        drift=lambda x: np.where(x > threshold, np.inf, 0.0),
+        diffusion=lambda x: np.ones(np.shape(x)),
+        observation=lambda x: x, x_star=np.array([0.0]),
+    )
+
+
+class TestNonFiniteStates:
+    """The boundary checks reject exactly what a check of every pre-step state would."""
+
+    L = 3
+
+    def kick_at(self, k):
+        # particle 1 crosses the threshold at step k; its state is inf from step k + 1 on
+        noise = np.zeros((2, 1 << self.L, 1))
+        noise[1, k, 0] = 2.0
+        return noise
+
+    def run(self, noise, x0=None):
+        x0 = np.zeros((2, 1)) if x0 is None else x0
+        with np.errstate(invalid="ignore"):
+            return propagate_unit(blow_up_model(1.0), self.L, x0, np.full((1 << self.L, 1), 0.1), noise)
+
+    @pytest.mark.parametrize("k", range((1 << L) - 2))
+    def test_mid_interval_raises(self, k):
+        # the state is inf before step k + 2 <= 2**L - 1: a per-step check raises in this interval
+        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
+            self.run(self.kick_at(k))
+
+    def test_last_step_raises_in_next_interval(self):
+        # kicked at step 2**L - 2, the state first turns inf at the endpoint
+        prop = self.run(self.kick_at((1 << self.L) - 2))
+        assert np.isfinite(prop.endpoint[0, 0]) and np.isinf(prop.endpoint[1, 0])
+        assert np.all(np.isfinite(prop.log_g_total))
+        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
+            self.run(np.zeros((2, 1 << self.L, 1)), x0=prop.endpoint)
+
+    def test_kick_on_last_step_stays_finite(self):
+        prop = self.run(self.kick_at((1 << self.L) - 1))
+        assert np.all(np.isfinite(prop.endpoint))
 
 
 class TestCoupled:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mlpf.models import BUILTIN_NAMES, builtin_model, langevin_drift
+from mlpf.models import BUILTIN_NAMES, ModelSpec, builtin_model, langevin_drift
 
 
 def test_ou_defaults():
     m = builtin_model("ou", {})
     assert m.drift(np.array([2.0]))[0] == pytest.approx(-2.0)
-    assert m.diffusion(np.array([[3.7]]))[0, 0, 0] == 0.5
+    assert np.array_equal(m.diffusion(np.array([3.7, -1.0])), [0.5, 0.5])
     assert m.is_linear_gaussian and m.has_constant_diffusion
 
 
@@ -16,12 +16,12 @@ def test_nonlinear_sigma_defaults_zero_drift():
     m = builtin_model("nonlinear_sigma", {})
     x = np.array([[-3.0], [0.0], [7.5]])
     assert np.all(m.drift(x) == 0.0)
-    assert m.diffusion(np.array([[0.0]]))[0, 0, 0] == 1.0
+    assert np.array_equal(m.diffusion(np.array([0.0, 1.0])), [1.0, 1.0 / np.sqrt(2.0)])
 
 
 def test_gbm_diffusion_vanishes_at_zero():
     m = builtin_model("gbm", {})
-    assert m.diffusion(np.array([[0.0]]))[0, 0, 0] == 0.0
+    assert np.array_equal(m.diffusion(np.array([0.0, 2.0])), [0.0, 0.4])
     assert m.drift(np.array([1.0]))[0] == pytest.approx(0.02)
 
 
@@ -51,6 +51,30 @@ def test_builtin_finite_on_large_states(name):
     x = np.array([[-1e6], [-1.0], [0.0], [1.0], [1e6]])
     assert np.all(np.isfinite(m.drift(x)))
     assert np.all(np.isfinite(m.diffusion(x)))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_diffusion_is_elementwise(name):
+    m = builtin_model(name, {})
+    for x in (np.array([0.5, 1.5, -2.0]), np.array([[0.5], [1.5]])):
+        assert m.diffusion(x).shape == x.shape
+
+
+@pytest.mark.parametrize("diffusion", [
+    lambda x: np.full(np.shape(x) + (1, 1), 0.5),  # the former (N, d_x, d_x) matrix form
+    lambda x: np.full(np.shape(x) + (1,), 0.5),
+    lambda x: 0.5,
+])
+def test_model_spec_rejects_non_elementwise_diffusion(diffusion):
+    with pytest.raises(ValueError, match="elementwise"):
+        ModelSpec(name="old", d_x=1, d_y=1, drift=lambda x: -x, diffusion=diffusion,
+                  observation=lambda x: x, x_star=np.array([0.0]))
+
+
+def test_model_spec_rejects_vector_states():
+    with pytest.raises(ValueError, match="scalar"):
+        ModelSpec(name="vec", d_x=2, d_y=1, drift=lambda x: -x, diffusion=lambda x: np.ones(np.shape(x)),
+                  observation=lambda x: x, x_star=np.zeros(2))
 
 
 def test_constant_diffusion_flags():

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -17,12 +18,24 @@ from mlpf.observations import (
 )
 
 OU = builtin_model("ou", {})
+GBM = builtin_model("gbm", {})
 
 
 def left_to_right_sum(block):
     acc = block[0].copy()
     for v in block[1:]:
         acc = acc + v
+    return acc
+
+
+def loop_coarsening(path, l, p):
+    """Reference coarsening: each interval's children summed by a left-to-right loop."""
+    per_unit = 1 << path.L_data
+    block = path.increments[p * per_unit : (p + 1) * per_unit]
+    grouped = block.reshape(1 << l, 1 << (path.L_data - l), path.d_y)
+    acc = grouped[:, 0].copy()
+    for j in range(1, grouped.shape[1]):
+        acc += grouped[:, j]
     return acc
 
 
@@ -96,6 +109,33 @@ def test_coarsening_exact_at_every_level(T, L_data, seed):
                 assert view[k, 0] == expect[0]  # bit-exact
 
 
+def test_pyramid_bit_equal_to_loop_at_every_level():
+    path = simulate_observations("p", GBM, 2, 12, seed=700)
+    for l in range(path.L_data + 1):
+        for p in range(path.T):
+            view = increments_at_level(path, l, p)
+            assert view.shape == (1 << l, 1)
+            assert view.tobytes() == loop_coarsening(path, l, p).tobytes()
+
+
+def test_pyramid_views_are_read_only():
+    path = simulate_observations("pbar", OU, 2, 4, seed=8)
+    for l in (0, 2, 4):
+        view = increments_at_level(path, l, 1)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
+def test_paths_do_not_share_a_pyramid():
+    a = simulate_observations("pbar", OU, 2, 5, seed=1)
+    b = simulate_observations("pbar", OU, 2, 5, seed=2)
+    first = increments_at_level(a, 2, 1).copy()
+    assert increments_at_level(b, 2, 1).tobytes() == loop_coarsening(b, 2, 1).tobytes()
+    assert not np.array_equal(first, increments_at_level(b, 2, 1))
+    assert increments_at_level(a, 2, 1).tobytes() == first.tobytes()
+
+
 def test_fixed_seed_reproducible():
     a = simulate_observations("pbar", OU, 2, 6, seed=777)
     b = simulate_observations("pbar", OU, 2, 6, seed=777)
@@ -130,6 +170,16 @@ def test_length_mismatch_rejected():
     extra = good.getvalue() + np.float64(9.0).tobytes()
     with pytest.raises(PathFormatError):
         read_path(io.BytesIO(extra))
+
+
+def test_oversized_header_rejected_before_reading_body():
+    # L_data = 60 claims 2**60 increments per unit; only the header is read
+    head = struct.pack("<8sIIIQB", b"MLPFOBS1", 1, 60, 1, 0, 0)
+    with pytest.raises(PathFormatError, match="exceeds the maximum"):
+        read_path(io.BytesIO(head))
+    head = struct.pack("<8sIIIQB", b"MLPFOBS1", 5, 24, 1, 0, 0)  # 5 * 2**24 > 2**26
+    with pytest.raises(PathFormatError, match="exceeds the maximum"):
+        read_path(io.BytesIO(head))
 
 
 def test_bad_magic_rejected():

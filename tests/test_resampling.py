@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from mlpf.resampling import (
     DegenerateWeightsError,
+    IndexPairs,
     WeightVector,
     ess,
+    log_mean_weight,
     maximal_coupling_indices,
     maximal_coupling_pmf,
     multinomial_indices,
@@ -58,6 +61,34 @@ class TestNormalize:
         b = normalize_log_weights(np.array(lws) + c)
         assert np.allclose(a.normalized, b.normalized, atol=1e-12)
         assert abs(a.normalized.sum() - 1.0) < 1e-12
+
+
+class TestLogMeanWeight:
+    def test_matches_scipy_logsumexp(self):
+        rng = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        for i in range(600):
+            n = int(rng.integers(1, 300))
+            lw = rng.normal(0.0, [0.1, 1.0, 10.0, 300.0][i % 4], n) + rng.normal(0.0, 50.0)
+            ref = float(logsumexp(lw) - np.log(n))
+            assert abs(log_mean_weight(lw) - ref) <= 8 * eps * max(1.0, abs(ref))
+
+    def test_edge_values(self):
+        assert log_mean_weight(np.array([-3.5])) == -3.5
+        assert log_mean_weight(np.zeros(50)) == 0.0
+        assert log_mean_weight(np.array([-np.inf, -np.inf])) == -np.inf
+        assert log_mean_weight(np.array([0.0, -np.inf])) == pytest.approx(-np.log(2.0))
+        assert np.isnan(log_mean_weight(np.array([0.0, np.nan])))
+
+
+class TestIndexPairs:
+    def test_consistent_pairs_accepted(self):
+        pairs = IndexPairs(np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([True, False, True]))
+        assert pairs.coupled.sum() == 2
+
+    def test_coupled_pair_with_different_indices_rejected(self):
+        with pytest.raises(ValueError, match="coupled pairs"):
+            IndexPairs(np.array([0, 1]), np.array([0, 2]), np.array([True, True]))
 
 
 class TestEss:
