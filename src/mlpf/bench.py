@@ -5,10 +5,19 @@ the truth once per path at a reference level, then sweeps estimators over a
 range of highest levels with repeated independent replicates.  Outputs are
 canonical CSV/JSON plus a dependency-free SVG log-log plot.  Everything is
 deterministic given the master seed, including under multiprocess execution.
+
+A job is one (estimator, L, path): it carries the seeds of all ``repeats``
+replicates and runs them in one batched ``mlpf_run`` call, so each level's
+replicates share one Euler sweep (see ``filters``).  Replicate ``k`` in
+sweep order still gets ``replicate_seed(master_seed, k)`` and the same
+estimate as a run of its own.  Jobs go to the workers largest planned cost
+first.  A record's ``wall_seconds`` is its job's wall time split equally
+over the job's replicates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -19,7 +28,7 @@ import numpy as np
 
 from . import streams
 from .models import ModelSpec, builtin_model
-from .multilevel import ALLOCATION_RULES, allocate, mlpf_run
+from .multilevel import ALLOCATION_RULES, allocate, mlpf_run, total_cost
 from .observations import ObservationPath, simulate_observations
 from .oracle import reference_truth
 
@@ -110,7 +119,8 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         if e["rule"] not in ALLOCATION_RULES:
             raise ConfigError(f"{where}.rule: {e['rule']!r} not in {ALLOCATION_RULES}")
         ec = EstimatorConfig(
-            id=str(e["id"]), rule=e["rule"], L_min=int(e["L_min"]), L_max=int(e["L_max"]),
+            id=str(e["id"]), rule=e["rule"], L_min=_int(e["L_min"], f"{where}.L_min"),
+            L_max=_int(e["L_max"], f"{where}.L_max"),
             base=float(e["base"]), coupling=e.get("coupling", "maximal"),
             resample_policy=e.get("resample_policy", "ess_below_half"),
         )
@@ -124,19 +134,19 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     cfg = BenchmarkConfig(
         model=str(raw["model"]),
         model_params=dict(raw.get("model_params", {})),
-        T=int(raw["T"]),
-        L_data=int(raw["L_data"]),
+        T=_int(raw["T"], "config.T"),
+        L_data=_int(raw["L_data"], "config.L_data"),
         data_mode=raw.get("data_mode", "pbar"),
-        data_seed=int(raw.get("data_seed", 0)),
+        data_seed=_int(raw.get("data_seed", 0), "config.data_seed"),
         estimators=tuple(parsed_ests),
         functionals=tuple(raw.get("functionals", ["x"])),
-        repeats=int(raw["repeats"]),
-        paths=int(raw.get("paths", 1)),
-        master_seed=int(raw["master_seed"]),
+        repeats=_int(raw["repeats"], "config.repeats"),
+        paths=_int(raw.get("paths", 1), "config.paths"),
+        master_seed=_int(raw["master_seed"], "config.master_seed"),
         output_dir=str(raw["output_dir"]),
         truth_level=_optional_int(raw.get("truth_level"), "config.truth_level"),
-        truth_n=int(raw.get("truth_n", 51200)),
-        workers=int(raw.get("workers", 1)),
+        truth_n=_int(raw.get("truth_n", 51200), "config.truth_n"),
+        workers=_int(raw.get("workers", 1), "config.workers"),
         wall_time_in_csv=bool(raw.get("wall_time_in_csv", False)),
     )
     if cfg.data_mode not in ("pbar", "p"):
@@ -156,13 +166,16 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     return cfg
 
 
-def _optional_int(value, where: str):
-    """None or a JSON integer; anything else is a ConfigError."""
-    if value is None:
-        return None
+def _int(value, where: str) -> int:
+    """A JSON integer; anything else (a bool, a float, a string) is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _optional_int(value, where: str):
+    """None or a JSON integer, as ``_int``."""
+    return None if value is None else _int(value, where)
 
 
 @dataclass(frozen=True)
@@ -179,17 +192,23 @@ class BenchmarkRecord:
 
 
 def _run_one(args) -> tuple:
-    """One replicate; module-level for pickling under process pools."""
+    """One job: every replicate of one (estimator, L, path), in one batched
+    ``mlpf_run``; module-level for pickling under process pools.
+
+    Returns (estimates, total cost units, wall seconds, cost units per
+    replicate), the estimates in seed order.
+    """
     (model_name, model_params, inc, T, L_data, d_y, mode, data_seed,
-     rule, L, base, coupling, policy, functionals, seed) = args
+     allocation, coupling, policy, functionals, seeds) = args
     model = builtin_model(model_name, model_params)
     path = ObservationPath(T, L_data, d_y, np.asarray(inc), mode, data_seed)
-    allocation = allocate(rule, L, base, constant_diffusion=model.has_constant_diffusion)
     t0 = time.perf_counter()
-    out = mlpf_run(model, path, allocation, functionals, report_times=[T],
-                   resample_policy=policy, coupling=coupling, seed=seed)
+    outs = mlpf_run(model, path, allocation, functionals, report_times=[T],
+                    resample_policy=policy, coupling=coupling, seed=seeds)
     wall = time.perf_counter() - t0
-    return out.estimates[(float(T), functionals[0])], out.cost_units, wall
+    key = (float(T), functionals[0])
+    costs = tuple(out.cost_units for out in outs)
+    return tuple(out.estimates[key] for out in outs), sum(costs), wall, costs
 
 
 def run_benchmark(config: BenchmarkConfig, progress=None):
@@ -197,7 +216,8 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
 
     Truth is fixed per observation path (Kalman for linear-Gaussian models,
     a replicated reference PF otherwise) and all replicates of all
-    estimators run against the same path(s).
+    estimators run against the same path(s).  ``progress(done, total)``, if
+    given, is called as replicates finish, a job's worth at a time.
     """
     model = builtin_model(config.model, config.model_params)
     truth_level = config.truth_level if config.truth_level is not None else config.L_data
@@ -211,35 +231,46 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
         truth = reference_truth(model, path, truth_level, config.truth_n, list(config.functionals),
                                 seed=config.master_seed, report_times=[config.T])
         path_data.append((path, truth.estimates[(t_report, fid)]))
+    # one job per (estimator, L, path); replicate seeds are numbered in that order
     jobs = []
     meta = []
-    for ei, est in enumerate(config.estimators):
+    planned = []
+    n_seeds = 0
+    for est in config.estimators:
         for L in range(est.L_min, est.L_max + 1):
+            allocation = allocate(est.rule, L, est.base,
+                                  constant_diffusion=model.has_constant_diffusion)
             for pi, (path, truth_val) in enumerate(path_data):
-                for r in range(config.repeats):
-                    rep_index = pi * config.repeats + r
-                    seed = streams.replicate_seed(config.master_seed, len(meta))
-                    jobs.append((
-                        config.model, config.model_params, path.increments, config.T,
-                        config.L_data, path.d_y, path.mode, path.seed,
-                        est.rule, L, est.base, est.coupling, est.resample_policy,
-                        tuple(config.functionals), seed,
-                    ))
-                    meta.append((est.id, L, rep_index, seed, truth_val))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * config.workers))))
-    else:
-        results = []
-        for i, job in enumerate(jobs):
-            results.append(_run_one(job))
+                seeds = tuple(streams.replicate_seed(config.master_seed, n_seeds + r)
+                              for r in range(config.repeats))
+                n_seeds += config.repeats
+                jobs.append((
+                    config.model, config.model_params, path.increments, config.T,
+                    config.L_data, path.d_y, path.mode, path.seed,
+                    allocation, est.coupling, est.resample_policy,
+                    tuple(config.functionals), seeds,
+                ))
+                meta.append((est.id, L, pi * config.repeats, seeds, truth_val))
+                planned.append(total_cost(allocation, config.T))
+    # largest planned cost first, so a pool's last jobs are its shortest
+    order = sorted(range(len(jobs)), key=lambda i: -planned[i])
+    results = [None] * len(jobs)
+    with contextlib.ExitStack() as stack:
+        if config.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            outs = pool.map(_run_one, [jobs[i] for i in order])
+        else:
+            outs = map(_run_one, [jobs[i] for i in order])
+        for done, (i, out) in enumerate(zip(order, outs), 1):
+            results[i] = out
             if progress:
-                progress(i + 1, len(jobs))
+                progress(done * config.repeats, n_seeds)
     records = []
-    for (est_id, L, rep_index, seed, truth_val), (estimate, cost, wall) in zip(meta, results):
-        err = estimate - truth_val
-        records.append(BenchmarkRecord(est_id, L, rep_index, seed, cost, wall,
-                                       estimate, truth_val, err * err))
+    for (est_id, L, rep0, seeds, truth_val), (estimates, _, wall, costs) in zip(meta, results):
+        for r, (seed, estimate, cost) in enumerate(zip(seeds, estimates, costs)):
+            err = estimate - truth_val
+            records.append(BenchmarkRecord(est_id, L, rep0 + r, seed, cost, wall / len(seeds),
+                                           estimate, truth_val, err * err))
     records.sort(key=lambda r: (r.estimator, r.L, r.repeat))
     summary = summarize(records)
     return records, summary

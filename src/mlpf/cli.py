@@ -8,11 +8,13 @@ import json
 import sys
 
 from . import bench
+from .euler import NonFiniteStateError
 from .filters import cpf_run, pf_run
 from .models import BUILTIN_NAMES, builtin_model
 from .multilevel import allocate, mlpf_run, total_cost
 from .observations import read_path, simulate_observations, write_path, export_csv
 from .oracle import reference_truth
+from .resampling import DegenerateWeightsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,6 +122,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except (NonFiniteStateError, DegenerateWeightsError) as exc:  # numerical faults at run time
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

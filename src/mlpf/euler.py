@@ -5,6 +5,12 @@ only arithmetic, with its input checks at the interval boundary.  The coupled
 propagation drives the coarse chain with pairwise sums of the fine Brownian
 increments, so its fine half is bit-identical to a standalone fine
 propagation given the same noise block.
+
+Every operation in the loop is elementwise, so the particle axis may hold
+several independent filters on the same observation path: the filters stack
+R replicates of N particles as R*N rows and step them all in one Python
+iteration per Euler step, and each replicate's rows come out exactly as if
+it had been propagated alone.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from .models import ModelSpec
 
 __all__ = [
+    "NonFiniteStateError",
     "UnitPropagation",
     "CoupledUnitPropagation",
     "log_potential",
@@ -34,11 +41,23 @@ class UnitPropagation:
     partial_log_g: np.ndarray | None = None  # (N, 2**level) running sums
     intermediate_states: np.ndarray | None = None  # (N, 2**level + 1, 1)
 
+    def rows(self, sl: slice) -> UnitPropagation:
+        """Views of the particles in ``sl``, e.g. one replicate of a stacked batch."""
+        return UnitPropagation(
+            self.level, self.endpoint[sl], self.log_g_total[sl],
+            None if self.partial_log_g is None else self.partial_log_g[sl],
+            None if self.intermediate_states is None else self.intermediate_states[sl],
+        )
+
 
 @dataclass(frozen=True)
 class CoupledUnitPropagation:
     fine: UnitPropagation
     coarse: UnitPropagation
+
+
+class NonFiniteStateError(ValueError):
+    """A state, or an observation increment, is not finite: a runtime fault."""
 
 
 _NON_FINITE = "non-finite inputs to log_potential"
@@ -56,7 +75,7 @@ def log_potential(model: ModelSpec, x: np.ndarray, dy: np.ndarray, delta: float)
     x = np.asarray(x, dtype=float).reshape(-1)
     dy = np.asarray(dy, dtype=float).reshape(())
     if not (np.all(np.isfinite(x)) and np.isfinite(dy)):
-        raise ValueError(_NON_FINITE)
+        raise NonFiniteStateError(_NON_FINITE)
     return _log_g(model.observation(x), float(dy), delta)
 
 
@@ -94,7 +113,7 @@ def propagate_unit(
     if noise.shape != (n, steps, 1):
         raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps}, 1)")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(obs))):
-        raise ValueError(_NON_FINITE)
+        raise NonFiniteStateError(_NON_FINITE)
     dys = obs[:, 0].tolist()
     xi = noise[:, :, 0].T  # row k: the step-k increments of every particle
     x = x0[:, 0]
@@ -111,7 +130,7 @@ def propagate_unit(
             partials[:, k] = log_g
             states[:, k + 1, 0] = x
     if not np.all(np.isfinite(pre)):
-        raise ValueError(_NON_FINITE)
+        raise NonFiniteStateError(_NON_FINITE)
     return UnitPropagation(l, x[:, None], log_g, partials, states)
 
 

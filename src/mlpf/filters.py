@@ -6,11 +6,21 @@ interval's potentials, evaluated before any resampling at that time.  The
 CPF runs a fine/coarse pair on common Brownian increments with jointly
 resampled ancestor indices, and tracks the set of pairs that have always
 drawn a common ancestor.
+
+Both filters take ``seed`` as an int or as a tuple of ints, one independent
+replicate per seed.  Replicates on the same path and level are stacked along
+the particle axis, R replicates of N particles as R*N rows, and stepped by
+one Euler sweep per interval; each keeps its own Philox noise block and
+resampling stream, and its log-weights, ESS, resampling and estimates are
+computed on its own rows.  Replicates are stacked in groups of at most
+``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a replicate
+that alone exceeds it runs by itself.  Every replicate's output is
+bit-identical to the single-seed run; an int seed is the one-replicate case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +29,7 @@ from .euler import UnitPropagation, propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
+    IndexPairs,
     ess,
     log_mean_weight,
     maximal_coupling_indices,
@@ -34,12 +45,17 @@ __all__ = [
     "pf_run",
     "cpf_run",
     "pf_estimate_intermediate",
-    "cpf_estimate_intermediate",
-    "log_normalizing_constant",
+    "MAX_GROUP_PARTICLE_STEPS",
 ]
 
 RESAMPLE_POLICIES = ("always", "ess_below_half")
 COUPLINGS = ("maximal", "sorted", "independent")
+
+# replicates are stacked while a group's noise block (replicates x particles x
+# steps per unit interval) stays within this many particle-steps (2 MB of
+# float64): the Euler sweep's cost per particle-step stops falling by this
+# size, and larger blocks only hold more memory
+MAX_GROUP_PARTICLE_STEPS = 1 << 18
 
 DEFAULT_FUNCTIONALS = {
     "x": lambda x: x[:, 0],
@@ -123,6 +139,24 @@ def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, i
         into[(float(t), fid)] = _weighted_mean(log_weights, phi(states))
 
 
+def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
+    """Split replicate seeds into stacked groups of at most
+    ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per unit interval (one each
+    when a single replicate is larger)."""
+    size = max(1, MAX_GROUP_PARTICLE_STEPS // (n << l))
+    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
+
+
+def _stacked_noise(model: ModelSpec, seeds: tuple, l: int, p: int, n: int) -> np.ndarray:
+    """Brownian increments of every replicate in a group, stacked along the
+    particle axis: rows ``r*n .. (r+1)*n - 1`` are replicate ``r``'s own
+    Philox block, bit-identical to a single-seed run's."""
+    blocks = [streams.noise_block(s, l, p, n, model.d_x) for s in seeds]
+    noise = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    noise *= np.sqrt(2.0 ** (-l))
+    return noise
+
+
 def pf_run(
     model: ModelSpec,
     path: ObservationPath,
@@ -131,53 +165,71 @@ def pf_run(
     functionals,
     report_times=None,
     resample_policy: str = "ess_below_half",
-    seed: int = 0,
+    seed: int | tuple = 0,
     intermediate_times=None,
-) -> FilterOutput:
-    """Run a particle filter at level ``l`` on one observation path."""
+):
+    """Run a particle filter at level ``l`` on one observation path.
+
+    ``seed`` is an int, giving one ``FilterOutput``, or a tuple of ints,
+    giving a tuple with one output per seed, each equal to the single-seed
+    run.  The replicates are stacked in groups (see ``_replicate_groups``)
+    and each group takes one Euler sweep per interval.
+    """
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
     inter = _group_intermediate(intermediate_times, l, path.T)
-    steps = 1 << l
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    outs = []
+    for group in _replicate_groups(seeds, n, l):
+        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, inter)
+    return tuple(outs) if isinstance(seed, tuple) else outs[0]
+
+
+def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, inter) -> list:
+    """One stacked group of replicates; weights and resampling are per row."""
     delta = 2.0 ** (-l)
-    x = np.tile(model.x_star, (n, 1))
-    cum = np.zeros(n)
-    log_norm = 0.0
-    estimates: dict = {}
-    resample_times: list = []
-    ess_trace: list = []
+    rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
+    x = np.tile(model.x_star, (len(seeds) * n, 1))
+    cum = np.zeros(len(seeds) * n)
+    log_norm = [0.0] * len(seeds)
+    estimates = [{} for _ in seeds]
+    resample_times = [[] for _ in seeds]
+    ess_trace = [[] for _ in seeds]
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
-        noise = np.sqrt(delta) * streams.noise_block(seed, l, p, n, model.d_x)
+        noise = _stacked_noise(model, seeds, l, p, n)
         prop = propagate_unit(model, l, x, obs, noise, retain=bool(inter.get(p)))
-        for j in inter.get(p, ()):
-            t = p + j * delta
-            for fid, phi in phis.items():
-                estimates[(t, fid)] = pf_estimate_intermediate(cum, prop, j * delta, phi)
-        cum = cum + prop.log_g_total
         x = prop.endpoint
         t = p + 1
-        wv = normalize_log_weights(cum)
-        if t in report_times:
-            _weighted(cum, x, phis, t, estimates)
-        e = ess(wv)
-        ess_trace.append(e)
-        if resample_policy == "always" or e < n / 2.0:
-            log_norm += log_mean_weight(cum)
-            rng = streams.resample_rng(seed, l, p)
-            idx = multinomial_indices(wv, n, rng)
-            x = x[idx]
-            cum = np.zeros(n)
-            resample_times.append(float(t))
-    log_norm += log_mean_weight(cum)  # zero when the last event was a resample
-    return FilterOutput(
-        level=l,
-        n_particles=n,
-        estimates=estimates,
-        log_normalizer=log_norm,
-        diagnostics=FilterDiagnostics(resample_times, ess_trace),
-        cost_units=n * steps * path.T,
-    )
+        for r, sl in enumerate(rows):
+            for j in inter.get(p, ()):
+                for fid, phi in phis.items():
+                    estimates[r][(p + j * delta, fid)] = pf_estimate_intermediate(
+                        cum[sl], prop.rows(sl), j * delta, phi)
+            cum[sl] += prop.log_g_total[sl]
+            wv = normalize_log_weights(cum[sl])
+            if t in report_times:
+                _weighted(cum[sl], x[sl], phis, t, estimates[r])
+            e = ess(wv)
+            ess_trace[r].append(e)
+            if resample_policy == "always" or e < n / 2.0:
+                log_norm[r] += log_mean_weight(cum[sl])
+                idx = multinomial_indices(wv, n, streams.resample_rng(seeds[r], l, p))
+                x[sl] = x[sl][idx]
+                cum[sl] = 0.0
+                resample_times[r].append(float(t))
+    return [
+        FilterOutput(
+            level=l,
+            n_particles=n,
+            estimates=estimates[r],
+            # the last term is zero when the last event was a resample
+            log_normalizer=log_norm[r] + log_mean_weight(cum[sl]),
+            diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r]),
+            cost_units=n * (1 << l) * path.T,
+        )
+        for r, sl in enumerate(rows)
+    ]
 
 
 def pf_estimate_intermediate(cum_entry: np.ndarray, prop: UnitPropagation, t: float, phi) -> float:
@@ -228,120 +280,115 @@ def cpf_run(
     functionals,
     report_times=None,
     resample_policy: str = "ess_below_half",
-    seed: int = 0,
+    seed: int | tuple = 0,
     coupling: str = "maximal",
-    resample_trigger: str = "coarse",
     intermediate_times=None,
-) -> FilterOutput:
+):
     """Run a coupled particle filter approximating levels ``l`` and ``l-1``.
 
     ``estimates`` holds the fine-minus-coarse difference estimator; the
     per-level estimates are exposed separately.  The adaptive trigger is
-    evaluated on the coarse-side ESS by default (``resample_trigger`` may be
-    set to "both" for a sensitivity variant).  ``coupling`` "independent" is
-    a test hook that disables the joint resampler.
+    evaluated on the coarse-side ESS.  ``coupling`` "independent" is a test
+    hook that disables the joint resampler.  ``seed`` is an int or a tuple
+    of ints, with replicates stacked as in ``pf_run``.
     """
     if l < 1:
         raise ValueError("coupled filter needs l >= 1")
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
-    if resample_trigger not in ("coarse", "both"):
-        raise ValueError("resample_trigger must be 'coarse' or 'both'")
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
     inter = _group_intermediate(intermediate_times, l - 1, path.T)
-    delta = 2.0 ** (-l)
-    xf = np.tile(model.x_star, (n, 1))
-    xc = np.tile(model.x_star, (n, 1))
-    cum_f = np.zeros(n)
-    cum_c = np.zeros(n)
-    same = np.ones(n, dtype=bool)
-    log_norm_f = 0.0
-    log_norm_c = 0.0
-    diffs: dict = {}
-    fine_est: dict = {}
-    coarse_est: dict = {}
-    resample_times: list = []
-    ess_trace: list = []
-    coupling_fraction: list = []
-    same_trace: list = []
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    outs = []
+    for group in _replicate_groups(seeds, n, l):
+        outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
+                           coupling, inter)
+    return tuple(outs) if isinstance(seed, tuple) else outs[0]
+
+
+def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
+               inter) -> list:
+    """One stacked group of coupled replicates; weights and resampling are per row."""
+    delta_c = 2.0 ** (-(l - 1))
+    rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
+    xf = np.tile(model.x_star, (len(seeds) * n, 1))
+    xc = xf.copy()
+    cum_f = np.zeros(len(seeds) * n)
+    cum_c = np.zeros(len(seeds) * n)
+    same = np.ones(len(seeds) * n, dtype=bool)
+    log_norm_f = [0.0] * len(seeds)
+    log_norm_c = [0.0] * len(seeds)
+    diffs = [{} for _ in seeds]
+    fine_est = [{} for _ in seeds]
+    coarse_est = [{} for _ in seeds]
+    resample_times = [[] for _ in seeds]
+    ess_trace = [[] for _ in seeds]
+    coupling_fraction = [[] for _ in seeds]
+    same_trace = [[] for _ in seeds]
     for p in range(path.T):
         obs_f = increments_at_level(path, l, p)
         obs_c = increments_at_level(path, l - 1, p)
-        noise = np.sqrt(delta) * streams.noise_block(seed, l, p, n, model.d_x)
-        retain = bool(inter.get(p))
-        prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise, retain=retain)
-        for j in inter.get(p, ()):
-            t = p + j * 2.0 ** (-(l - 1))
-            for fid, phi in phis.items():
-                f_val = pf_estimate_intermediate(cum_f, prop.fine, j * 2.0 ** (-(l - 1)), phi)
-                c_val = pf_estimate_intermediate(cum_c, prop.coarse, j * 2.0 ** (-(l - 1)), phi)
-                fine_est[(t, fid)] = f_val
-                coarse_est[(t, fid)] = c_val
-                diffs[(t, fid)] = f_val - c_val
-        cum_f = cum_f + prop.fine.log_g_total
-        cum_c = cum_c + prop.coarse.log_g_total
+        noise = _stacked_noise(model, seeds, l, p, n)
+        prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
+                                      retain=bool(inter.get(p)))
         xf = prop.fine.endpoint
         xc = prop.coarse.endpoint
         t = p + 1
-        wv_f = normalize_log_weights(cum_f)
-        wv_c = normalize_log_weights(cum_c)
-        if t in report_times:
-            _weighted(cum_f, xf, phis, t, fine_est)
-            _weighted(cum_c, xc, phis, t, coarse_est)
-            for fid in phis:
-                diffs[(float(t), fid)] = fine_est[(float(t), fid)] - coarse_est[(float(t), fid)]
-        e_c = ess(wv_c)
-        ess_trace.append(e_c)
-        fire = resample_policy == "always" or e_c < n / 2.0
-        if resample_trigger == "both" and resample_policy != "always":
-            fire = fire or ess(wv_f) < n / 2.0
-        if fire:
-            log_norm_f += log_mean_weight(cum_f)
-            log_norm_c += log_mean_weight(cum_c)
-            rng = streams.resample_rng(seed, l, p)
-            if coupling == "maximal":
-                pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
-            elif coupling == "sorted":
-                pairs = sorted_coupling_indices(wv_f, wv_c, xf, xc, n, rng)
-            else:  # independent draws; coupling bookkeeping still recorded
-                fine_idx = multinomial_indices(wv_f, n, rng)
-                coarse_idx = multinomial_indices(wv_c, n, rng)
-                from .resampling import IndexPairs
-
-                coupled = fine_idx == coarse_idx
-                pairs = IndexPairs(fine_idx, coarse_idx, coupled)
-            xf = xf[pairs.fine]
-            xc = xc[pairs.coarse]
-            same = pairs.coupled & same[pairs.fine]
-            cum_f = np.zeros(n)
-            cum_c = np.zeros(n)
-            resample_times.append(float(t))
-            coupling_fraction.append(float(np.mean(pairs.coupled)))
-            same_trace.append(float(np.mean(same)))
-    log_norm_f += log_mean_weight(cum_f)
-    log_norm_c += log_mean_weight(cum_c)
-    return FilterOutput(
-        level=l,
-        n_particles=n,
-        estimates=diffs,
-        log_normalizer=log_norm_f,
-        diagnostics=FilterDiagnostics(resample_times, ess_trace, coupling_fraction, same_trace),
-        cost_units=n * ((1 << l) + (1 << (l - 1))) * path.T,
-        fine_estimates=fine_est,
-        coarse_estimates=coarse_est,
-        log_normalizer_coarse=log_norm_c,
-        final_same_ancestor_fraction=float(np.mean(same)),
-    )
-
-
-def cpf_estimate_intermediate(cum_f, cum_c, prop, t: float, phi) -> float:
-    """Fine-minus-coarse estimate at a fractional time on the coarse grid."""
-    fine = pf_estimate_intermediate(cum_f, prop.fine, t, phi)
-    coarse = pf_estimate_intermediate(cum_c, prop.coarse, t, phi)
-    return fine - coarse
-
-
-def log_normalizing_constant(output: FilterOutput) -> float:
-    """Accumulated log of mean weights at resampling epochs (and at T)."""
-    return output.log_normalizer
+        for r, sl in enumerate(rows):
+            for j in inter.get(p, ()):
+                for fid, phi in phis.items():
+                    f_val = pf_estimate_intermediate(cum_f[sl], prop.fine.rows(sl), j * delta_c, phi)
+                    c_val = pf_estimate_intermediate(cum_c[sl], prop.coarse.rows(sl), j * delta_c, phi)
+                    key = (p + j * delta_c, fid)
+                    fine_est[r][key] = f_val
+                    coarse_est[r][key] = c_val
+                    diffs[r][key] = f_val - c_val
+            cum_f[sl] += prop.fine.log_g_total[sl]
+            cum_c[sl] += prop.coarse.log_g_total[sl]
+            wv_f = normalize_log_weights(cum_f[sl])
+            wv_c = normalize_log_weights(cum_c[sl])
+            if t in report_times:
+                _weighted(cum_f[sl], xf[sl], phis, t, fine_est[r])
+                _weighted(cum_c[sl], xc[sl], phis, t, coarse_est[r])
+                for fid in phis:
+                    key = (float(t), fid)
+                    diffs[r][key] = fine_est[r][key] - coarse_est[r][key]
+            e_c = ess(wv_c)
+            ess_trace[r].append(e_c)
+            if resample_policy == "always" or e_c < n / 2.0:
+                log_norm_f[r] += log_mean_weight(cum_f[sl])
+                log_norm_c[r] += log_mean_weight(cum_c[sl])
+                rng = streams.resample_rng(seeds[r], l, p)
+                if coupling == "maximal":
+                    pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
+                elif coupling == "sorted":
+                    pairs = sorted_coupling_indices(wv_f, wv_c, xf[sl], xc[sl], n, rng)
+                else:  # independent draws; coupling bookkeeping still recorded
+                    fine_idx = multinomial_indices(wv_f, n, rng)
+                    coarse_idx = multinomial_indices(wv_c, n, rng)
+                    pairs = IndexPairs(fine_idx, coarse_idx, fine_idx == coarse_idx)
+                xf[sl] = xf[sl][pairs.fine]
+                xc[sl] = xc[sl][pairs.coarse]
+                same[sl] = pairs.coupled & same[sl][pairs.fine]
+                cum_f[sl] = 0.0
+                cum_c[sl] = 0.0
+                resample_times[r].append(float(t))
+                coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
+                same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
+    return [
+        FilterOutput(
+            level=l,
+            n_particles=n,
+            estimates=diffs[r],
+            log_normalizer=log_norm_f[r] + log_mean_weight(cum_f[sl]),
+            diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r], coupling_fraction[r],
+                                          same_trace[r]),
+            cost_units=n * ((1 << l) + (1 << (l - 1))) * path.T,
+            fine_estimates=fine_est[r],
+            coarse_estimates=coarse_est[r],
+            log_normalizer_coarse=log_norm_c[r] + log_mean_weight(cum_c[sl]),
+            final_same_ancestor_fraction=float(np.count_nonzero(same[sl]) / n),
+        )
+        for r, sl in enumerate(rows)
+    ]

@@ -90,63 +90,72 @@ def mlpf_run(
     report_times=None,
     resample_policy: str = "ess_below_half",
     coupling: str = "maximal",
-    seed: int = 0,
+    seed: int | tuple = 0,
     intermediate_times=None,
-) -> MLPFOutput:
+):
     """One level-0 PF plus L independent CPFs, combined by the telescoping sum.
 
     Per-level seeds derive from ``(seed, level)`` so levels are independent
     and insensitive to execution order.  Combined estimates sum the level-0
-    value and the difference estimators in ascending level order.
+    value and the difference estimators in ascending level order.  ``seed``
+    may be a tuple of ints: every level then runs all replicates at once
+    (stacked by ``pf_run`` and ``cpf_run``) and one ``MLPFOutput`` per seed
+    is returned, each equal to the single-seed run.
     """
     if allocation.L > path.L_data:
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
     if coupling == "sorted" and model.d_x != 1:
         raise ValueError("sorted coupling requires d_x = 1")
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+
+    def level_seeds(l):
+        return tuple(streams.level_seed(s, l) for s in seeds)
+
     if allocation.rule == "single_pf":
-        out = pf_run(
+        outs = pf_run(
             model, path, allocation.L, allocation.counts[0], functionals,
             report_times=report_times, resample_policy=resample_policy,
-            seed=streams.level_seed(seed, allocation.L),
-            intermediate_times=intermediate_times,
+            seed=level_seeds(allocation.L), intermediate_times=intermediate_times,
         )
-        return MLPFOutput(allocation, (out,), dict(out.estimates), out.cost_units)
+        results = tuple(MLPFOutput(allocation, (out,), dict(out.estimates), out.cost_units)
+                        for out in outs)
+        return results if isinstance(seed, tuple) else results[0]
     # intermediate combined estimates are based at the coarsest CPF level whose
     # grid contains the requested time; the level-0 half-open grid is empty
     base_inter = _intermediate_base_levels(intermediate_times, allocation.L)
-    outputs = []
-    out0 = pf_run(
+    levels = [pf_run(
         model, path, 0, allocation.counts[0], functionals,
-        report_times=report_times, resample_policy=resample_policy,
-        seed=streams.level_seed(seed, 0),
-    )
-    outputs.append(out0)
+        report_times=report_times, resample_policy=resample_policy, seed=level_seeds(0),
+    )]
     for l in range(1, allocation.L + 1):
         inter_l = [t for t, lb in base_inter.items() if lb <= l] if base_inter else None
-        outputs.append(
-            cpf_run(
-                model, path, l, allocation.counts[l], functionals,
-                report_times=report_times, resample_policy=resample_policy,
-                seed=streams.level_seed(seed, l), coupling=coupling,
-                intermediate_times=inter_l,
-            )
-        )
+        levels.append(cpf_run(
+            model, path, l, allocation.counts[l], functionals,
+            report_times=report_times, resample_policy=resample_policy,
+            seed=level_seeds(l), coupling=coupling, intermediate_times=inter_l,
+        ))
+    results = tuple(_combine(allocation, outputs, base_inter) for outputs in zip(*levels))
+    return results if isinstance(seed, tuple) else results[0]
+
+
+def _combine(allocation: LevelAllocation, outputs: tuple, base_inter: dict) -> MLPFOutput:
+    """Telescoping sum of one replicate's level outputs, in ascending level order."""
+    out0 = outputs[0]
     combined: dict = {}
     for key, value in out0.estimates.items():
         acc = value
         for out in outputs[1:]:
             acc = acc + out.estimates[key]
         combined[key] = acc
-    if base_inter:
-        for t, lb in base_inter.items():
-            cpf_base = outputs[lb]
-            for key in [k for k in cpf_base.fine_estimates if k[0] == t]:
-                # base term: the fine-level estimate of the coarsest usable CPF,
-                # then the telescoping differences from the finer levels
-                acc = cpf_base.fine_estimates[key]
-                for out in outputs[lb + 1 :]:
-                    acc += out.estimates[key]
-                combined[key] = acc
+    for t, lb in base_inter.items():
+        cpf_base = outputs[lb]
+        for key in [k for k in cpf_base.fine_estimates if k[0] == t]:
+            # base term: the fine-level estimate of the coarsest usable CPF,
+            # then the telescoping differences from the finer levels
+            acc = cpf_base.fine_estimates[key]
+            for out in outputs[lb + 1 :]:
+                acc += out.estimates[key]
+            combined[key] = acc
     cost = sum(out.cost_units for out in outputs)
     return MLPFOutput(allocation, tuple(outputs), combined, cost)
 

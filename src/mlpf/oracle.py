@@ -123,11 +123,9 @@ def reference_truth(
                 else:
                     raise ValueError(f"Kalman truth supports built-in functionals only, got {fid!r}")
         return ReferenceTruth(estimates, None, "kalman")
-    runs = [
-        pf_run(model, path, ref_level, ref_n, functionals, report_times=report_times,
-               seed=int(streams.generator(seed, streams.TAG_TRUTH, r).integers(2 ** 63)))
-        for r in range(replicates)
-    ]
+    seeds = tuple(int(streams.generator(seed, streams.TAG_TRUTH, r).integers(2 ** 63))
+                  for r in range(replicates))
+    runs = pf_run(model, path, ref_level, ref_n, functionals, report_times=report_times, seed=seeds)
     estimates, ses = {}, {}
     for key in runs[0].estimates:
         vals = np.array([run.estimates[key] for run in runs])

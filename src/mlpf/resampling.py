@@ -92,7 +92,7 @@ def log_mean_weight(log_weights) -> float:
 def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, u, side="right").clip(0, probs.size - 1)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)  # never below 0
 
 
 def multinomial_indices(weights: WeightVector, n_draws: int, rng) -> np.ndarray:

@@ -1,0 +1,98 @@
+"""Seed tuples: every replicate of a stacked batch equals its single-seed run exactly."""
+
+import copy
+
+import pytest
+
+from mlpf import filters, streams
+from mlpf.bench import parse_config, run_benchmark
+from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, cpf_run, pf_run
+from mlpf.models import BUILTIN_NAMES, builtin_model
+from mlpf.multilevel import allocate, mlpf_run
+from mlpf.observations import simulate_observations
+
+SEEDS = (0, 5, 123456789, 42)
+POLICIES = ("always", "ess_below_half")
+
+
+@pytest.fixture(scope="module", params=BUILTIN_NAMES)
+def model_path(request):
+    model = builtin_model(request.param, {})
+    return model, simulate_observations("p", model, 3, 7, seed=11)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pf_batch_equals_single(model_path, policy):
+    model, path = model_path
+    kw = dict(resample_policy=policy, intermediate_times=[0.5, 1.25, 2.0625])
+    batch = pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=SEEDS, **kw)
+    assert isinstance(batch, tuple) and len(batch) == len(SEEDS)
+    for s, out in zip(SEEDS, batch):
+        assert out == pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=s, **kw)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("coupling", ("maximal", "sorted", "independent"))
+def test_cpf_batch_equals_single(model_path, policy, coupling):
+    model, path = model_path
+    kw = dict(resample_policy=policy, coupling=coupling, intermediate_times=[0.5, 1.25])
+    batch = cpf_run(model, path, 4, 29, ["x", "x2"], seed=SEEDS, **kw)
+    assert len(batch) == len(SEEDS)
+    for s, out in zip(SEEDS, batch):
+        assert out == cpf_run(model, path, 4, 29, ["x", "x2"], seed=s, **kw)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("rule,coupling,inter", [
+    ("mlpf_constant", "maximal", [0.5, 1.75]),
+    ("mlpf_nonconstant", "sorted", [0.25]),
+    ("single_pf", "maximal", None),
+])
+def test_mlpf_batch_equals_single(model_path, policy, rule, coupling, inter):
+    model, path = model_path
+    alloc = allocate(rule, 5, 0.5)
+    kw = dict(resample_policy=policy, coupling=coupling, intermediate_times=inter)
+    batch = mlpf_run(model, path, alloc, ["x"], seed=SEEDS, **kw)
+    assert len(batch) == len(SEEDS)
+    for s, out in zip(SEEDS, batch):
+        assert out == mlpf_run(model, path, alloc, ["x"], seed=s, **kw)
+
+
+def test_batch_spans_several_groups():
+    model = builtin_model("ou", {})
+    path = simulate_observations("pbar", model, 2, 7, seed=3)
+    l = 7
+    n = MAX_GROUP_PARTICLE_STEPS >> (l + 2)  # four replicates fill a group
+    seeds = tuple(range(100, 106))
+    assert [len(g) for g in filters._replicate_groups(seeds, n, l)] == [4, 2]
+    batch = cpf_run(model, path, l, n, ["x"], seed=seeds, resample_policy="always")
+    for s, out in zip(seeds, batch):
+        assert out == cpf_run(model, path, l, n, ["x"], seed=s, resample_policy="always")
+    batch = pf_run(model, path, l, n, ["x"], seed=seeds)
+    for s, out in zip(seeds, batch):
+        assert out == pf_run(model, path, l, n, ["x"], seed=s)
+
+
+def test_oversized_replicates_run_alone():
+    assert filters._replicate_groups((1, 2, 3), MAX_GROUP_PARTICLE_STEPS, 1) == [(1,), (2,), (3,)]
+
+
+def test_benchmark_records_equal_single_seed_runs():
+    raw = {
+        "model": "gbm", "T": 2, "L_data": 6, "repeats": 3, "paths": 2, "master_seed": 21,
+        "data_seed": 8, "truth_level": 5, "truth_n": 200, "output_dir": "unused",
+        "estimators": [{"id": "ml", "rule": "mlpf_nonconstant", "L_min": 2, "L_max": 3,
+                        "base": 1.0, "resample_policy": "always"}],
+    }
+    cfg = parse_config(copy.deepcopy(raw))
+    records, _ = run_benchmark(cfg)
+    model = builtin_model("gbm", {})
+    paths = [simulate_observations("pbar", model, 2, 6, seed=8),
+             simulate_observations("pbar", model, 2, 6, seed=int(
+                 streams.generator(8, streams.TAG_OBS, 1).integers(2 ** 63)))]
+    assert len(records) == 2 * 2 * 3
+    for rec in records:
+        out = mlpf_run(model, paths[rec.repeat // 3], allocate("mlpf_nonconstant", rec.L, 1.0),
+                       ["x"], report_times=[2], resample_policy="always", seed=rec.seed)
+        assert rec.estimate == out.estimates[(2.0, "x")]
+        assert rec.cost_units == out.cost_units

@@ -58,6 +58,11 @@ class TestParseConfig:
         (lambda r: r.update(paths=0), "paths"),
         (lambda r: r.update(truth_level="3"), "config.truth_level"),
         (lambda r: r.update(data_mode="bogus"), "data_mode"),
+        pytest.param(lambda r: r.update(T=2.5), "config.T", id="T-float"),
+        pytest.param(lambda r: r.update(T="3"), "config.T", id="T-string"),
+        pytest.param(lambda r: r.update(L_data=5.9), "config.L_data", id="L_data-float"),
+        pytest.param(lambda r: r["estimators"][0].update(L_min=1.5),
+                     "config.estimators[0].L_min", id="L_min-float"),
     ])
     def test_rejections_name_the_field(self, mutate, fragment):
         raw = copy.deepcopy(BASE_CONFIG)
@@ -144,10 +149,12 @@ class TestRunBenchmark:
         cfg = make_config(paths=2, repeats=2,
                           estimators=[{"id": "pf", "rule": "single_pf",
                                        "L_min": 2, "L_max": 2, "base": 10.0}])
-        records, summary = run_benchmark(cfg)
+        calls = []
+        records, summary = run_benchmark(cfg, progress=lambda i, n: calls.append((i, n)))
         assert len(records) == 4
         assert len({r.truth for r in records}) == 2
         assert summary[0]["n_repeats"] == 4
+        assert calls == [(2, 4), (4, 4)]  # replicates done, one job (path) at a time
 
 
 class TestOutputs:

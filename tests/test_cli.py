@@ -76,6 +76,15 @@ class TestRunCommands:
         assert main(["run-pf", "--model", "ou", "--path", path_file,
                      "--level", "9", "--n", "10"]) == EXIT_CONFIG
 
+    def test_numerical_fault_is_runtime_error(self, tmp_path, capsys):
+        gbm_path = tmp_path / "gbm.bin"
+        assert main(["simulate-data", "--model", "gbm", "--T", "2", "--L-data", "4",
+                     "--seed", "7", "--out", str(gbm_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run-pf", "--model", "gbm", "--params", '{"mu": 1e300}',
+                     "--path", str(gbm_path), "--level", "4", "--n", "10"]) == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_path_is_runtime_error(self, tmp_path):
         assert main(["run-pf", "--model", "ou", "--path", str(tmp_path / "none.bin"),
                      "--level", "2", "--n", "10"]) == EXIT_RUNTIME

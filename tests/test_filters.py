@@ -5,7 +5,6 @@ from scipy.stats import ks_2samp
 from mlpf.euler import propagate_unit
 from mlpf.filters import (
     cpf_run,
-    log_normalizing_constant,
     pf_estimate_intermediate,
     pf_run,
     resolve_functionals,
@@ -37,7 +36,7 @@ class TestPf:
 
     def test_silent_model_normalizer_zero(self, path):
         out = pf_run(silent_model(), path, 3, 50, ["x"], resample_policy="always", seed=0)
-        assert log_normalizing_constant(out) == 0.0
+        assert out.log_normalizer == 0.0
 
     def test_single_particle_degeneracy(self, path):
         out = pf_run(OU, path, 2, 1, ["x"], resample_policy="always", seed=5)
