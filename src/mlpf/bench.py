@@ -10,9 +10,11 @@ A job is one (estimator, L, path): it carries the seeds of all ``repeats``
 replicates and runs them in one batched ``mlpf_run`` call, so each level's
 replicates share one Euler sweep (see ``filters``).  Replicate ``k`` in
 sweep order still gets ``replicate_seed(master_seed, k)`` and the same
-estimate as a run of its own.  Jobs go to the workers largest planned cost
-first.  A record's ``wall_seconds`` is its job's wall time split equally
-over the job's replicates.
+estimate as a run of its own.  On a pool of W > 1 workers each job's seeds
+are split into min(W, repeats) contiguous slices, one task each, so the
+largest job does not bound the sweep.  Tasks go to the workers largest
+planned cost first.  A record's ``wall_seconds`` is its task's wall time
+split equally over the task's replicates.
 """
 
 from __future__ import annotations
@@ -231,7 +233,9 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
         truth = reference_truth(model, path, truth_level, config.truth_n, list(config.functionals),
                                 seed=config.master_seed, report_times=[config.T])
         path_data.append((path, truth.estimates[(t_report, fid)]))
-    # one job per (estimator, L, path); replicate seeds are numbered in that order
+    # one job per (estimator, L, path); replicate seeds are numbered in that order.
+    # A pool gets each job as contiguous seed slices, one task per slice.
+    slices = _seed_slices(config.repeats, config.workers)
     jobs = []
     meta = []
     planned = []
@@ -244,27 +248,30 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
                 seeds = tuple(streams.replicate_seed(config.master_seed, n_seeds + r)
                               for r in range(config.repeats))
                 n_seeds += config.repeats
-                jobs.append((
-                    config.model, config.model_params, path.increments, config.T,
-                    config.L_data, path.d_y, path.mode, path.seed,
-                    allocation, est.coupling, est.resample_policy,
-                    tuple(config.functionals), seeds,
-                ))
-                meta.append((est.id, L, pi * config.repeats, seeds, truth_val))
-                planned.append(total_cost(allocation, config.T))
-    # largest planned cost first, so a pool's last jobs are its shortest
+                for a, b in slices:
+                    jobs.append((
+                        config.model, config.model_params, path.increments, config.T,
+                        config.L_data, path.d_y, path.mode, path.seed,
+                        allocation, est.coupling, est.resample_policy,
+                        tuple(config.functionals), seeds[a:b],
+                    ))
+                    meta.append((est.id, L, pi * config.repeats + a, seeds[a:b], truth_val))
+                    planned.append(total_cost(allocation, config.T) * (b - a))
+    # largest planned cost first, so a pool's last tasks are its shortest
     order = sorted(range(len(jobs)), key=lambda i: -planned[i])
     results = [None] * len(jobs)
+    done = 0
     with contextlib.ExitStack() as stack:
         if config.workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             outs = pool.map(_run_one, [jobs[i] for i in order])
         else:
             outs = map(_run_one, [jobs[i] for i in order])
-        for done, (i, out) in enumerate(zip(order, outs), 1):
+        for i, out in zip(order, outs):
             results[i] = out
+            done += len(meta[i][3])
             if progress:
-                progress(done * config.repeats, n_seeds)
+                progress(done, n_seeds)
     records = []
     for (est_id, L, rep0, seeds, truth_val), (estimates, _, wall, costs) in zip(meta, results):
         for r, (seed, estimate, cost) in enumerate(zip(seeds, estimates, costs)):
@@ -274,6 +281,18 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
     records.sort(key=lambda r: (r.estimator, r.L, r.repeat))
     summary = summarize(records)
     return records, summary
+
+
+def _seed_slices(repeats: int, workers: int) -> list:
+    """Contiguous (start, stop) slices of a job's ``repeats`` seeds: the whole
+    tuple for one worker, else min(workers, repeats) slices whose sizes
+    differ by at most one, the longer ones first."""
+    k = 1 if workers <= 1 else min(workers, repeats)
+    q, rem = divmod(repeats, k)
+    bounds = [0]
+    for j in range(k):
+        bounds.append(bounds[-1] + q + (j < rem))
+    return list(zip(bounds, bounds[1:]))
 
 
 def summarize(records):

@@ -94,11 +94,12 @@ def propagate_unit(
     variance 2**-l).  The potential at each step is evaluated at the
     pre-step state; the endpoint's potential belongs to the next interval.
 
-    Inputs are checked once: x0 and ``obs`` on entry, and the last pre-step
-    state after the loop.  That is the same as checking every pre-step
-    state, because a non-finite state stays non-finite through
-    x + b(x) * delta + sigma(x) * xi.  A state that first turns non-finite
-    at the endpoint is reported by the next interval.
+    Inputs are checked once: x0 and ``obs`` on entry, and the endpoint
+    after the loop.  A non-finite state stays non-finite through
+    x + b(x) * delta + sigma(x) * xi, so a finite endpoint implies finite
+    pre-step states, and a state that overflows on any step, the last one
+    included, raises ``NonFiniteStateError``.  The loop runs with numpy's
+    overflow and invalid-value warnings off, since this check reports them.
     """
     steps = 1 << l
     delta = 2.0 ** (-l)
@@ -122,14 +123,14 @@ def propagate_unit(
     states = np.empty((n, steps + 1, 1)) if retain else None
     if retain:
         states[:, 0, 0] = x
-    for k in range(steps):
-        log_g += _log_g(model.observation(x), dys[k], delta)
-        pre = x
-        x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
-        if retain:
-            partials[:, k] = log_g
-            states[:, k + 1, 0] = x
-    if not np.all(np.isfinite(pre)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            log_g += _log_g(model.observation(x), dys[k], delta)
+            x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
+            if retain:
+                partials[:, k] = log_g
+                states[:, k + 1, 0] = x
+    if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(_NON_FINITE)
     return UnitPropagation(l, x[:, None], log_g, partials, states)
 

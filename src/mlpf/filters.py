@@ -16,6 +16,12 @@ computed on its own rows.  Replicates are stacked in groups of at most
 ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a replicate
 that alone exceeds it runs by itself.  Every replicate's output is
 bit-identical to the single-seed run; an int seed is the one-replicate case.
+
+A call allocates one noise buffer, sized for its largest group, and every
+group and interval draws its Philox blocks into it in place, so a call holds
+one noise block at a time: max(``MAX_GROUP_PARTICLE_STEPS``, N * 2**l)
+float64 values at most.  A coupled step also holds the coarse chain's pair
+sums, half as many, while it runs.
 """
 
 from __future__ import annotations
@@ -147,12 +153,19 @@ def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
-def _stacked_noise(model: ModelSpec, seeds: tuple, l: int, p: int, n: int) -> np.ndarray:
+def _noise_buffer(model: ModelSpec, groups: list, l: int, n: int) -> np.ndarray:
+    """One uninitialised noise block for the largest (the first) group."""
+    return np.empty((len(groups[0]) * n, 1 << l, model.d_x))
+
+
+def _stacked_noise(model: ModelSpec, seeds: tuple, l: int, p: int, n: int,
+                   buf: np.ndarray) -> np.ndarray:
     """Brownian increments of every replicate in a group, stacked along the
-    particle axis: rows ``r*n .. (r+1)*n - 1`` are replicate ``r``'s own
-    Philox block, bit-identical to a single-seed run's."""
-    blocks = [streams.noise_block(s, l, p, n, model.d_x) for s in seeds]
-    noise = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    particle axis in a prefix of ``buf``: rows ``r*n .. (r+1)*n - 1`` are
+    replicate ``r``'s own Philox block, bit-identical to a single-seed run's."""
+    noise = buf[: len(seeds) * n]
+    for r, s in enumerate(seeds):
+        streams.noise_block(s, l, p, n, model.d_x, out=noise[r * n : (r + 1) * n])
     noise *= np.sqrt(2.0 ** (-l))
     return noise
 
@@ -173,19 +186,24 @@ def pf_run(
     ``seed`` is an int, giving one ``FilterOutput``, or a tuple of ints,
     giving a tuple with one output per seed, each equal to the single-seed
     run.  The replicates are stacked in groups (see ``_replicate_groups``)
-    and each group takes one Euler sweep per interval.
+    and each group takes one Euler sweep per interval, with its noise drawn
+    into one buffer that all groups share.
     """
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
     inter = _group_intermediate(intermediate_times, l, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
+    groups = _replicate_groups(seeds, n, l)
+    buf = _noise_buffer(model, groups, l, n)
     outs = []
-    for group in _replicate_groups(seeds, n, l):
-        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, inter)
+    for group in groups:
+        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, inter,
+                          buf)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
-def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, inter) -> list:
+def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, inter,
+              buf) -> list:
     """One stacked group of replicates; weights and resampling are per row."""
     delta = 2.0 ** (-l)
     rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
@@ -197,7 +215,7 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
     ess_trace = [[] for _ in seeds]
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
-        noise = _stacked_noise(model, seeds, l, p, n)
+        noise = _stacked_noise(model, seeds, l, p, n, buf)
         prop = propagate_unit(model, l, x, obs, noise, retain=bool(inter.get(p)))
         x = prop.endpoint
         t = p + 1
@@ -300,15 +318,17 @@ def cpf_run(
     report_times = _check_common(path, l, n, report_times, resample_policy)
     inter = _group_intermediate(intermediate_times, l - 1, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
+    groups = _replicate_groups(seeds, n, l)
+    buf = _noise_buffer(model, groups, l, n)
     outs = []
-    for group in _replicate_groups(seeds, n, l):
+    for group in groups:
         outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
-                           coupling, inter)
+                           coupling, inter, buf)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
 def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
-               inter) -> list:
+               inter, buf) -> list:
     """One stacked group of coupled replicates; weights and resampling are per row."""
     delta_c = 2.0 ** (-(l - 1))
     rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
@@ -329,7 +349,7 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     for p in range(path.T):
         obs_f = increments_at_level(path, l, p)
         obs_c = increments_at_level(path, l - 1, p)
-        noise = _stacked_noise(model, seeds, l, p, n)
+        noise = _stacked_noise(model, seeds, l, p, n, buf)
         prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
                                       retain=bool(inter.get(p)))
         xf = prop.fine.endpoint

@@ -104,8 +104,6 @@ def mlpf_run(
     """
     if allocation.L > path.L_data:
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
-    if coupling == "sorted" and model.d_x != 1:
-        raise ValueError("sorted coupling requires d_x = 1")
     seeds = seed if isinstance(seed, tuple) else (seed,)
 
     def level_seeds(l):

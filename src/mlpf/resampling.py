@@ -17,6 +17,7 @@ __all__ = [
     "IndexPairs",
     "normalize_log_weights",
     "ess",
+    "log_mean_weight",
     "multinomial_indices",
     "maximal_coupling_indices",
     "maximal_coupling_pmf",

@@ -4,7 +4,9 @@ Every random draw in a filter run is produced by a Philox generator whose
 key is derived from ``(seed, purpose, level, unit_interval)`` via numpy's
 SeedSequence.  The mapping from (particle, step) to a Gaussian variate is a
 pure function of those integers, so results do not depend on execution
-order, worker count, or how many other levels are being run.
+order, worker count, or how many other levels are being run.  A noise block
+can be drawn into a caller's buffer (``noise_block(..., out=...)``), which
+is how the filters reuse one buffer for every interval of a call.
 """
 
 from __future__ import annotations
@@ -27,14 +29,25 @@ def generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def noise_block(seed: int, level: int, interval: int, n: int, d_x: int) -> np.ndarray:
+def noise_block(seed: int, level: int, interval: int, n: int, d_x: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal block of shape (n, 2**level, d_x) for one unit interval.
 
     Particle ``i`` owns row ``i``; step ``k`` of particle ``i`` is column
     ``k``.  Callers scale by sqrt(step size) to obtain Brownian increments.
+
+    With ``out``, a C-contiguous float64 array of that shape (for example a
+    row slice of a larger buffer), the block is drawn into it in place and
+    ``out`` is returned; the values are the same as those of a new block.
     """
+    shape = (n, 2 ** level, d_x)
     g = generator(seed, TAG_NOISE, level, interval)
-    return g.standard_normal((n, 2 ** level, d_x))
+    if out is None:
+        return g.standard_normal(shape)
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    g.standard_normal(out=out)
+    return out
 
 
 def resample_rng(seed: int, level: int, interval: int) -> np.random.Generator:

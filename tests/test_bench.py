@@ -7,6 +7,7 @@ import pytest
 
 from mlpf.bench import (
     ConfigError,
+    _seed_slices,
     emit_outputs,
     fit_slope,
     parse_config,
@@ -145,6 +146,19 @@ class TestRunBenchmark:
         records_mp, _ = run_benchmark(cfg_mp)
         assert records_csv(records, False) == records_csv(records_mp, False)
 
+    def test_pool_splits_jobs_into_seed_slices(self):
+        assert _seed_slices(6, 1) == [(0, 6)]
+        assert _seed_slices(6, 4) == [(0, 2), (2, 4), (4, 5), (5, 6)]
+        assert _seed_slices(2, 8) == [(0, 1), (1, 2)]
+        ests = [{"id": "pf", "rule": "single_pf", "L_min": 2, "L_max": 3, "base": 10.0}]
+        calls = []
+        records, _ = run_benchmark(make_config(workers=2, estimators=ests),
+                                   progress=lambda i, n: calls.append((i, n)))
+        # two slices per job (2 and 1 of the 3 replicates), largest planned cost first
+        assert calls == [(2, 6), (3, 6), (5, 6), (6, 6)]
+        serial, _ = run_benchmark(make_config(estimators=ests))
+        assert records_csv(records, False) == records_csv(serial, False)
+
     def test_multiple_paths(self):
         cfg = make_config(paths=2, repeats=2,
                           estimators=[{"id": "pf", "rule": "single_pf",
@@ -182,7 +196,8 @@ class TestOutputs:
         with open(written["json"][0]) as f:
             payload = json.load(f)
         assert len(payload["records"]) == len(records)
-        svg = open(written["svg"][0]).read()
+        with open(written["svg"][0]) as f:
+            svg = f.read()
         assert svg.count("<circle") == len(summary)
         assert svg.startswith("<svg")
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpf import streams
-from mlpf.euler import log_potential, propagate_unit, propagate_unit_coupled
+from mlpf.euler import NonFiniteStateError, log_potential, propagate_unit, propagate_unit_coupled
 from mlpf.models import ModelSpec, builtin_model
 
 OU = builtin_model("ou", {})
@@ -106,7 +106,7 @@ def blow_up_model(threshold):
 
 
 class TestNonFiniteStates:
-    """The boundary checks reject exactly what a check of every pre-step state would."""
+    """The boundary checks reject every state that is not finite, the endpoint included."""
 
     L = 3
 
@@ -118,8 +118,7 @@ class TestNonFiniteStates:
 
     def run(self, noise, x0=None):
         x0 = np.zeros((2, 1)) if x0 is None else x0
-        with np.errstate(invalid="ignore"):
-            return propagate_unit(blow_up_model(1.0), self.L, x0, np.full((1 << self.L, 1), 0.1), noise)
+        return propagate_unit(blow_up_model(1.0), self.L, x0, np.full((1 << self.L, 1), 0.1), noise)
 
     @pytest.mark.parametrize("k", range((1 << L) - 2))
     def test_mid_interval_raises(self, k):
@@ -127,13 +126,15 @@ class TestNonFiniteStates:
         with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
             self.run(self.kick_at(k))
 
-    def test_last_step_raises_in_next_interval(self):
+    def test_endpoint_overflow_raises(self):
         # kicked at step 2**L - 2, the state first turns inf at the endpoint
-        prop = self.run(self.kick_at((1 << self.L) - 2))
-        assert np.isfinite(prop.endpoint[0, 0]) and np.isinf(prop.endpoint[1, 0])
-        assert np.all(np.isfinite(prop.log_g_total))
-        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
-            self.run(np.zeros((2, 1 << self.L, 1)), x0=prop.endpoint)
+        with pytest.raises(NonFiniteStateError, match="non-finite inputs to log_potential"):
+            self.run(self.kick_at((1 << self.L) - 2))
+
+    def test_non_finite_start_raises(self):
+        x0 = np.array([[0.0], [np.inf]])
+        with pytest.raises(NonFiniteStateError, match="non-finite inputs to log_potential"):
+            self.run(np.zeros((2, 1 << self.L, 1)), x0=x0)
 
     def test_kick_on_last_step_stays_finite(self):
         prop = self.run(self.kick_at((1 << self.L) - 1))

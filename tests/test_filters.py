@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mlpf.euler import propagate_unit
+from mlpf.euler import NonFiniteStateError, propagate_unit
 from mlpf.filters import (
     cpf_run,
     pf_estimate_intermediate,
@@ -54,6 +54,17 @@ class TestPf:
     def test_cost_units(self, path):
         out = pf_run(OU, path, 3, 20, ["x"], seed=0)
         assert out.cost_units == 20 * 8 * path.T
+
+    def test_overflow_on_the_last_step_raises(self):
+        # the state first turns inf on the last step of the last interval
+        gbm = builtin_model("gbm", {})
+        blow_up = ModelSpec(
+            name="blow_up", d_x=1, d_y=1, drift=lambda x: x * 4e308,
+            diffusion=gbm.diffusion, observation=lambda x: x, x_star=gbm.x_star,
+        )
+        one_interval = simulate_observations("pbar", gbm, 1, 2, seed=3)
+        with pytest.raises(NonFiniteStateError):
+            pf_run(blow_up, one_interval, 0, 8, ["x"], seed=1)
 
     def test_level_exceeds_data(self, path):
         with pytest.raises(ValueError):
