@@ -41,10 +41,9 @@ def study_strong(model, args):
     levels = list(range(args.l_min, args.l_max + 1))
     logs = []
     for l in levels:
-        noise = np.sqrt(2.0 ** -l) * streams.noise_block(args.seed, l, 0, args.samples, 1)
-        x0 = np.full((args.samples, 1), float(model.x_star[0]))
-        cp = propagate_unit_coupled(model, l, x0, x0,
-                                    np.zeros((1 << l, 1)), np.zeros((1 << (l - 1), 1)), noise)
+        noise = np.sqrt(2.0 ** -l) * streams.noise_block(args.seed, l, 0, args.samples)
+        x0 = np.full(args.samples, model.x_star)
+        cp = propagate_unit_coupled(model, l, x0, x0, np.zeros(1 << l), np.zeros(1 << (l - 1)), noise)
         err2 = float(np.mean((cp.fine.endpoint - cp.coarse.endpoint) ** 2))
         logs.append(np.log2(err2))
         print(f"  l={l}  E|gap|^2 = {err2:.3e}")

@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import streams
-from .models import ModelSpec, builtin_model
+from .filters import DEFAULT_FUNCTIONALS
+from .models import builtin_model
 from .multilevel import ALLOCATION_RULES, allocate, mlpf_run, total_cost
 from .observations import ObservationPath, simulate_observations
 from .oracle import reference_truth
@@ -118,6 +119,8 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         missing = {"id", "rule", "L_min", "L_max", "base"} - set(e)
         if missing:
             raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
+        if str(e["id"]) in {ec.id for ec in parsed_ests}:
+            raise ConfigError(f"{where}.id: duplicate estimator id {e['id']!r}")
         if e["rule"] not in ALLOCATION_RULES:
             raise ConfigError(f"{where}.rule: {e['rule']!r} not in {ALLOCATION_RULES}")
         ec = EstimatorConfig(
@@ -133,15 +136,23 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         if ec.resample_policy not in ("always", "ess_below_half"):
             raise ConfigError(f"{where}.resample_policy: must be 'always' or 'ess_below_half'")
         parsed_ests.append(ec)
+    model_params = raw.get("model_params", {})
+    if not isinstance(model_params, dict):
+        raise ConfigError(f"config.model_params: expected a JSON object, got {model_params!r}")
+    functionals = raw.get("functionals", ["x"])
+    if (not isinstance(functionals, list) or not functionals
+            or not all(isinstance(f, str) and f in DEFAULT_FUNCTIONALS for f in functionals)):
+        raise ConfigError(f"config.functionals: expected a non-empty list of names from "
+                          f"{sorted(DEFAULT_FUNCTIONALS)}, got {functionals!r}")
     cfg = BenchmarkConfig(
         model=str(raw["model"]),
-        model_params=dict(raw.get("model_params", {})),
+        model_params=dict(model_params),
         T=_int(raw["T"], "config.T"),
         L_data=_int(raw["L_data"], "config.L_data"),
         data_mode=raw.get("data_mode", "pbar"),
         data_seed=_int(raw.get("data_seed", 0), "config.data_seed"),
         estimators=tuple(parsed_ests),
-        functionals=tuple(raw.get("functionals", ["x"])),
+        functionals=tuple(functionals),
         repeats=_int(raw["repeats"], "config.repeats"),
         paths=_int(raw.get("paths", 1), "config.paths"),
         master_seed=_int(raw["master_seed"], "config.master_seed"),
@@ -200,10 +211,10 @@ def _run_one(args) -> tuple:
     Returns (estimates, total cost units, wall seconds, cost units per
     replicate), the estimates in seed order.
     """
-    (model_name, model_params, inc, T, L_data, d_y, mode, data_seed,
+    (model_name, model_params, inc, T, L_data, mode, data_seed,
      allocation, coupling, policy, functionals, seeds) = args
     model = builtin_model(model_name, model_params)
-    path = ObservationPath(T, L_data, d_y, np.asarray(inc), mode, data_seed)
+    path = ObservationPath(T, L_data, inc, mode, data_seed)
     t0 = time.perf_counter()
     outs = mlpf_run(model, path, allocation, functionals, report_times=[T],
                     resample_policy=policy, coupling=coupling, seed=seeds)
@@ -251,7 +262,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
                 for a, b in slices:
                     jobs.append((
                         config.model, config.model_params, path.increments, config.T,
-                        config.L_data, path.d_y, path.mode, path.seed,
+                        config.L_data, path.mode, path.seed,
                         allocation, est.coupling, est.resample_policy,
                         tuple(config.functionals), seeds[a:b],
                     ))

@@ -1,9 +1,10 @@
 """Euler propagation over one unit time interval with accumulated log-potentials.
 
-States are scalar; the per-step loop works on flat (N,) views and does
-only arithmetic, with its input checks at the interval boundary.  The coupled
-propagation drives the coarse chain with pairwise sums of the fine Brownian
-increments, so its fine half is bit-identical to a standalone fine
+States are scalar, so the shapes are (N,) states, (2**l,) observation
+increments and (N, 2**l) noise, one row per particle.  The per-step loop
+does only arithmetic, with its input checks at the interval boundary.  The
+coupled propagation drives the coarse chain with pairwise sums of the fine
+Brownian increments, so its fine half is bit-identical to a standalone fine
 propagation given the same noise block.
 
 Every operation in the loop is elementwise, so the particle axis may hold
@@ -36,10 +37,10 @@ class UnitPropagation:
     """Result of propagating a batch of particles across one unit interval."""
 
     level: int
-    endpoint: np.ndarray  # (N, 1)
+    endpoint: np.ndarray  # (N,)
     log_g_total: np.ndarray  # (N,)
     partial_log_g: np.ndarray | None = None  # (N, 2**level) running sums
-    intermediate_states: np.ndarray | None = None  # (N, 2**level + 1, 1)
+    intermediate_states: np.ndarray | None = None  # (N, 2**level + 1)
 
     def rows(self, sl: slice) -> UnitPropagation:
         """Views of the particles in ``sl``, e.g. one replicate of a stacked batch."""
@@ -69,14 +70,14 @@ def _log_g(h, dy: float, delta: float):
 
 
 def log_potential(model: ModelSpec, x: np.ndarray, dy: np.ndarray, delta: float) -> np.ndarray:
-    """log G for states x (N, 1), observation increment dy (1,), step delta."""
+    """log G for states x (N,), one observation increment dy, step delta."""
     if delta <= 0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    dy = np.asarray(dy, dtype=float).reshape(())
+    x = np.asarray(x, dtype=float)
+    dy = float(dy)
     if not (np.all(np.isfinite(x)) and np.isfinite(dy)):
         raise NonFiniteStateError(_NON_FINITE)
-    return _log_g(model.observation(x), float(dy), delta)
+    return _log_g(model.observation(x), dy, delta)
 
 
 def propagate_unit(
@@ -87,11 +88,11 @@ def propagate_unit(
     noise: np.ndarray,
     retain: bool = False,
 ) -> UnitPropagation:
-    """Iterate 2**l Euler steps from x0 (N, 1), accumulating log-potentials.
+    """Iterate 2**l Euler steps from x0 (N,), accumulating log-potentials.
 
-    ``obs`` holds the 2**l level-l observation increments, ``noise`` the
-    2**l Brownian increments per particle (shape (N, 2**l, 1), each with
-    variance 2**-l).  The potential at each step is evaluated at the
+    ``obs`` holds the 2**l level-l observation increments, shape (2**l,),
+    ``noise`` the 2**l Brownian increments per particle (shape (N, 2**l),
+    each with variance 2**-l).  The potential at each step is evaluated at the
     pre-step state; the endpoint's potential belongs to the next interval.
 
     Inputs are checked once: x0 and ``obs`` on entry, and the endpoint
@@ -106,33 +107,33 @@ def propagate_unit(
     x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if x0.ndim != 2 or x0.shape[1] != 1:
-        raise ValueError(f"x0 must have shape (N, 1), got {x0.shape}")
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must have shape (N,), got {x0.shape}")
     n = x0.shape[0]
-    if obs.shape != (steps, 1):
-        raise ValueError(f"expected {steps} observation increments of shape ({steps}, 1), got {obs.shape}")
-    if noise.shape != (n, steps, 1):
-        raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps}, 1)")
+    if obs.shape != (steps,):
+        raise ValueError(f"expected observation increments of shape ({steps},), got {obs.shape}")
+    if noise.shape != (n, steps):
+        raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps})")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(obs))):
         raise NonFiniteStateError(_NON_FINITE)
-    dys = obs[:, 0].tolist()
-    xi = noise[:, :, 0].T  # row k: the step-k increments of every particle
-    x = x0[:, 0]
+    dys = obs.tolist()
+    xi = noise.T  # row k: the step-k increments of every particle
+    x = x0
     log_g = np.zeros(n)
     partials = np.empty((n, steps)) if retain else None
-    states = np.empty((n, steps + 1, 1)) if retain else None
-    if retain:
-        states[:, 0, 0] = x
+    states = np.empty((n, steps + 1)) if retain else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             log_g += _log_g(model.observation(x), dys[k], delta)
-            x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
-            if retain:
+            if retain:  # column k: the pre-step state and the potentials through step k
                 partials[:, k] = log_g
-                states[:, k + 1, 0] = x
+                states[:, k] = x
+            x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
+    if retain:
+        states[:, steps] = x
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(_NON_FINITE)
-    return UnitPropagation(l, x[:, None], log_g, partials, states)
+    return UnitPropagation(l, x, log_g, partials, states)
 
 
 def propagate_unit_coupled(

@@ -7,6 +7,9 @@ CPF runs a fine/coarse pair on common Brownian increments with jointly
 resampled ancestor indices, and tracks the set of pairs that have always
 drawn a common ancestor.
 
+States are scalar: N particles are an (N,) array, which a functional maps
+to an (N,) array of values, and one interval's noise is an (N, 2**l) block.
+
 Both filters take ``seed`` as an int or as a tuple of ints, one independent
 replicate per seed.  Replicates on the same path and level are stacked along
 the particle axis, R replicates of N particles as R*N rows, and stepped by
@@ -35,7 +38,6 @@ from .euler import UnitPropagation, propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
-    IndexPairs,
     ess,
     log_mean_weight,
     maximal_coupling_indices,
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 RESAMPLE_POLICIES = ("always", "ess_below_half")
-COUPLINGS = ("maximal", "sorted", "independent")
+COUPLINGS = ("maximal", "sorted")
 
 # replicates are stacked while a group's noise block (replicates x particles x
 # steps per unit interval) stays within this many particle-steps (2 MB of
@@ -64,8 +66,8 @@ COUPLINGS = ("maximal", "sorted", "independent")
 MAX_GROUP_PARTICLE_STEPS = 1 << 18
 
 DEFAULT_FUNCTIONALS = {
-    "x": lambda x: x[:, 0],
-    "x2": lambda x: x[:, 0] ** 2,
+    "x": lambda x: x,
+    "x2": lambda x: x ** 2,
     "one": lambda x: np.ones(x.shape[0]),
 }
 
@@ -153,19 +155,13 @@ def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
-def _noise_buffer(model: ModelSpec, groups: list, l: int, n: int) -> np.ndarray:
-    """One uninitialised noise block for the largest (the first) group."""
-    return np.empty((len(groups[0]) * n, 1 << l, model.d_x))
-
-
-def _stacked_noise(model: ModelSpec, seeds: tuple, l: int, p: int, n: int,
-                   buf: np.ndarray) -> np.ndarray:
+def _stacked_noise(seeds: tuple, l: int, p: int, n: int, buf: np.ndarray) -> np.ndarray:
     """Brownian increments of every replicate in a group, stacked along the
     particle axis in a prefix of ``buf``: rows ``r*n .. (r+1)*n - 1`` are
     replicate ``r``'s own Philox block, bit-identical to a single-seed run's."""
     noise = buf[: len(seeds) * n]
     for r, s in enumerate(seeds):
-        streams.noise_block(s, l, p, n, model.d_x, out=noise[r * n : (r + 1) * n])
+        streams.noise_block(s, l, p, n, out=noise[r * n : (r + 1) * n])
     noise *= np.sqrt(2.0 ** (-l))
     return noise
 
@@ -194,7 +190,7 @@ def pf_run(
     inter = _group_intermediate(intermediate_times, l, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
-    buf = _noise_buffer(model, groups, l, n)
+    buf = np.empty((len(groups[0]) * n, 1 << l))  # noise for the largest (the first) group
     outs = []
     for group in groups:
         outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, inter,
@@ -207,7 +203,7 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
     """One stacked group of replicates; weights and resampling are per row."""
     delta = 2.0 ** (-l)
     rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
-    x = np.tile(model.x_star, (len(seeds) * n, 1))
+    x = np.full(len(seeds) * n, model.x_star)
     cum = np.zeros(len(seeds) * n)
     log_norm = [0.0] * len(seeds)
     estimates = [{} for _ in seeds]
@@ -215,7 +211,7 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
     ess_trace = [[] for _ in seeds]
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
-        noise = _stacked_noise(model, seeds, l, p, n, buf)
+        noise = _stacked_noise(seeds, l, p, n, buf)
         prop = propagate_unit(model, l, x, obs, noise, retain=bool(inter.get(p)))
         x = prop.endpoint
         t = p + 1
@@ -306,9 +302,10 @@ def cpf_run(
 
     ``estimates`` holds the fine-minus-coarse difference estimator; the
     per-level estimates are exposed separately.  The adaptive trigger is
-    evaluated on the coarse-side ESS.  ``coupling`` "independent" is a test
-    hook that disables the joint resampler.  ``seed`` is an int or a tuple
-    of ints, with replicates stacked as in ``pf_run``.
+    evaluated on the coarse-side ESS.  ``coupling`` is "maximal" (the
+    maximal coupling of the two weight vectors) or "sorted" (comonotone
+    draws over the state-sorted weights).  ``seed`` is an int or a tuple of
+    ints, with replicates stacked as in ``pf_run``.
     """
     if l < 1:
         raise ValueError("coupled filter needs l >= 1")
@@ -319,7 +316,7 @@ def cpf_run(
     inter = _group_intermediate(intermediate_times, l - 1, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
-    buf = _noise_buffer(model, groups, l, n)
+    buf = np.empty((len(groups[0]) * n, 1 << l))  # noise for the largest (the first) group
     outs = []
     for group in groups:
         outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
@@ -332,7 +329,7 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     """One stacked group of coupled replicates; weights and resampling are per row."""
     delta_c = 2.0 ** (-(l - 1))
     rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
-    xf = np.tile(model.x_star, (len(seeds) * n, 1))
+    xf = np.full(len(seeds) * n, model.x_star)
     xc = xf.copy()
     cum_f = np.zeros(len(seeds) * n)
     cum_c = np.zeros(len(seeds) * n)
@@ -349,7 +346,7 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     for p in range(path.T):
         obs_f = increments_at_level(path, l, p)
         obs_c = increments_at_level(path, l - 1, p)
-        noise = _stacked_noise(model, seeds, l, p, n, buf)
+        noise = _stacked_noise(seeds, l, p, n, buf)
         prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
                                       retain=bool(inter.get(p)))
         xf = prop.fine.endpoint
@@ -382,12 +379,8 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
                 rng = streams.resample_rng(seeds[r], l, p)
                 if coupling == "maximal":
                     pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
-                elif coupling == "sorted":
+                else:
                     pairs = sorted_coupling_indices(wv_f, wv_c, xf[sl], xc[sl], n, rng)
-                else:  # independent draws; coupling bookkeeping still recorded
-                    fine_idx = multinomial_indices(wv_f, n, rng)
-                    coarse_idx = multinomial_indices(wv_c, n, rng)
-                    pairs = IndexPairs(fine_idx, coarse_idx, fine_idx == coarse_idx)
                 xf[sl] = xf[sl][pairs.fine]
                 xc[sl] = xc[sl][pairs.coarse]
                 same[sl] = pairs.coupled & same[sl][pairs.fine]

@@ -1,15 +1,17 @@
 """Signal/observation model family and the four built-in benchmark models.
 
-Models are scalar (d_x = d_y = 1); the built-ins observe through the
-identity.  Drift, diffusion and observation callables act elementwise: each
-maps an array of states to an array of the same shape, the diffusion giving
-sigma(x).  ``ModelSpec`` checks the diffusion contract once, at
-construction, so the Euler loop can multiply sigma(x) into the noise
-without reshaping.
+Models are scalar: one state and one observation channel.  The built-ins
+observe through the identity.  Drift, diffusion and observation callables
+act elementwise: each maps an (N,) array of states to an (N,) array, the
+diffusion giving sigma(x).  ``ModelSpec`` checks the diffusion contract and
+the start state once, at construction, so the Euler loop can multiply
+sigma(x) into the noise without reshaping.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,21 +27,19 @@ class ModelSpec:
     """Immutable description of a signal/observation SDE pair."""
 
     name: str
-    d_x: int
-    d_y: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     observation: Callable[[np.ndarray], np.ndarray]
-    x_star: np.ndarray
+    x_star: float
     is_linear_gaussian: bool = False
     has_constant_diffusion: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d_x != 1 or self.d_y != 1:
-            raise ValueError(f"models are scalar: need d_x = d_y = 1, got {self.d_x}, {self.d_y}")
-        object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=float).reshape(1))
-        probe = np.full(2, self.x_star[0])
+        if not (isinstance(self.x_star, numbers.Real) and math.isfinite(self.x_star)):
+            raise ValueError(f"{self.name}: x_star must be a finite scalar, got {self.x_star!r}")
+        object.__setattr__(self, "x_star", float(self.x_star))
+        probe = np.full(2, self.x_star)
         shape = np.shape(self.diffusion(probe))
         if shape != probe.shape:
             raise ValueError(
@@ -62,12 +62,10 @@ def langevin_drift(x, nu: float):
 def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, const_diff=False):
     return ModelSpec(
         name=name,
-        d_x=1,
-        d_y=1,
         drift=drift,
         diffusion=diffusion,
         observation=lambda x: x,
-        x_star=np.array([x_star]),
+        x_star=x_star,
         is_linear_gaussian=linear,
         has_constant_diffusion=const_diff,
         params=dict(params),

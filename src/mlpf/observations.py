@@ -6,14 +6,20 @@ level consumes literally the same data.  Coarsening accumulates children
 left to right, which pins the floating-point result bit-for-bit across runs.
 Each path keeps a pyramid of its coarsened levels, built on first use, one
 read-only array per level for the whole path.
+
+There is one observation channel, so a path of T unit intervals stores
+T * 2**L_data increments as a flat array, and the level-l increments of one
+interval are a (2**l,) view.  The binary file format keeps its component
+count ``d_y`` in the header; it is always 1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,22 +54,23 @@ class PathFormatError(ValueError):
 class ObservationPath:
     T: int
     L_data: int
-    d_y: int
-    increments: np.ndarray  # (T * 2**L_data, d_y)
+    increments: np.ndarray  # (T * 2**L_data,)
     mode: str
     seed: int
-    latent: np.ndarray | None = field(default=None, compare=False)
-    # level -> read-only (T * 2**level, d_y) coarsening, filled by increments_at_level
+    latent: np.ndarray | None = field(default=None, compare=False)  # (T * 2**L_data + 1,)
+    # level -> read-only (T * 2**level,) coarsening, filled by increments_at_level
     _pyramid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # observation components: the path file's header field, always 1
+    d_y: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         inc = np.asarray(self.increments, dtype=float)
         expected = self.T * (1 << self.L_data)
-        if inc.shape != (expected, self.d_y):
+        if inc.shape != (expected,):
             raise ValueError(
-                f"increments shape {inc.shape} != ({expected}, {self.d_y}) for T={self.T}, L_data={self.L_data}"
+                f"increments shape {inc.shape} != ({expected},) for T={self.T}, L_data={self.L_data}"
             )
         object.__setattr__(self, "increments", inc)
         self.increments.setflags(write=False)
@@ -90,26 +97,25 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     n = _increment_count(T, L_data)
     delta = 2.0 ** (-L_data)
     g_obs = streams.generator(seed, streams.TAG_OBS)
-    brownian = np.sqrt(delta) * g_obs.standard_normal((n, model.d_y))
+    brownian = np.sqrt(delta) * g_obs.standard_normal(n)
     if mode == "pbar":
-        return ObservationPath(T, L_data, model.d_y, brownian, "pbar", seed)
+        return ObservationPath(T, L_data, brownian, "pbar", seed)
     if mode != "p":
         raise ValueError(f"mode must be one of {_MODES}")
     g_lat = streams.generator(seed, streams.TAG_LATENT)
-    xi = np.sqrt(delta) * g_lat.standard_normal((n, model.d_x))
-    latent = np.empty((n + 1, model.d_x))
-    latent[0] = model.x_star
-    x = model.x_star.copy()
+    xi = np.sqrt(delta) * g_lat.standard_normal(n)
+    latent = np.empty(n + 1)
+    latent[0] = x = model.x_star
     for k in range(n):
         x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
         latent[k + 1] = x
     h_vals = model.observation(latent[:-1])
     increments = h_vals * delta + brownian
-    return ObservationPath(T, L_data, model.d_y, increments, "p", seed, latent=latent)
+    return ObservationPath(T, L_data, increments, "p", seed, latent=latent)
 
 
 def increments_at_level(path: ObservationPath, l: int, p: int) -> np.ndarray:
-    """Level-``l`` increments covering the unit interval [p, p+1), shape (2**l, d_y).
+    """Level-``l`` increments covering the unit interval [p, p+1), shape (2**l,).
 
     The result is a read-only view into the path's level-``l`` array.
     """
@@ -121,7 +127,7 @@ def increments_at_level(path: ObservationPath, l: int, p: int) -> np.ndarray:
         )
     level = path._pyramid.get(l)
     if level is None:
-        grouped = path.increments.reshape(path.T << l, 1 << (path.L_data - l), path.d_y)
+        grouped = path.increments.reshape(path.T << l, 1 << (path.L_data - l))
         # cumsum adds the children strictly left to right, so its last column is
         # bit-equal to a sequential loop over each group
         level = np.cumsum(grouped, axis=1)[:, -1].copy()
@@ -133,23 +139,26 @@ def increments_at_level(path: ObservationPath, l: int, p: int) -> np.ndarray:
 _HEADER = struct.Struct("<8sIIIQB")
 
 
+@contextlib.contextmanager
+def _opened(file, mode: str, **kwargs):
+    """A file object as it is, or a path opened in ``mode`` and closed on exit."""
+    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
+        with open(file, mode, **kwargs) as f:
+            yield f
+    else:
+        yield file
+
+
 def write_path(path: ObservationPath, file) -> None:
     """Write the binary path format (little-endian, increment-major)."""
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    f = open(file, "wb") if own else file
-    try:
+    with _opened(file, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, path.T, path.L_data, path.d_y, path.seed, _MODES.index(path.mode)))
         f.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-    finally:
-        if own:
-            f.close()
 
 
 def read_path(file) -> ObservationPath:
     """Read a binary path file; raises PathFormatError on any malformation."""
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    f = open(file, "rb") if own else file
-    try:
+    with _opened(file, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise PathFormatError("truncated header")
@@ -158,33 +167,25 @@ def read_path(file) -> ObservationPath:
             raise PathFormatError(f"bad magic {magic!r}")
         if mode_code >= len(_MODES):
             raise PathFormatError(f"unknown mode code {mode_code}")
-        if T < 1 or L_data < 1 or d_y < 1:
+        if T < 1 or L_data < 1:
             raise PathFormatError("invalid dimensions in header")
+        if d_y != ObservationPath.d_y:
+            raise PathFormatError(f"header field d_y is {d_y}; paths have one component (d_y = 1)")
         try:
             n = _increment_count(T, L_data)
         except ValueError as exc:
             raise PathFormatError(str(exc)) from None
         body = f.read()
-        expected = n * d_y * 8
-        if len(body) != expected:
-            raise PathFormatError(f"body has {len(body)} bytes, expected {expected}")
-        inc = np.frombuffer(body, dtype="<f8").reshape(n, d_y).astype(float)
-        return ObservationPath(T, L_data, d_y, inc, _MODES[mode_code], seed)
-    finally:
-        if own:
-            f.close()
+        if len(body) != n * 8:
+            raise PathFormatError(f"body has {len(body)} bytes, expected {n * 8}")
+        inc = np.frombuffer(body, dtype="<f8").astype(float)
+        return ObservationPath(T, L_data, inc, _MODES[mode_code], seed)
 
 
 def export_csv(path: ObservationPath, file) -> None:
-    """CSV export for inspection: header k,component,value."""
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    f = open(file, "w", newline="") if own else file
-    try:
+    """CSV export for inspection: header k,component,value (component is 0)."""
+    with _opened(file, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["k", "component", "value"])
-        for k in range(path.increments.shape[0]):
-            for c in range(path.d_y):
-                w.writerow([k, c, repr(float(path.increments[k, c]))])
-    finally:
-        if own:
-            f.close()
+        for k, value in enumerate(path.increments.tolist()):
+            w.writerow([k, 0, repr(value)])

@@ -44,8 +44,6 @@ def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: fl
     """
     if l > path.L_data:
         raise ValueError(f"level {l} exceeds data frequency {path.L_data}")
-    if path.d_y != 1:
-        raise ValueError("scalar model only")
     delta = 2.0 ** (-l)
     n = path.T * (1 << l)
     means = np.empty(n + 1)
@@ -57,7 +55,7 @@ def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: fl
     k = 0
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
-        for dy in obs[:, 0]:
+        for dy in obs:
             pred_mean = h_scale * m * delta
             pred_var = delta + P * (h_scale * delta) ** 2
             log_ev += -0.5 * (_LOG_2PI + math.log(pred_var) + (dy - pred_mean) ** 2 / pred_var)
@@ -108,7 +106,7 @@ def reference_truth(
         report_times = list(range(1, path.T + 1))
     if model.is_linear_gaussian:
         p = model.params
-        res = kalman_run(path, ref_level, p["theta"], p["mu"], p["sigma"], x_star=float(model.x_star[0]))
+        res = kalman_run(path, ref_level, p["theta"], p["mu"], p["sigma"], x_star=model.x_star)
         estimates = {}
         names = list(functionals) if not isinstance(functionals, dict) else list(functionals.keys())
         for t in report_times:

@@ -160,17 +160,12 @@ def sorted_coupling_indices(
     n_draws: int,
     rng,
 ) -> IndexPairs:
-    """Comonotone coupling for scalar states: shared uniform, per-side inverse CDF
-    over the state-sorted weight order.  No theoretical guarantee is claimed for
-    this scheme; it is provided as an empirical alternative.
+    """Comonotone coupling for (N,) scalar states: shared uniform, per-side
+    inverse CDF over the state-sorted weight order.  No theoretical guarantee
+    is claimed for this scheme; it is provided as an empirical alternative.
     """
-    fine_states = np.asarray(fine_states, dtype=float)
-    coarse_states = np.asarray(coarse_states, dtype=float)
-    if fine_states.ndim == 2:
-        if fine_states.shape[1] != 1:
-            raise ValueError("sorted coupling requires scalar states (d_x = 1)")
-        fine_states = fine_states[:, 0]
-        coarse_states = coarse_states[:, 0]
+    if np.shape(fine_states) != (w_fine.n,) or np.shape(coarse_states) != (w_coarse.n,):
+        raise ValueError("sorted coupling needs (N,) scalar states, one per weight")
     order_f = np.argsort(fine_states, kind="stable")
     order_c = np.argsort(coarse_states, kind="stable")
     u = rng.random(n_draws)

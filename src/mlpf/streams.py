@@ -29,9 +29,9 @@ def generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def noise_block(seed: int, level: int, interval: int, n: int, d_x: int,
+def noise_block(seed: int, level: int, interval: int, n: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Standard-normal block of shape (n, 2**level, d_x) for one unit interval.
+    """Standard-normal block of shape (n, 2**level) for one unit interval.
 
     Particle ``i`` owns row ``i``; step ``k`` of particle ``i`` is column
     ``k``.  Callers scale by sqrt(step size) to obtain Brownian increments.
@@ -40,7 +40,7 @@ def noise_block(seed: int, level: int, interval: int, n: int, d_x: int,
     row slice of a larger buffer), the block is drawn into it in place and
     ``out`` is returned; the values are the same as those of a new block.
     """
-    shape = (n, 2 ** level, d_x)
+    shape = (n, 2 ** level)
     g = generator(seed, TAG_NOISE, level, interval)
     if out is None:
         return g.standard_normal(shape)

@@ -64,10 +64,10 @@ def test_02_coupled_kernel_marginal_fidelity():
         m = builtin_model(name, {})
         for l in (1, 4, 7):
             rng = np.random.default_rng(abs(hash((name, l))) % 2 ** 32)
-            noise = rng.standard_normal((100, 1 << l, 1)) * np.sqrt(2.0 ** -l)
-            obs_f = rng.standard_normal((1 << l, 1)) * 0.2
+            noise = rng.standard_normal((100, 1 << l)) * np.sqrt(2.0 ** -l)
+            obs_f = rng.standard_normal(1 << l) * 0.2
             obs_c = obs_f[0::2] + obs_f[1::2]
-            x0 = rng.standard_normal((100, 1)) + (1.0 if name == "gbm" else 0.0)
+            x0 = rng.standard_normal(100) + (1.0 if name == "gbm" else 0.0)
             cp = propagate_unit_coupled(m, l, x0, x0, obs_f, obs_c, noise)
             fine = propagate_unit(m, l, x0, obs_f, noise)
             coarse = propagate_unit(m, l - 1, x0, obs_c, noise[:, 0::2] + noise[:, 1::2])
@@ -88,10 +88,10 @@ def test_03_strong_coupling_rate():
         levels = range(3, 9)
         log_err = []
         for l in levels:
-            noise = np.sqrt(2.0 ** -l) * streams.noise_block(3000 + l, l, 0, 10_000, 1)
-            obs_f = np.zeros((1 << l, 1))
-            obs_c = np.zeros((1 << (l - 1), 1))
-            x0 = np.full((10_000, 1), 1.0)
+            noise = np.sqrt(2.0 ** -l) * streams.noise_block(3000 + l, l, 0, 10_000)
+            obs_f = np.zeros(1 << l)
+            obs_c = np.zeros(1 << (l - 1))
+            x0 = np.full(10_000, 1.0)
             cp = propagate_unit_coupled(m, l, x0, x0, obs_f, obs_c, noise)
             log_err.append(np.log2(np.mean((cp.fine.endpoint - cp.coarse.endpoint) ** 2)))
         slopes[name] = float(np.polyfit(list(levels), log_err, 1)[0])

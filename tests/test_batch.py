@@ -33,8 +33,11 @@ def test_pf_batch_equals_single(model_path, policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("coupling", ("maximal", "sorted", "independent"))
-def test_cpf_batch_equals_single(model_path, policy, coupling):
+def test_cpf_batch_equals_single(model_path, policy, coupling, request):
     model, path = model_path
+    if coupling == "independent":
+        request.getfixturevalue("independent_resampling")
+        coupling = "maximal"
     kw = dict(resample_policy=policy, coupling=coupling, intermediate_times=[0.5, 1.25])
     batch = cpf_run(model, path, 4, 29, ["x", "x2"], seed=SEEDS, **kw)
     assert len(batch) == len(SEEDS)

@@ -64,6 +64,16 @@ class TestParseConfig:
         pytest.param(lambda r: r.update(L_data=5.9), "config.L_data", id="L_data-float"),
         pytest.param(lambda r: r["estimators"][0].update(L_min=1.5),
                      "config.estimators[0].L_min", id="L_min-float"),
+        pytest.param(lambda r: r.update(functionals=[]), "config.functionals",
+                     id="functionals-empty"),
+        pytest.param(lambda r: r.update(functionals="x2"), "config.functionals",
+                     id="functionals-string"),
+        pytest.param(lambda r: r.update(functionals=["x", "nope"]), "config.functionals",
+                     id="functionals-unknown"),
+        pytest.param(lambda r: r.update(model_params=[1]), "config.model_params",
+                     id="model_params-list"),
+        pytest.param(lambda r: r["estimators"][1].update(id="ml"), "config.estimators[1].id",
+                     id="estimator-id-duplicate"),
     ])
     def test_rejections_name_the_field(self, mutate, fragment):
         raw = copy.deepcopy(BASE_CONFIG)

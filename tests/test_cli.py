@@ -1,8 +1,10 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mlpf.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -84,6 +86,20 @@ class TestRunCommands:
         assert main(["run-pf", "--model", "gbm", "--params", '{"mu": 1e300}',
                      "--path", str(gbm_path), "--level", "4", "--n", "10"]) == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_start_is_config_error(self, path_file, capsys):
+        assert main(["run-pf", "--model", "ou", "--params", '{"x_star": NaN}',
+                     "--path", path_file, "--level", "3", "--n", "10"]) == EXIT_CONFIG
+        assert "x_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-pf", "truth"])
+    def test_multi_component_path_is_config_error(self, tmp_path, capsys, command):
+        two = tmp_path / "two.bin"  # T = 2, L_data = 1, d_y = 2
+        two.write_bytes(struct.pack("<8sIIIQB", b"MLPFOBS1", 2, 1, 2, 0, 0)
+                        + np.zeros(8).tobytes())
+        assert main([command, "--model", "ou", "--path", str(two), "--level", "1",
+                     "--n", "10"]) == EXIT_CONFIG
+        assert "header field d_y is 2" in capsys.readouterr().err
 
     def test_missing_path_is_runtime_error(self, tmp_path):
         assert main(["run-pf", "--model", "ou", "--path", str(tmp_path / "none.bin"),

@@ -19,7 +19,7 @@ OU = builtin_model("ou", {})
 def silent_model():
     m = builtin_model("ou", {})
     return ModelSpec(
-        name="silent", d_x=1, d_y=1, drift=m.drift, diffusion=m.diffusion,
+        name="silent", drift=m.drift, diffusion=m.diffusion,
         observation=lambda x: np.zeros_like(x), x_star=m.x_star,
     )
 
@@ -44,12 +44,12 @@ class TestPf:
         from mlpf import streams
         from mlpf.observations import increments_at_level
 
-        x = np.array([[0.0]])
+        x = np.array([0.0])
         for p in range(path.T):
-            noise = np.sqrt(0.25) * streams.noise_block(5, 2, p, 1, 1)
+            noise = np.sqrt(0.25) * streams.noise_block(5, 2, p, 1)
             prop = propagate_unit(OU, 2, x, increments_at_level(path, 2, p), noise)
             x = prop.endpoint
-            assert out.estimates[(float(p + 1), "x")] == x[0, 0]
+            assert out.estimates[(float(p + 1), "x")] == x[0]
 
     def test_cost_units(self, path):
         out = pf_run(OU, path, 3, 20, ["x"], seed=0)
@@ -59,7 +59,7 @@ class TestPf:
         # the state first turns inf on the last step of the last interval
         gbm = builtin_model("gbm", {})
         blow_up = ModelSpec(
-            name="blow_up", d_x=1, d_y=1, drift=lambda x: x * 4e308,
+            name="blow_up", drift=lambda x: x * 4e308,
             diffusion=gbm.diffusion, observation=lambda x: x, x_star=gbm.x_star,
         )
         one_interval = simulate_observations("pbar", gbm, 1, 2, seed=3)
@@ -110,29 +110,27 @@ class TestIntermediate:
 
     def test_two_particle_hand_arithmetic(self):
         rng = np.random.default_rng(0)
-        obs = rng.standard_normal((4, 1)) * 0.2
-        noise = rng.standard_normal((2, 4, 1)) * 0.5
-        prop = propagate_unit(OU, 2, np.zeros((2, 1)), obs, noise, retain=True)
+        obs = rng.standard_normal(4) * 0.2
+        noise = rng.standard_normal((2, 4)) * 0.5
+        prop = propagate_unit(OU, 2, np.zeros(2), obs, noise, retain=True)
         cum = np.array([0.1, -0.3])
-        got = pf_estimate_intermediate(cum, prop, 0.5, lambda x: x[:, 0])
+        got = pf_estimate_intermediate(cum, prop, 0.5, lambda x: x)
         lw = cum + prop.partial_log_g[:, 1]
         w = np.exp(lw - lw.max())
         w /= w.sum()
-        assert got == pytest.approx(w @ prop.intermediate_states[:, 2, 0])
+        assert got == pytest.approx(w @ prop.intermediate_states[:, 2])
 
     def test_off_grid_time_rejected(self):
-        prop = propagate_unit(OU, 2, np.zeros((1, 1)), np.zeros((4, 1)),
-                              np.zeros((1, 4, 1)), retain=True)
+        prop = propagate_unit(OU, 2, np.zeros(1), np.zeros(4), np.zeros((1, 4)), retain=True)
         with pytest.raises(ValueError):
-            pf_estimate_intermediate(np.zeros(1), prop, 0.3, lambda x: x[:, 0])
+            pf_estimate_intermediate(np.zeros(1), prop, 0.3, lambda x: x)
 
     def test_smallest_grid_time_uses_one_potential(self):
-        obs = np.full((4, 1), 0.7)
-        prop = propagate_unit(OU, 2, np.full((2, 1), 1.0), obs, np.zeros((2, 4, 1)),
-                              retain=True)
-        got = pf_estimate_intermediate(np.zeros(2), prop, 0.25, lambda x: x[:, 0])
+        obs = np.full(4, 0.7)
+        prop = propagate_unit(OU, 2, np.full(2, 1.0), obs, np.zeros((2, 4)), retain=True)
+        got = pf_estimate_intermediate(np.zeros(2), prop, 0.25, lambda x: x)
         # both particles identical: estimate equals the deterministic state
-        assert got == pytest.approx(prop.intermediate_states[0, 1, 0])
+        assert got == pytest.approx(prop.intermediate_states[0, 1])
         assert np.array_equal(prop.partial_log_g[:, 0],
                               np.full(2, 0.7 - 0.5 * 0.25))
 
@@ -171,12 +169,16 @@ class TestCpf:
         out = cpf_run(OU, path, 3, 30, ["one"], seed=2, intermediate_times=[0.5])
         assert out.estimates[(0.5, "one")] == 0.0
 
+    def test_unknown_coupling_rejected(self, path):
+        with pytest.raises(ValueError, match="coupling"):
+            cpf_run(OU, path, 3, 10, ["x"], coupling="independent")
+
     def test_sorted_coupling_runs(self, path):
         out = cpf_run(OU, path, 3, 50, ["x"], seed=6, coupling="sorted")
         assert (4.0, "x") in out.estimates
 
     @pytest.mark.slow
-    def test_fine_marginal_distribution_matches_pf(self):
+    def test_fine_marginal_distribution_matches_pf(self, independent_resampling):
         # with the joint resampler disabled the fine half is a PF in law
         m = builtin_model("ou", {})
         path = simulate_observations("pbar", m, 3, 6, seed=55)
@@ -188,7 +190,7 @@ class TestCpf:
         ])
         cpf_vals = np.array([
             cpf_run(m, path, 3, 100, ["x"], resample_policy="always",
-                    seed=20_000 + s, coupling="independent").fine_estimates[(3.0, "x")]
+                    seed=20_000 + s).fine_estimates[(3.0, "x")]
             for s in range(n_runs)
         ])
         assert ks_2samp(pf_vals, cpf_vals).pvalue > 1e-3
@@ -207,7 +209,7 @@ class TestCpf:
 
 
 def test_resolve_functionals_dict_passthrough():
-    fns = resolve_functionals({"sq": lambda x: x[:, 0] ** 2})
+    fns = resolve_functionals({"sq": lambda x: x ** 2})
     assert "sq" in fns
     with pytest.raises(ValueError):
         resolve_functionals(["nope"])

@@ -67,14 +67,31 @@ def test_builtin_diffusion_is_elementwise(name):
 ])
 def test_model_spec_rejects_non_elementwise_diffusion(diffusion):
     with pytest.raises(ValueError, match="elementwise"):
-        ModelSpec(name="old", d_x=1, d_y=1, drift=lambda x: -x, diffusion=diffusion,
-                  observation=lambda x: x, x_star=np.array([0.0]))
+        ModelSpec(name="old", drift=lambda x: -x, diffusion=diffusion,
+                  observation=lambda x: x, x_star=0.0)
+
+
+def spec_with_start(x_star):
+    return ModelSpec(name="start", drift=lambda x: -x, diffusion=lambda x: np.ones(np.shape(x)),
+                     observation=lambda x: x, x_star=x_star)
 
 
 def test_model_spec_rejects_vector_states():
-    with pytest.raises(ValueError, match="scalar"):
-        ModelSpec(name="vec", d_x=2, d_y=1, drift=lambda x: -x, diffusion=lambda x: np.ones(np.shape(x)),
-                  observation=lambda x: x, x_star=np.zeros(2))
+    for x_star in (np.zeros(2), np.array([0.0]), [[1.0]]):
+        with pytest.raises(ValueError, match="x_star must be a finite scalar"):
+            spec_with_start(x_star)
+
+
+@pytest.mark.parametrize("x_star", [np.nan, np.inf, -np.inf, "zero", None])
+def test_model_spec_rejects_non_finite_start(x_star):
+    with pytest.raises(ValueError, match="x_star must be a finite scalar"):
+        spec_with_start(x_star)
+
+
+def test_model_spec_start_is_a_float():
+    for x_star in (2, np.float32(0.5), np.int64(-3)):
+        m = spec_with_start(x_star)
+        assert type(m.x_star) is float and m.x_star == float(x_star)
 
 
 def test_constant_diffusion_flags():
@@ -85,6 +102,5 @@ def test_constant_diffusion_flags():
 def test_observation_is_identity_for_builtins():
     for name in BUILTIN_NAMES:
         m = builtin_model(name, {})
-        x = np.array([[0.3], [-2.0]])
+        x = np.array([0.3, -2.0])
         assert np.array_equal(m.observation(x), x)
-        assert m.d_x == m.d_y == 1

@@ -14,23 +14,26 @@ from mlpf.observations import simulate_observations
 class TestNoiseBlockOut:
     @pytest.mark.parametrize("level,n", [(0, 1), (3, 7), (6, 33)])
     def test_out_equals_new_block(self, level, n):
-        ref = streams.noise_block(9, level, 2, n, 1)
+        ref = streams.noise_block(9, level, 2, n)
+        assert ref.shape == (n, 1 << level)
         out = np.empty_like(ref)
-        assert streams.noise_block(9, level, 2, n, 1, out=out) is out
+        assert streams.noise_block(9, level, 2, n, out=out) is out
         assert np.array_equal(out, ref)
 
     def test_out_into_a_slice_of_a_larger_buffer(self):
-        buf = np.full((40, 16, 1), np.nan)
+        buf = np.full((40, 16), np.nan)
         a, b = 11, 29
-        filled = streams.noise_block(123456789, 4, 5, b - a, 1, out=buf[a:b])
+        filled = streams.noise_block(123456789, 4, 5, b - a, out=buf[a:b])
         assert np.shares_memory(filled, buf)
-        assert np.array_equal(buf[a:b], streams.noise_block(123456789, 4, 5, b - a, 1))
+        assert np.array_equal(buf[a:b], streams.noise_block(123456789, 4, 5, b - a))
         # rows outside the slice are untouched
         assert np.all(np.isnan(buf[:a])) and np.all(np.isnan(buf[b:]))
 
     def test_out_shape_is_checked(self):
         with pytest.raises(ValueError, match="expected"):
-            streams.noise_block(1, 3, 0, 4, 1, out=np.empty((4, 4, 1)))
+            streams.noise_block(1, 3, 0, 4, out=np.empty((4, 4)))
+        with pytest.raises(ValueError, match="expected"):  # a trailing length-1 axis is rejected
+            streams.noise_block(1, 3, 0, 4, out=np.empty((4, 8, 1)))
 
 
 def traced_peak(fn) -> int:

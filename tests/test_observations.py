@@ -32,7 +32,7 @@ def loop_coarsening(path, l, p):
     """Reference coarsening: each interval's children summed by a left-to-right loop."""
     per_unit = 1 << path.L_data
     block = path.increments[p * per_unit : (p + 1) * per_unit]
-    grouped = block.reshape(1 << l, 1 << (path.L_data - l), path.d_y)
+    grouped = block.reshape(1 << l, 1 << (path.L_data - l))
     acc = grouped[:, 0].copy()
     for j in range(1, grouped.shape[1]):
         acc += grouped[:, j]
@@ -42,7 +42,7 @@ def loop_coarsening(path, l, p):
 def test_pbar_increment_moments():
     path = simulate_observations("pbar", OU, 4, 8, seed=123)
     delta = 2.0 ** -8
-    inc = path.increments[:, 0]
+    inc = path.increments
     n = inc.size
     se_mean = np.sqrt(delta / n)
     assert abs(inc.mean()) < 5 * se_mean
@@ -53,7 +53,7 @@ def test_pbar_increment_moments():
 def test_p_mode_with_zero_h_matches_pbar():
     silent = builtin_model("ou", {})
     silent = type(silent)(
-        name="silent", d_x=1, d_y=1, drift=silent.drift, diffusion=silent.diffusion,
+        name="silent", drift=silent.drift, diffusion=silent.diffusion,
         observation=lambda x: np.zeros_like(x), x_star=silent.x_star,
     )
     a = simulate_observations("pbar", silent, 2, 4, seed=99)
@@ -64,15 +64,15 @@ def test_p_mode_with_zero_h_matches_pbar():
 def test_p_mode_retains_latent_path():
     path = simulate_observations("p", OU, 2, 5, seed=5)
     assert path.latent is not None
-    assert path.latent.shape == (2 * 32 + 1, 1)
-    assert path.latent[0, 0] == 0.0
+    assert path.latent.shape == (2 * 32 + 1,)
+    assert path.latent[0] == 0.0
 
 
 def test_level0_view_is_total_sum():
     path = simulate_observations("pbar", OU, 1, 3, seed=17)
     total = increments_at_level(path, 0, 0)
-    assert total.shape == (1, 1)
-    assert total[0, 0] == left_to_right_sum(path.increments)[0]
+    assert total.shape == (1,)
+    assert total[0] == left_to_right_sum(path.increments)
 
 
 def test_identity_view_at_l_data():
@@ -82,10 +82,10 @@ def test_identity_view_at_l_data():
 
 
 def test_pairwise_sums_explicit():
-    inc = np.array([[1.0], [2.0], [3.0], [4.0]])
-    path = ObservationPath(1, 2, 1, inc, "pbar", 0)
+    inc = np.array([1.0, 2.0, 3.0, 4.0])
+    path = ObservationPath(1, 2, inc, "pbar", 0)
     lvl1 = increments_at_level(path, 1, 0)
-    assert np.array_equal(lvl1, np.array([[3.0], [7.0]]))
+    assert np.array_equal(lvl1, np.array([3.0, 7.0]))
 
 
 def test_level_overflow_rejected():
@@ -106,7 +106,7 @@ def test_coarsening_exact_at_every_level(T, L_data, seed):
             block = path.increments[p * per_unit : (p + 1) * per_unit]
             for k in range(1 << l):
                 expect = left_to_right_sum(block[k * children : (k + 1) * children])
-                assert view[k, 0] == expect[0]  # bit-exact
+                assert view[k] == expect  # bit-exact
 
 
 def test_pyramid_bit_equal_to_loop_at_every_level():
@@ -114,7 +114,7 @@ def test_pyramid_bit_equal_to_loop_at_every_level():
     for l in range(path.L_data + 1):
         for p in range(path.T):
             view = increments_at_level(path, l, p)
-            assert view.shape == (1 << l, 1)
+            assert view.shape == (1 << l,)
             assert view.tobytes() == loop_coarsening(path, l, p).tobytes()
 
 
@@ -124,7 +124,7 @@ def test_pyramid_views_are_read_only():
         view = increments_at_level(path, l, 1)
         assert not view.flags.writeable
         with pytest.raises(ValueError):
-            view[0, 0] = 1.0
+            view[0] = 1.0
 
 
 def test_paths_do_not_share_a_pyramid():
@@ -164,9 +164,9 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_length_mismatch_rejected():
     good = io.BytesIO()
-    inc = np.arange(4.0).reshape(4, 1)
-    write_path(ObservationPath(2, 1, 1, inc, "pbar", 0), good)
-    assert read_path(io.BytesIO(good.getvalue())).increments.shape == (4, 1)
+    inc = np.arange(4.0)
+    write_path(ObservationPath(2, 1, inc, "pbar", 0), good)
+    assert read_path(io.BytesIO(good.getvalue())).increments.shape == (4,)
     extra = good.getvalue() + np.float64(9.0).tobytes()
     with pytest.raises(PathFormatError):
         read_path(io.BytesIO(extra))
@@ -182,6 +182,23 @@ def test_oversized_header_rejected_before_reading_body():
         read_path(io.BytesIO(head))
 
 
+def test_multi_component_header_rejected():
+    # a well-formed file with two observation components, T = 2, L_data = 1
+    head = struct.pack("<8sIIIQB", b"MLPFOBS1", 2, 1, 2, 0, 0)
+    body = np.arange(8.0).astype("<f8").tobytes()
+    with pytest.raises(PathFormatError, match="header field d_y is 2"):
+        read_path(io.BytesIO(head + body))
+    head = struct.pack("<8sIIIQB", b"MLPFOBS1", 2, 1, 0, 0, 0)
+    with pytest.raises(PathFormatError, match="header field d_y is 0"):
+        read_path(io.BytesIO(head))
+
+
+def test_header_counts_one_component():
+    f = io.BytesIO()
+    write_path(ObservationPath(2, 1, np.arange(4.0), "pbar", 0), f)
+    assert struct.unpack("<8sIIIQB", f.getvalue()[:29])[3] == ObservationPath.d_y == 1
+
+
 def test_bad_magic_rejected():
     with pytest.raises(PathFormatError):
         read_path(io.BytesIO(b"NOTMAGIC" + b"\x00" * 40))
@@ -194,11 +211,14 @@ def test_csv_export(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "k,component,value"
     assert len(lines) == 1 + 4
-    assert float(lines[1].split(",")[2]) == path.increments[0, 0]
+    assert lines[1].split(",")[:2] == ["0", "0"]
+    assert float(lines[1].split(",")[2]) == path.increments[0]
 
 
 def test_invalid_dimensions():
     with pytest.raises(ValueError):
         simulate_observations("pbar", OU, 0, 3, seed=0)
     with pytest.raises(ValueError):
-        ObservationPath(1, 2, 1, np.zeros((3, 1)), "pbar", 0)
+        ObservationPath(1, 2, np.zeros(3), "pbar", 0)
+    with pytest.raises(ValueError):  # a trailing length-1 axis is rejected
+        ObservationPath(1, 2, np.zeros((4, 1)), "pbar", 0)

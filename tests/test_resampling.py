@@ -217,14 +217,14 @@ def enumerate_sampler_law(wf: WeightVector, wc: WeightVector) -> np.ndarray:
 
 class TestSortedCoupling:
     def test_identical_ensembles(self):
-        states = np.array([[0.3], [-1.0], [2.0], [0.9]])
+        states = np.array([0.3, -1.0, 2.0, 0.9])
         weights = wv([0.1, 0.4, 0.2, 0.3])
         for u in [0.05, 0.3, 0.6, 0.95]:
             a = sorted_coupling_indices(weights, weights, states, states, 1, StubRng([u]))
             assert a.fine[0] == a.coarse[0]
 
     def test_comonotone_pick_of_larger_state(self):
-        states = np.array([[5.0], [1.0]])
+        states = np.array([5.0, 1.0])
         weights = wv([0.5, 0.5])
         pairs = sorted_coupling_indices(weights, weights, states, states, 1, StubRng([0.9]))
         assert pairs.fine[0] == 0  # index of the larger state
@@ -232,8 +232,8 @@ class TestSortedCoupling:
     def test_marginals_monte_carlo(self):
         rng = np.random.default_rng(5)
         wf, wc = wv([0.5, 0.3, 0.2]), wv([0.2, 0.2, 0.6])
-        sf = np.array([[0.0], [1.0], [2.0]])
-        sc = np.array([[2.0], [0.0], [1.0]])
+        sf = np.array([0.0, 1.0, 2.0])
+        sc = np.array([2.0, 0.0, 1.0])
         draws = 100_000
         pairs = sorted_coupling_indices(wf, wc, sf, sc, draws, rng)
         for target, idx in ((wf.normalized, pairs.fine), (wc.normalized, pairs.coarse)):
