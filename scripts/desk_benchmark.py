@@ -38,8 +38,8 @@ def main():
     args = ap.parse_args()
 
     model = builtin_model(args.model, {})
-    ml_rule = "mlpf_constant" if model.has_constant_diffusion else "mlpf_nonconstant"
-    ml_base = args.ml_base if args.ml_base is not None else (4.0 if model.has_constant_diffusion else 2.0)
+    ml_rule = "mlpf_constant" if model.sigma is not None else "mlpf_nonconstant"
+    ml_base = args.ml_base if args.ml_base is not None else (4.0 if model.sigma is not None else 2.0)
     out_dir = args.out or os.path.join("results", args.model)
 
     cfg = parse_config({

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import streams
 from .filters import DEFAULT_FUNCTIONALS
-from .models import builtin_model
+from .models import ModelParameterError, builtin_model
 from .multilevel import ALLOCATION_RULES, allocate, mlpf_run, total_cost
 from .observations import ObservationPath, simulate_observations
 from .oracle import reference_truth
@@ -139,6 +139,13 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     model_params = raw.get("model_params", {})
     if not isinstance(model_params, dict):
         raise ConfigError(f"config.model_params: expected a JSON object, got {model_params!r}")
+    try:  # build the model once, so a bad name or parameter is a config error
+        builtin_model(str(raw["model"]), model_params)
+    except ModelParameterError as exc:
+        where = "config.model_params" if exc.key is None else f"config.model_params.{exc.key}"
+        raise ConfigError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config.model: {exc}") from None
     functionals = raw.get("functionals", ["x"])
     if (not isinstance(functionals, list) or not functionals
             or not all(isinstance(f, str) and f in DEFAULT_FUNCTIONALS for f in functionals)):
@@ -254,7 +261,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
     for est in config.estimators:
         for L in range(est.L_min, est.L_max + 1):
             allocation = allocate(est.rule, L, est.base,
-                                  constant_diffusion=model.has_constant_diffusion)
+                                  constant_diffusion=model.sigma is not None)
             for pi, (path, truth_val) in enumerate(path_data):
                 seeds = tuple(streams.replicate_seed(config.master_seed, n_seeds + r)
                               for r in range(config.repeats))

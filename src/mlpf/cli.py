@@ -161,7 +161,7 @@ def _dispatch(args) -> int:
         model = _model_from(args)
         path = read_path(args.path)
         allocation = allocate(args.rule, args.L, args.base,
-                              constant_diffusion=model.has_constant_diffusion)
+                              constant_diffusion=model.sigma is not None)
         out = mlpf_run(model, path, allocation, args.functionals.split(","),
                        resample_policy=args.resample_policy, coupling=args.coupling,
                        seed=args.seed)

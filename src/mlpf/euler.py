@@ -12,6 +12,16 @@ several independent filters on the same observation path: the filters stack
 R replicates of N particles as R*N rows and step them all in one Python
 iteration per Euler step, and each replicate's rows come out exactly as if
 it had been propagated alone.
+
+The step itself allocates nothing: the log-potential and the update run
+into (N,) buffers made once per call, in the fixed operation order
+h*dy - (delta/2)*(h*h) and (x + b(x)*delta) + s*xi, and the first step's
+new states go into the one array that later steps update in place.  Here s
+is the model's constant ``sigma`` when it has one, so the diffusion is then
+never called, and sigma(x) otherwise; since s*xi == xi*s in IEEE
+arithmetic, both give the same bytes.  Only the model's own callables
+allocate per step.  Neither the caller's states nor its noise block is
+written.
 """
 
 from __future__ import annotations
@@ -64,9 +74,11 @@ class NonFiniteStateError(ValueError):
 _NON_FINITE = "non-finite inputs to log_potential"
 
 
-def _log_g(h, dy: float, delta: float):
-    """Per-step log-potential h * dy - delta/2 * h^2 for observed values h."""
-    return h * dy - 0.5 * delta * (h * h)
+def _log_g(h, dy: float, delta: float, out=None, work=None):
+    """Per-step log-potential h * dy - delta/2 * h^2 for observed values h,
+    written into ``out`` with ``work`` as scratch when they are given."""
+    hh = np.multiply(np.multiply(h, h, out=work), 0.5 * delta, out=work)
+    return np.subtract(np.multiply(h, dy, out=out), hh, out=out)
 
 
 def log_potential(model: ModelSpec, x: np.ndarray, dy: np.ndarray, delta: float) -> np.ndarray:
@@ -118,17 +130,25 @@ def propagate_unit(
         raise NonFiniteStateError(_NON_FINITE)
     dys = obs.tolist()
     xi = noise.T  # row k: the step-k increments of every particle
-    x = x0
+    drift, diffusion, observation, sigma = model.drift, model.diffusion, model.observation, model.sigma
+    x = x0  # the first step writes a new array, the private state that later steps update
     log_g = np.zeros(n)
+    a = np.empty(n)
+    b = np.empty(n)
     partials = np.empty((n, steps)) if retain else None
     states = np.empty((n, steps + 1)) if retain else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            log_g += _log_g(model.observation(x), dys[k], delta)
+            np.add(log_g, _log_g(observation(x), dys[k], delta, a, b), out=log_g)
             if retain:  # column k: the pre-step state and the potentials through step k
                 partials[:, k] = log_g
                 states[:, k] = x
-            x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
+            np.add(x, np.multiply(drift(x), delta, out=a), out=a)
+            if sigma is None:
+                np.multiply(diffusion(x), xi[k], out=b)
+            else:
+                np.multiply(xi[k], sigma, out=b)
+            x = np.add(a, b, out=None if x is x0 else x)
     if retain:
         states[:, steps] = x
     if not np.all(np.isfinite(x)):
@@ -145,16 +165,19 @@ def propagate_unit_coupled(
     obs_coarse: np.ndarray,
     noise: np.ndarray,
     retain: bool = False,
+    coarse_noise: np.ndarray | None = None,
 ) -> CoupledUnitPropagation:
     """Couple level-l and level-(l-1) propagation through common Brownian increments.
 
     The coarse chain consumes the pairwise sums of the fine noise, so both
-    marginals coincide bit-for-bit with standalone propagations.
+    marginals coincide bit-for-bit with standalone propagations.  The sums
+    are written into ``coarse_noise``, an (N, 2**(l-1)) buffer, when one is
+    given, and into a new array otherwise.
     """
     if l < 1:
         raise ValueError("coupled propagation needs l >= 1")
     noise = np.asarray(noise, dtype=float)
     fine = propagate_unit(model, l, x_fine, obs_fine, noise, retain=retain)
-    coarse_noise = noise[:, 0::2] + noise[:, 1::2]
+    coarse_noise = np.add(noise[:, 0::2], noise[:, 1::2], out=coarse_noise)
     coarse = propagate_unit(model, l - 1, x_coarse, obs_coarse, coarse_noise, retain=retain)
     return CoupledUnitPropagation(fine, coarse)

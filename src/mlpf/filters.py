@@ -14,17 +14,19 @@ Both filters take ``seed`` as an int or as a tuple of ints, one independent
 replicate per seed.  Replicates on the same path and level are stacked along
 the particle axis, R replicates of N particles as R*N rows, and stepped by
 one Euler sweep per interval; each keeps its own Philox noise block and
-resampling stream, and its log-weights, ESS, resampling and estimates are
-computed on its own rows.  Replicates are stacked in groups of at most
-``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a replicate
-that alone exceeds it runs by itself.  Every replicate's output is
+resampling stream.  A group's log-weights and ESS are reduced in one pass
+over an (R, N) view, one row per replicate, which gives each replicate the
+same bytes as a reduction of its own rows; estimates and resampling are
+computed per replicate, on its own rows.  Replicates are stacked in groups
+of at most ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a
+replicate that alone exceeds it runs by itself.  Every replicate's output is
 bit-identical to the single-seed run; an int seed is the one-replicate case.
 
 A call allocates one noise buffer, sized for its largest group, and every
 group and interval draws its Philox blocks into it in place, so a call holds
 one noise block at a time: max(``MAX_GROUP_PARTICLE_STEPS``, N * 2**l)
-float64 values at most.  A coupled step also holds the coarse chain's pair
-sums, half as many, while it runs.
+float64 values at most.  A coupled call also allocates one buffer for the
+coarse chain's pair sums, half as large, which every interval reuses.
 """
 
 from __future__ import annotations
@@ -200,12 +202,15 @@ def pf_run(
 
 def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, inter,
               buf) -> list:
-    """One stacked group of replicates; weights and resampling are per row."""
+    """One stacked group of replicates.  Each interval's weights and ESS are
+    reduced for the whole group at once, one row per replicate; estimates and
+    resampling are per replicate."""
     delta = 2.0 ** (-l)
-    rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
-    x = np.full(len(seeds) * n, model.x_star)
-    cum = np.zeros(len(seeds) * n)
-    log_norm = [0.0] * len(seeds)
+    n_rep = len(seeds)
+    rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
+    x = np.full(n_rep * n, model.x_star)
+    cum = np.zeros(n_rep * n)
+    log_norm = [0.0] * n_rep
     estimates = [{} for _ in seeds]
     resample_times = [[] for _ in seeds]
     ess_trace = [[] for _ in seeds]
@@ -220,15 +225,17 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
                 for fid, phi in phis.items():
                     estimates[r][(p + j * delta, fid)] = pf_estimate_intermediate(
                         cum[sl], prop.rows(sl), j * delta, phi)
-            cum[sl] += prop.log_g_total[sl]
-            wv = normalize_log_weights(cum[sl])
+        cum += prop.log_g_total
+        wv = normalize_log_weights(cum.reshape(n_rep, n))
+        group_ess = ess(wv).tolist()
+        for r, sl in enumerate(rows):
             if t in report_times:
                 _weighted(cum[sl], x[sl], phis, t, estimates[r])
-            e = ess(wv)
+            e = group_ess[r]
             ess_trace[r].append(e)
             if resample_policy == "always" or e < n / 2.0:
                 log_norm[r] += log_mean_weight(cum[sl])
-                idx = multinomial_indices(wv, n, streams.resample_rng(seeds[r], l, p))
+                idx = multinomial_indices(wv.row(r), n, streams.resample_rng(seeds[r], l, p))
                 x[sl] = x[sl][idx]
                 cum[sl] = 0.0
                 resample_times[r].append(float(t))
@@ -316,26 +323,30 @@ def cpf_run(
     inter = _group_intermediate(intermediate_times, l - 1, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
-    buf = np.empty((len(groups[0]) * n, 1 << l))  # noise for the largest (the first) group
+    group_rows = len(groups[0]) * n  # the largest (the first) group's
+    buf = np.empty((group_rows, 1 << l))  # its noise
+    pair_buf = np.empty((group_rows, 1 << (l - 1)))  # and its coarse chain's pair sums
     outs = []
     for group in groups:
         outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
-                           coupling, inter, buf)
+                           coupling, inter, buf, pair_buf)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
 def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
-               inter, buf) -> list:
-    """One stacked group of coupled replicates; weights and resampling are per row."""
+               inter, buf, pair_buf) -> list:
+    """One stacked group of coupled replicates; weights and ESS are reduced
+    per group as in ``_pf_group``, estimates and resampling per replicate."""
     delta_c = 2.0 ** (-(l - 1))
-    rows = [slice(r * n, (r + 1) * n) for r in range(len(seeds))]
-    xf = np.full(len(seeds) * n, model.x_star)
+    n_rep = len(seeds)
+    rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
+    xf = np.full(n_rep * n, model.x_star)
     xc = xf.copy()
-    cum_f = np.zeros(len(seeds) * n)
-    cum_c = np.zeros(len(seeds) * n)
-    same = np.ones(len(seeds) * n, dtype=bool)
-    log_norm_f = [0.0] * len(seeds)
-    log_norm_c = [0.0] * len(seeds)
+    cum_f = np.zeros(n_rep * n)
+    cum_c = np.zeros(n_rep * n)
+    same = np.ones(n_rep * n, dtype=bool)
+    log_norm_f = [0.0] * n_rep
+    log_norm_c = [0.0] * n_rep
     diffs = [{} for _ in seeds]
     fine_est = [{} for _ in seeds]
     coarse_est = [{} for _ in seeds]
@@ -348,7 +359,8 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
         obs_c = increments_at_level(path, l - 1, p)
         noise = _stacked_noise(seeds, l, p, n, buf)
         prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
-                                      retain=bool(inter.get(p)))
+                                      retain=bool(inter.get(p)),
+                                      coarse_noise=pair_buf[: n_rep * n])
         xf = prop.fine.endpoint
         xc = prop.coarse.endpoint
         t = p + 1
@@ -361,22 +373,25 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
                     fine_est[r][key] = f_val
                     coarse_est[r][key] = c_val
                     diffs[r][key] = f_val - c_val
-            cum_f[sl] += prop.fine.log_g_total[sl]
-            cum_c[sl] += prop.coarse.log_g_total[sl]
-            wv_f = normalize_log_weights(cum_f[sl])
-            wv_c = normalize_log_weights(cum_c[sl])
+        cum_f += prop.fine.log_g_total
+        cum_c += prop.coarse.log_g_total
+        group_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
+        group_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))
+        group_ess = ess(group_wv_c).tolist()
+        for r, sl in enumerate(rows):
             if t in report_times:
                 _weighted(cum_f[sl], xf[sl], phis, t, fine_est[r])
                 _weighted(cum_c[sl], xc[sl], phis, t, coarse_est[r])
                 for fid in phis:
                     key = (float(t), fid)
                     diffs[r][key] = fine_est[r][key] - coarse_est[r][key]
-            e_c = ess(wv_c)
+            e_c = group_ess[r]
             ess_trace[r].append(e_c)
             if resample_policy == "always" or e_c < n / 2.0:
                 log_norm_f[r] += log_mean_weight(cum_f[sl])
                 log_norm_c[r] += log_mean_weight(cum_c[sl])
                 rng = streams.resample_rng(seeds[r], l, p)
+                wv_f, wv_c = group_wv_f.row(r), group_wv_c.row(r)
                 if coupling == "maximal":
                     pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
                 else:

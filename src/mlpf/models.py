@@ -3,9 +3,13 @@
 Models are scalar: one state and one observation channel.  The built-ins
 observe through the identity.  Drift, diffusion and observation callables
 act elementwise: each maps an (N,) array of states to an (N,) array, the
-diffusion giving sigma(x).  ``ModelSpec`` checks the diffusion contract and
-the start state once, at construction, so the Euler loop can multiply
-sigma(x) into the noise without reshaping.
+diffusion giving sigma(x).  A model whose diffusion is a constant also
+carries it as the float ``sigma`` (ou and langevin), so the Euler loops
+multiply it into the noise without calling the diffusion; ``sigma`` is
+None for a state-dependent diffusion (gbm and nonlinear_sigma).
+``ModelSpec`` checks the diffusion contract, ``sigma`` and the start state
+once, at construction, so the Euler loop can multiply sigma(x) into the
+noise without reshaping.
 """
 
 from __future__ import annotations
@@ -17,9 +21,18 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ModelSpec", "builtin_model", "langevin_drift", "BUILTIN_NAMES"]
+__all__ = ["ModelSpec", "ModelParameterError", "builtin_model", "langevin_drift", "BUILTIN_NAMES"]
 
 BUILTIN_NAMES = ("ou", "langevin", "gbm", "nonlinear_sigma")
+
+
+class ModelParameterError(ValueError):
+    """A bad ``params`` object or parameter value; ``key`` names the
+    parameter, or is None when the whole object is at fault."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -32,7 +45,7 @@ class ModelSpec:
     observation: Callable[[np.ndarray], np.ndarray]
     x_star: float
     is_linear_gaussian: bool = False
-    has_constant_diffusion: bool = False
+    sigma: float | None = None  # the diffusion's value when it is a constant
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -46,6 +59,18 @@ class ModelSpec:
                 f"{self.name}: diffusion must return sigma(x) elementwise, "
                 f"shape {probe.shape} for states of shape {probe.shape}; got {shape}"
             )
+        if self.sigma is not None:
+            if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma > 0):
+                raise ValueError(f"{self.name}: sigma must be a finite positive scalar, "
+                                 f"got {self.sigma!r}")
+            object.__setattr__(self, "sigma", float(self.sigma))
+            if not np.all(self.diffusion(probe) == self.sigma):
+                raise ValueError(f"{self.name}: sigma {self.sigma!r} disagrees with the "
+                                 f"diffusion at x_star")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def langevin_drift(x, nu: float):
@@ -59,7 +84,7 @@ def langevin_drift(x, nu: float):
     return -(nu + 1.0) * x / (2.0 * (nu + x * x))
 
 
-def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, const_diff=False):
+def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, sigma=None):
     return ModelSpec(
         name=name,
         drift=drift,
@@ -67,7 +92,7 @@ def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, const
         observation=lambda x: x,
         x_star=x_star,
         is_linear_gaussian=linear,
-        has_constant_diffusion=const_diff,
+        sigma=sigma,
         params=dict(params),
     )
 
@@ -75,38 +100,43 @@ def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, const
 def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
     """Construct one of the four scalar benchmark models by name.
 
-    Unknown parameter keys are rejected; omitted keys take the standard
-    defaults (ou: theta=1, mu=0, sigma=0.5; langevin: nu=10;
-    gbm: mu=0.02, sigma=0.2; nonlinear_sigma: theta=0, mu=0).
+    Unknown parameter keys and values that are not finite real numbers are rejected
+    with a ``ModelParameterError``; omitted keys take the standard defaults
+    (ou: theta=1, mu=0, sigma=0.5; langevin: nu=10; gbm: mu=0.02, sigma=0.2;
+    nonlinear_sigma: theta=0, mu=0).
     """
-    params = dict(params or {})
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ModelParameterError(f"{name}: parameters must be an object of name: value, "
+                                  f"got {params!r}")
     if name == "ou":
         p = _take(params, theta=1.0, mu=0.0, sigma=0.5, x_star=0.0)
         if p["sigma"] <= 0:
-            raise ValueError("ou: sigma must be positive")
+            raise ModelParameterError("ou: sigma must be positive", "sigma")
         th, mu, sg = p["theta"], p["mu"], p["sigma"]
         return _scalar_model(
             "ou",
             lambda x: th * (mu - x),
             lambda x: np.full(np.shape(x), sg),
-            p["x_star"], p, linear=True, const_diff=True,
+            p["x_star"], p, linear=True, sigma=sg,
         )
     if name == "langevin":
         p = _take(params, nu=10.0, x_star=0.0)
         if p["nu"] <= 0:
-            raise ValueError("langevin: nu must be positive")
+            raise ModelParameterError("langevin: nu must be positive", "nu")
         nu = p["nu"]
         return _scalar_model(
             "langevin",
             lambda x: langevin_drift(x, nu),
             lambda x: np.ones(np.shape(x)),
-            p["x_star"], p, const_diff=True,
+            p["x_star"], p, sigma=1.0,
         )
     if name == "gbm":
         # x_star defaults to 1: the process started at 0 is identically 0.
         p = _take(params, mu=0.02, sigma=0.2, x_star=1.0)
         if p["sigma"] <= 0:
-            raise ValueError("gbm: sigma must be positive")
+            raise ModelParameterError("gbm: sigma must be positive", "sigma")
         mu, sg = p["mu"], p["sigma"]
         return _scalar_model(
             "gbm",
@@ -129,7 +159,11 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
 def _take(params, **defaults):
     unknown = set(params) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown)}; expected subset of {sorted(defaults)}")
+        raise ModelParameterError(
+            f"unknown parameter(s) {sorted(unknown)}; expected subset of {sorted(defaults)}")
+    for k, v in params.items():
+        if not (_is_real(v) and math.isfinite(v)):
+            raise ModelParameterError(f"parameter {k!r} must be a finite real number, got {v!r}", k)
     out = dict(defaults)
     out.update({k: float(v) for k, v in params.items()})
     return out

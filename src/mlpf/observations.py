@@ -103,11 +103,13 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     if mode != "p":
         raise ValueError(f"mode must be one of {_MODES}")
     g_lat = streams.generator(seed, streams.TAG_LATENT)
-    xi = np.sqrt(delta) * g_lat.standard_normal(n)
+    xi = (np.sqrt(delta) * g_lat.standard_normal(n)).tolist()
     latent = np.empty(n + 1)
     latent[0] = x = model.x_star
+    drift, diffusion, sigma = model.drift, model.diffusion, model.sigma
     for k in range(n):
-        x = x + model.drift(x) * delta + model.diffusion(x) * xi[k]
+        # a constant sigma multiplies in directly, as the filters' Euler step does
+        x = x + drift(x) * delta + (diffusion(x) if sigma is None else sigma) * xi[k]
         latent[k + 1] = x
     h_vals = model.observation(latent[:-1])
     increments = h_vals * delta + brownian

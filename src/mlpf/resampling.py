@@ -40,7 +40,11 @@ class WeightVector:
 
     @property
     def n(self) -> int:
-        return self.normalized.shape[0]
+        return self.normalized.shape[-1]
+
+    def row(self, r: int) -> WeightVector:
+        """Weight vector ``r`` of an (R, N) stack, as views."""
+        return WeightVector(self.log_weights[r], self.normalized[r])
 
 
 @dataclass(frozen=True)
@@ -57,21 +61,31 @@ class IndexPairs:
 
 
 def normalize_log_weights(log_weights) -> WeightVector:
-    """Shift-stable normalization exp(lw - max) / sum."""
+    """Shift-stable normalization exp(lw - max) / sum.
+
+    ``log_weights`` is one (N,) vector or an (R, N) stack of R vectors, each
+    row reduced on its own; a row's weights are bit-equal to normalizing it
+    alone, since a sum along a contiguous row adds in the same order as the
+    sum of a 1-D array.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    if lw.ndim != 1 or lw.size == 0:
-        raise ValueError("log_weights must be a non-empty 1-D array")
-    m = np.max(lw)
-    if not np.isfinite(m):
+    if lw.ndim not in (1, 2) or lw.size == 0:
+        raise ValueError("log_weights must be a non-empty (N,) or (R, N) array")
+    m = np.max(lw, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
         raise DegenerateWeightsError("all log-weights are -inf (or nan present)")
-    w = np.exp(lw - m)
-    return WeightVector(lw, w / w.sum())
+    w = lw - m
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return WeightVector(lw, w)
 
 
-def ess(weights: WeightVector) -> float:
-    """Effective sample size 1 / sum(w_i^2), in [1, N]."""
+def ess(weights: WeightVector):
+    """Effective sample size 1 / sum(w_i^2), in [1, N]: a float for one
+    weight vector, an (R,) array for an (R, N) stack."""
     w = weights.normalized
-    return 1.0 / float(np.sum(w * w))
+    s = np.sum(w * w, axis=-1)
+    return 1.0 / float(s) if s.ndim == 0 else 1.0 / s
 
 
 def log_mean_weight(log_weights) -> float:

@@ -74,6 +74,18 @@ class TestParseConfig:
                      id="model_params-list"),
         pytest.param(lambda r: r["estimators"][1].update(id="ml"), "config.estimators[1].id",
                      id="estimator-id-duplicate"),
+        pytest.param(lambda r: r.update(model_params={"sigma": [1]}), "config.model_params.sigma",
+                     id="model_params-sigma-list"),
+        pytest.param(lambda r: r.update(model_params={"theta": "1"}), "config.model_params.theta",
+                     id="model_params-theta-string"),
+        pytest.param(lambda r: r.update(model_params={"sigma": -1.0}), "config.model_params.sigma",
+                     id="model_params-sigma-negative"),
+        pytest.param(lambda r: r.update(model_params={"x_star": float("nan")}),
+                     "config.model_params.x_star", id="model_params-x_star-nan"),
+        pytest.param(lambda r: r.update(model_params={"rho": 1.0}), "config.model_params: unknown",
+                     id="model_params-unknown-key"),
+        pytest.param(lambda r: r.update(model="cir"), "config.model: unknown model",
+                     id="model-unknown"),
     ])
     def test_rejections_name_the_field(self, mutate, fragment):
         raw = copy.deepcopy(BASE_CONFIG)

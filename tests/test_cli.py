@@ -87,6 +87,30 @@ class TestRunCommands:
                      "--path", str(gbm_path), "--level", "4", "--n", "10"]) == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,fragment", [
+        ('{"sigma": [1]}', "'sigma'"),
+        ('{"theta": "fast"}', "'theta'"),
+        ("[1]", "must be an object"),
+        ('"ou"', "must be an object"),
+    ], ids=["list-value", "string-value", "list", "string"])
+    def test_bad_params_value_is_config_error(self, path_file, capsys, params, fragment):
+        assert main(["run-pf", "--model", "ou", "--params", params,
+                     "--path", path_file, "--level", "3", "--n", "10"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert fragment in err and "Traceback" not in err
+
+    def test_bad_model_params_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "model": "ou", "model_params": {"sigma": [1]}, "T": 2, "L_data": 4, "repeats": 2,
+            "master_seed": 3, "output_dir": str(tmp_path / "out"),
+            "estimators": [{"id": "pf", "rule": "single_pf", "L_min": 1, "L_max": 2,
+                            "base": 4.0}],
+        }))
+        assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
+        assert "config.model_params.sigma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_start_is_config_error(self, path_file, capsys):
         assert main(["run-pf", "--model", "ou", "--params", '{"x_star": NaN}',
                      "--path", path_file, "--level", "3", "--n", "10"]) == EXIT_CONFIG

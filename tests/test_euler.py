@@ -208,3 +208,98 @@ def test_potential_accumulation_consistency(seed, l):
     for k in range(steps):
         total = total + log_potential(OU, prop.intermediate_states[:, k], obs[k], 2.0 ** -l)
     assert np.array_equal(total, prop.log_g_total)
+
+
+def reference_propagate(model, l, x0, obs, noise, retain):
+    """The Euler loop in its plain form: fresh arrays on every step and the
+    diffusion called on every step, whatever ``model.sigma`` is."""
+    steps, delta = 1 << l, 2.0 ** -l
+    x = x0
+    log_g = np.zeros(x0.shape[0])
+    partials = np.empty((x0.shape[0], steps))
+    states = np.empty((x0.shape[0], steps + 1))
+    for k in range(steps):
+        h = model.observation(x)
+        log_g += h * float(obs[k]) - 0.5 * delta * (h * h)
+        partials[:, k] = log_g
+        states[:, k] = x
+        x = x + model.drift(x) * delta + model.diffusion(x) * noise[:, k]
+    states[:, steps] = x
+    return x, log_g, (partials if retain else None), (states if retain else None)
+
+
+KERNEL_MODELS = {name: builtin_model(name, {}) for name in ("ou", "langevin", "gbm",
+                                                             "nonlinear_sigma")}
+# state-dependent sigma and a non-identity observation, so h is not the state array
+KERNEL_MODELS["custom"] = ModelSpec(
+    name="custom", drift=lambda x: np.sin(x) - 0.3 * x,
+    diffusion=lambda x: 0.4 + 0.2 * np.tanh(x), observation=lambda x: 0.7 * x - 0.1,
+    x_star=0.2,
+)
+# drift and observation hand back the state array itself, and sigma is set
+KERNEL_MODELS["aliasing"] = ModelSpec(
+    name="aliasing", drift=lambda x: x, diffusion=lambda x: np.full(np.shape(x), 0.8),
+    observation=lambda x: x, x_star=0.5, sigma=0.8,
+)
+
+
+def kernel_inputs(name, l, n=7):
+    rng = np.random.default_rng([len(name), l, n])
+    x0 = KERNEL_MODELS[name].x_star + 0.5 * rng.standard_normal(n)
+    noise = rng.standard_normal((n, 1 << l)) * np.sqrt(2.0 ** -l)
+    obs = rng.standard_normal(1 << l) * 0.3
+    return x0, obs, noise
+
+
+def assert_same_propagation(prop, ref):
+    endpoint, log_g, partials, states = ref
+    assert np.array_equal(prop.endpoint, endpoint)
+    assert np.array_equal(prop.log_g_total, log_g)
+    for got, want in ((prop.partial_log_g, partials), (prop.intermediate_states, states)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+class TestKernelBitIdentity:
+    """The buffered kernel gives the bytes of the plain loop and leaves its inputs alone."""
+
+    @pytest.mark.parametrize("retain", [False, True])
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_propagate_unit(self, name, l, retain):
+        m = KERNEL_MODELS[name]
+        x0, obs, noise = kernel_inputs(name, l)
+        x0_copy, noise_copy = x0.copy(), noise.copy()
+        prop = propagate_unit(m, l, x0, obs, noise, retain=retain)
+        assert_same_propagation(prop, reference_propagate(m, l, x0_copy, obs, noise_copy, retain))
+        assert np.array_equal(x0, x0_copy) and np.array_equal(noise, noise_copy)
+        assert not np.shares_memory(prop.endpoint, x0)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("retain", [False, True])
+    @pytest.mark.parametrize("l", [1, 4])
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_propagate_unit_coupled(self, name, l, retain, buffered):
+        m = KERNEL_MODELS[name]
+        x0, obs_f, noise = kernel_inputs(name, l)
+        obs_c = obs_f[0::2] + obs_f[1::2]
+        xc = x0[::-1].copy()
+        x0_copy, xc_copy, noise_copy = x0.copy(), xc.copy(), noise.copy()
+        pair_buf = np.full((x0.shape[0], 1 << (l - 1)), np.nan) if buffered else None
+        cp = propagate_unit_coupled(m, l, x0, xc, obs_f, obs_c, noise, retain=retain,
+                                    coarse_noise=pair_buf)
+        pair_sums = noise_copy[:, 0::2] + noise_copy[:, 1::2]
+        assert_same_propagation(cp.fine, reference_propagate(m, l, x0_copy, obs_f, noise_copy,
+                                                             retain))
+        assert_same_propagation(cp.coarse, reference_propagate(m, l - 1, xc_copy, obs_c,
+                                                               pair_sums, retain))
+        if buffered:
+            assert np.array_equal(pair_buf, pair_sums)
+        assert np.array_equal(x0, x0_copy) and np.array_equal(xc, xc_copy)
+        assert np.array_equal(noise, noise_copy)
+
+    def test_pair_sum_buffer_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            propagate_unit_coupled(OU, 2, np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(2),
+                                   np.zeros((3, 4)), coarse_noise=np.empty((3, 4)))

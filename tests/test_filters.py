@@ -92,6 +92,22 @@ class TestPf:
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - kalman_log_normalizer(kal)) < 4 * se
 
+    @pytest.mark.parametrize("policy", ["always", "ess_below_half"])
+    def test_normalizer_is_unbiased(self, policy):
+        # E[Z_hat] = Z at the filter's level.  With 16 particles log Z_hat is
+        # biased low by Jensen's inequality, well beyond its standard error,
+        # so only the ratio form can hold at this N.
+        m = builtin_model("ou", {"sigma": 1.5})
+        path = simulate_observations("p", m, 8, 5, seed=21)
+        outs = pf_run(m, path, 3, 16, ["x"], resample_policy=policy,
+                      seed=tuple(range(1000, 2000)))
+        log_ratio = np.array([o.log_normalizer for o in outs]) - kalman_log_normalizer(
+            kalman_run(path, 3, 1.0, 0.0, 1.5))
+        ratio = np.exp(log_ratio)
+        se = ratio.std(ddof=1) / np.sqrt(ratio.size)
+        assert abs(ratio.mean() - 1.0) < 3 * se
+        assert log_ratio.mean() < -3 * log_ratio.std(ddof=1) / np.sqrt(log_ratio.size)
+
     def test_two_particle_normalizer_hand(self):
         # one unit interval, silent potentials replaced by hand-set weights:
         # run the definition directly through log-mean arithmetic

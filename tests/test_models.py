@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mlpf.models import BUILTIN_NAMES, ModelSpec, builtin_model, langevin_drift
+from mlpf.models import BUILTIN_NAMES, ModelParameterError, ModelSpec, builtin_model, langevin_drift
 
 
 def test_ou_defaults():
     m = builtin_model("ou", {})
     assert m.drift(np.array([2.0]))[0] == pytest.approx(-2.0)
     assert np.array_equal(m.diffusion(np.array([3.7, -1.0])), [0.5, 0.5])
-    assert m.is_linear_gaussian and m.has_constant_diffusion
+    assert m.is_linear_gaussian and m.sigma == 0.5
 
 
 def test_nonlinear_sigma_defaults_zero_drift():
@@ -95,8 +95,9 @@ def test_model_spec_start_is_a_float():
 
 
 def test_constant_diffusion_flags():
-    flags = {name: builtin_model(name, {}).has_constant_diffusion for name in BUILTIN_NAMES}
-    assert flags == {"ou": True, "langevin": True, "gbm": False, "nonlinear_sigma": False}
+    sigmas = {name: builtin_model(name, {}).sigma for name in BUILTIN_NAMES}
+    assert sigmas == {"ou": 0.5, "langevin": 1.0, "gbm": None, "nonlinear_sigma": None}
+    assert type(sigmas["ou"]) is float and type(sigmas["langevin"]) is float
 
 
 def test_observation_is_identity_for_builtins():
@@ -104,3 +105,66 @@ def test_observation_is_identity_for_builtins():
         m = builtin_model(name, {})
         x = np.array([0.3, -2.0])
         assert np.array_equal(m.observation(x), x)
+
+
+def spec_with_sigma(sigma, diffusion=lambda x: np.full(np.shape(x), 0.5)):
+    return ModelSpec(name="sig", drift=lambda x: -x, diffusion=diffusion,
+                     observation=lambda x: x, x_star=0.25, sigma=sigma)
+
+
+def test_model_spec_sigma_is_a_float():
+    m = spec_with_sigma(np.float32(0.5))
+    assert type(m.sigma) is float and m.sigma == 0.5
+    assert spec_with_sigma(None, diffusion=lambda x: 1.0 + x * x).sigma is None
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5000000000000001, -0.5])
+def test_model_spec_rejects_sigma_that_disagrees_with_diffusion(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        spec_with_sigma(sigma)
+
+
+def test_model_spec_rejects_sigma_for_state_dependent_diffusion():
+    # equal to the diffusion nowhere near x_star: sigma(0.25) = 1.0625
+    with pytest.raises(ValueError, match="disagrees with the diffusion"):
+        spec_with_sigma(1.0, diffusion=lambda x: 1.0 + x * x)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, "0.5", True, [0.5]])
+def test_model_spec_rejects_non_finite_or_non_positive_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be a finite positive scalar"):
+        spec_with_sigma(sigma)
+
+
+def test_builtin_sigma_follows_params():
+    assert builtin_model("ou", {"sigma": 2}).sigma == 2.0
+    assert builtin_model("langevin", {"nu": 3.0}).sigma == 1.0
+    assert builtin_model("gbm", {"sigma": 0.7}).sigma is None
+
+
+@pytest.mark.parametrize("params,key", [
+    ({"sigma": [1]}, "sigma"),
+    ({"sigma": "0.5"}, "sigma"),
+    ({"theta": None}, "theta"),
+    ({"x_star": True}, "x_star"),
+    ({"mu": float("nan")}, "mu"),
+    ({"x_star": float("inf")}, "x_star"),
+])
+def test_bad_parameter_value_names_the_parameter(params, key):
+    with pytest.raises(ModelParameterError, match=repr(key)) as info:
+        builtin_model("ou", params)
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("params", [[1], "sigma", 0.5])
+def test_non_object_params_rejected(params):
+    with pytest.raises(ModelParameterError, match="must be an object") as info:
+        builtin_model("gbm", params)
+    assert info.value.key is None
+
+
+def test_non_positive_scale_names_the_parameter():
+    for name, key in (("ou", "sigma"), ("gbm", "sigma"), ("langevin", "nu")):
+        with pytest.raises(ModelParameterError, match=key) as info:
+            builtin_model(name, {key: 0.0})
+        assert info.value.key == key

@@ -246,3 +246,46 @@ class TestSortedCoupling:
         with pytest.raises(ValueError):
             sorted_coupling_indices(w, w, np.zeros((2, 2)), np.zeros((2, 2)), 2,
                                     np.random.default_rng(0))
+
+
+class TestGroupReduction:
+    """An (R, N) stack of log-weights is reduced row by row, each row bit-equal
+    to the 1-D reduction of its own weights."""
+
+    @pytest.mark.parametrize("r", [1, 3, 20])
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 8191, 8192, 8193, 51200])
+    def test_rows_equal_one_dimensional(self, n, r):
+        rng = np.random.default_rng([n, r])
+        lw = rng.normal(0.0, 4.0, (r, n)) + rng.normal(0.0, 50.0, (r, 1))
+        lw[:, ::17] = -np.inf  # particles with zero weight in every row
+        lw[:, 1] = 0.0  # and a finite maximum in every row
+        group = normalize_log_weights(lw)
+        group_ess = ess(group)
+        assert group.normalized.shape == (r, n) and group.n == n
+        assert group_ess.shape == (r,)
+        for i in range(r):
+            alone = normalize_log_weights(lw[i].copy())
+            assert np.array_equal(group.normalized[i], alone.normalized)
+            assert np.array_equal(group.row(i).normalized, alone.normalized)
+            assert group_ess[i] == ess(alone)
+        assert type(ess(normalize_log_weights(lw[0]))) is float
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_one_degenerate_row_raises(self, bad):
+        lw = np.zeros((3, 5))
+        lw[1] = bad
+        with pytest.raises(DegenerateWeightsError):
+            normalize_log_weights(lw)
+
+    def test_shape_is_checked(self):
+        for lw in (np.zeros((2, 0)), np.zeros((2, 3, 4)), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty"):
+                normalize_log_weights(lw)
+
+    def test_row_draws_equal_one_dimensional(self):
+        lw = np.random.default_rng(8).normal(size=(4, 30))
+        group = normalize_log_weights(lw)
+        for i in range(4):
+            alone = normalize_log_weights(lw[i])
+            assert np.array_equal(multinomial_indices(group.row(i), 30, np.random.default_rng(i)),
+                                  multinomial_indices(alone, 30, np.random.default_rng(i)))
