@@ -66,7 +66,7 @@ def main():
     records, summary = run_benchmark(
         cfg, progress=lambda i, n: print(f"\r{i}/{n} replicates", end="", file=sys.stderr))
     print("", file=sys.stderr)
-    written = emit_outputs(records, summary, out_dir, wall_time_in_csv=cfg.wall_time_in_csv)
+    written = emit_outputs(records, summary, out_dir)
     slopes = {}
     for est in ("single_pf", "mlpf"):
         pts = [(r["mean_cost"], r["mse"]) for r in summary if r["estimator"] == est]

@@ -2,7 +2,7 @@
 
 from .models import ModelSpec, builtin_model, langevin_drift
 from .observations import ObservationPath, increments_at_level, simulate_observations
-from .euler import log_potential, propagate_unit, propagate_unit_coupled
+from .euler import propagate_unit, propagate_unit_coupled
 from .resampling import (
     ess,
     maximal_coupling_indices,

@@ -14,7 +14,8 @@ estimate as a run of its own.  On a pool of W > 1 workers each job's seeds
 are split into min(W, repeats) contiguous slices, one task each, so the
 largest job does not bound the sweep.  Tasks go to the workers largest
 planned cost first.  A record's ``wall_seconds`` is its task's wall time
-split equally over the task's replicates.
+split equally over the task's replicates; it goes to ``results.json`` only,
+and ``records.csv`` writes 0 in its place, so the CSVs are deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -84,14 +86,13 @@ class BenchmarkConfig:
     truth_level: int | None = None
     truth_n: int = 51200
     workers: int = 1
-    wall_time_in_csv: bool = False
 
 
 _ESTIMATOR_KEYS = {"id", "rule", "L_min", "L_max", "base", "coupling", "resample_policy"}
 _CONFIG_KEYS = {
     "model", "model_params", "T", "L_data", "data_mode", "data_seed", "estimators",
     "functionals", "repeats", "paths", "master_seed", "output_dir", "truth_level",
-    "truth_n", "workers", "wall_time_in_csv",
+    "truth_n", "workers",
 }
 
 
@@ -126,7 +127,8 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         ec = EstimatorConfig(
             id=str(e["id"]), rule=e["rule"], L_min=_int(e["L_min"], f"{where}.L_min"),
             L_max=_int(e["L_max"], f"{where}.L_max"),
-            base=float(e["base"]), coupling=e.get("coupling", "maximal"),
+            base=_positive_number(e["base"], f"{where}.base"),
+            coupling=e.get("coupling", "maximal"),
             resample_policy=e.get("resample_policy", "ess_below_half"),
         )
         if ec.L_min > ec.L_max or ec.L_min < 0:
@@ -151,32 +153,28 @@ def parse_config(raw: dict) -> BenchmarkConfig:
             or not all(isinstance(f, str) and f in DEFAULT_FUNCTIONALS for f in functionals)):
         raise ConfigError(f"config.functionals: expected a non-empty list of names from "
                           f"{sorted(DEFAULT_FUNCTIONALS)}, got {functionals!r}")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError(f"config.output_dir: expected a string, got {raw['output_dir']!r}")
+    truth_level = raw.get("truth_level")
     cfg = BenchmarkConfig(
         model=str(raw["model"]),
         model_params=dict(model_params),
-        T=_int(raw["T"], "config.T"),
-        L_data=_int(raw["L_data"], "config.L_data"),
+        T=_int(raw["T"], "config.T", 1),
+        L_data=_int(raw["L_data"], "config.L_data", 1),
         data_mode=raw.get("data_mode", "pbar"),
-        data_seed=_int(raw.get("data_seed", 0), "config.data_seed"),
+        data_seed=_int(raw.get("data_seed", 0), "config.data_seed", 0),
         estimators=tuple(parsed_ests),
         functionals=tuple(functionals),
-        repeats=_int(raw["repeats"], "config.repeats"),
-        paths=_int(raw.get("paths", 1), "config.paths"),
-        master_seed=_int(raw["master_seed"], "config.master_seed"),
-        output_dir=str(raw["output_dir"]),
-        truth_level=_optional_int(raw.get("truth_level"), "config.truth_level"),
-        truth_n=_int(raw.get("truth_n", 51200), "config.truth_n"),
-        workers=_int(raw.get("workers", 1), "config.workers"),
-        wall_time_in_csv=bool(raw.get("wall_time_in_csv", False)),
+        repeats=_int(raw["repeats"], "config.repeats", 2),  # two for a variance estimate
+        paths=_int(raw.get("paths", 1), "config.paths", 1),
+        master_seed=_int(raw["master_seed"], "config.master_seed", 0),
+        output_dir=raw["output_dir"],
+        truth_level=None if truth_level is None else _int(truth_level, "config.truth_level", 0),
+        truth_n=_int(raw.get("truth_n", 51200), "config.truth_n", 1),
+        workers=_int(raw.get("workers", 1), "config.workers", 1),
     )
     if cfg.data_mode not in ("pbar", "p"):
         raise ConfigError(f"config.data_mode: {cfg.data_mode!r} must be 'pbar' or 'p'")
-    if cfg.T < 1 or cfg.L_data < 1:
-        raise ConfigError("config.T / config.L_data: must be >= 1")
-    if cfg.repeats < 2:
-        raise ConfigError("config.repeats: need >= 2 for variance estimates")
-    if cfg.paths < 1:
-        raise ConfigError("config.paths: must be >= 1")
     max_l = max(e.L_max for e in cfg.estimators)
     if max_l > cfg.L_data:
         raise ConfigError(f"config.estimators: max L {max_l} exceeds L_data {cfg.L_data}")
@@ -186,16 +184,23 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     return cfg
 
 
-def _int(value, where: str) -> int:
-    """A JSON integer; anything else (a bool, a float, a string) is a ConfigError."""
+def _int(value, where: str, least: int | None = None) -> int:
+    """A JSON integer, at least ``least`` when that is given; anything else (a
+    bool, a float, a string, a smaller integer) is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where}: must be >= {least}, got {value}")
     return value
 
 
-def _optional_int(value, where: str):
-    """None or a JSON integer, as ``_int``."""
-    return None if value is None else _int(value, where)
+def _positive_number(value, where: str) -> float:
+    """A finite, positive JSON number as a float; a bool, a string, NaN, an
+    infinity or an int too large for a float is a ConfigError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -353,12 +358,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def records_csv(records, wall_time_in_csv: bool) -> str:
+def records_csv(records) -> str:
+    """Records as CSV; the ``wall_seconds`` column is always 0, so the text
+    depends on the seeds alone."""
     lines = [",".join(RECORD_FIELDS)]
     for r in records:
-        wall = r.wall_seconds if wall_time_in_csv else 0.0
         lines.append(",".join(_fmt(v) for v in (
-            r.estimator, r.L, r.repeat, r.seed, r.cost_units, wall,
+            r.estimator, r.L, r.repeat, r.seed, r.cost_units, 0.0,
             r.estimate, r.truth, r.squared_error)))
     return "\n".join(lines) + "\n"
 
@@ -370,34 +376,26 @@ def summary_csv(summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_outputs(records, summary, output_dir, formats=("csv", "json", "svg"),
-                 wall_time_in_csv: bool = False) -> dict:
-    """Write the requested output files; returns {format: [paths]}."""
+def emit_outputs(records, summary, output_dir) -> dict:
+    """Write the CSV, JSON and SVG outputs; returns {format: [paths]}."""
     import os
 
     if not records:
         raise ValueError("refusing to emit outputs for zero records")
     os.makedirs(output_dir, exist_ok=True)
-    written: dict = {}
-    if "csv" in formats:
-        rp = os.path.join(output_dir, "records.csv")
-        sp = os.path.join(output_dir, "summary.csv")
-        with open(rp, "w") as f:
-            f.write(records_csv(records, wall_time_in_csv))
-        with open(sp, "w") as f:
-            f.write(summary_csv(summary))
-        written["csv"] = [rp, sp]
-    if "json" in formats:
-        jp = os.path.join(output_dir, "results.json")
-        with open(jp, "w") as f:
-            json.dump({"records": [asdict(r) for r in records], "summary": summary}, f, indent=1)
-        written["json"] = [jp]
-    if "svg" in formats:
-        vp = os.path.join(output_dir, "cost_vs_mse.svg")
-        with open(vp, "w") as f:
-            f.write(render_svg(summary))
-        written["svg"] = [vp]
-    return written
+    rp = os.path.join(output_dir, "records.csv")
+    sp = os.path.join(output_dir, "summary.csv")
+    with open(rp, "w") as f:
+        f.write(records_csv(records))
+    with open(sp, "w") as f:
+        f.write(summary_csv(summary))
+    jp = os.path.join(output_dir, "results.json")
+    with open(jp, "w") as f:
+        json.dump({"records": [asdict(r) for r in records], "summary": summary}, f, indent=1)
+    vp = os.path.join(output_dir, "cost_vs_mse.svg")
+    with open(vp, "w") as f:
+        f.write(render_svg(summary))
+    return {"csv": [rp, sp], "json": [jp], "svg": [vp]}
 
 
 _PALETTE = ("#c8a400", "#000000", "#6fb7e8", "#c04040", "#40a060", "#8040c0")

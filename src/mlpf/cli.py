@@ -208,8 +208,7 @@ def _dispatch(args) -> int:
             return EXIT_RUNTIME
         if not args.quiet:
             print("", file=sys.stderr)
-        written = bench.emit_outputs(records, summary, cfg.output_dir,
-                                     wall_time_in_csv=cfg.wall_time_in_csv)
+        written = bench.emit_outputs(records, summary, cfg.output_dir)
         print(json.dumps({"records": len(records), "outputs": written}, indent=1))
         return EXIT_OK
     if cmd == "slope":

@@ -5,7 +5,10 @@ increments and (N, 2**l) noise, one row per particle.  The per-step loop
 does only arithmetic, with its input checks at the interval boundary.  The
 coupled propagation drives the coarse chain with pairwise sums of the fine
 Brownian increments, so its fine half is bit-identical to a standalone fine
-propagation given the same noise block.
+propagation given the same noise block.  A propagation returns each
+particle's endpoint and summed log-potential, which is all the filters'
+estimates at integer report times need; no state inside the interval is
+kept.
 
 Every operation in the loop is elementwise, so the particle axis may hold
 several independent filters on the same observation path: the filters stack
@@ -36,7 +39,6 @@ __all__ = [
     "NonFiniteStateError",
     "UnitPropagation",
     "CoupledUnitPropagation",
-    "log_potential",
     "propagate_unit",
     "propagate_unit_coupled",
 ]
@@ -49,16 +51,6 @@ class UnitPropagation:
     level: int
     endpoint: np.ndarray  # (N,)
     log_g_total: np.ndarray  # (N,)
-    partial_log_g: np.ndarray | None = None  # (N, 2**level) running sums
-    intermediate_states: np.ndarray | None = None  # (N, 2**level + 1)
-
-    def rows(self, sl: slice) -> UnitPropagation:
-        """Views of the particles in ``sl``, e.g. one replicate of a stacked batch."""
-        return UnitPropagation(
-            self.level, self.endpoint[sl], self.log_g_total[sl],
-            None if self.partial_log_g is None else self.partial_log_g[sl],
-            None if self.intermediate_states is None else self.intermediate_states[sl],
-        )
 
 
 @dataclass(frozen=True)
@@ -71,25 +63,14 @@ class NonFiniteStateError(ValueError):
     """A state, or an observation increment, is not finite: a runtime fault."""
 
 
-_NON_FINITE = "non-finite inputs to log_potential"
+_NON_FINITE = "non-finite state or observation increment"
 
 
-def _log_g(h, dy: float, delta: float, out=None, work=None):
+def _log_g(h, dy: float, delta: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Per-step log-potential h * dy - delta/2 * h^2 for observed values h,
-    written into ``out`` with ``work`` as scratch when they are given."""
+    written into ``out`` with ``work`` as scratch."""
     hh = np.multiply(np.multiply(h, h, out=work), 0.5 * delta, out=work)
     return np.subtract(np.multiply(h, dy, out=out), hh, out=out)
-
-
-def log_potential(model: ModelSpec, x: np.ndarray, dy: np.ndarray, delta: float) -> np.ndarray:
-    """log G for states x (N,), one observation increment dy, step delta."""
-    if delta <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    dy = float(dy)
-    if not (np.all(np.isfinite(x)) and np.isfinite(dy)):
-        raise NonFiniteStateError(_NON_FINITE)
-    return _log_g(model.observation(x), dy, delta)
 
 
 def propagate_unit(
@@ -98,7 +79,6 @@ def propagate_unit(
     x0: np.ndarray,
     obs: np.ndarray,
     noise: np.ndarray,
-    retain: bool = False,
 ) -> UnitPropagation:
     """Iterate 2**l Euler steps from x0 (N,), accumulating log-potentials.
 
@@ -135,25 +115,18 @@ def propagate_unit(
     log_g = np.zeros(n)
     a = np.empty(n)
     b = np.empty(n)
-    partials = np.empty((n, steps)) if retain else None
-    states = np.empty((n, steps + 1)) if retain else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             np.add(log_g, _log_g(observation(x), dys[k], delta, a, b), out=log_g)
-            if retain:  # column k: the pre-step state and the potentials through step k
-                partials[:, k] = log_g
-                states[:, k] = x
             np.add(x, np.multiply(drift(x), delta, out=a), out=a)
             if sigma is None:
                 np.multiply(diffusion(x), xi[k], out=b)
             else:
                 np.multiply(xi[k], sigma, out=b)
             x = np.add(a, b, out=None if x is x0 else x)
-    if retain:
-        states[:, steps] = x
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(_NON_FINITE)
-    return UnitPropagation(l, x, log_g, partials, states)
+    return UnitPropagation(l, x, log_g)
 
 
 def propagate_unit_coupled(
@@ -164,7 +137,6 @@ def propagate_unit_coupled(
     obs_fine: np.ndarray,
     obs_coarse: np.ndarray,
     noise: np.ndarray,
-    retain: bool = False,
     coarse_noise: np.ndarray | None = None,
 ) -> CoupledUnitPropagation:
     """Couple level-l and level-(l-1) propagation through common Brownian increments.
@@ -177,7 +149,7 @@ def propagate_unit_coupled(
     if l < 1:
         raise ValueError("coupled propagation needs l >= 1")
     noise = np.asarray(noise, dtype=float)
-    fine = propagate_unit(model, l, x_fine, obs_fine, noise, retain=retain)
+    fine = propagate_unit(model, l, x_fine, obs_fine, noise)
     coarse_noise = np.add(noise[:, 0::2], noise[:, 1::2], out=coarse_noise)
-    coarse = propagate_unit(model, l - 1, x_coarse, obs_coarse, coarse_noise, retain=retain)
+    coarse = propagate_unit(model, l - 1, x_coarse, obs_coarse, coarse_noise)
     return CoupledUnitPropagation(fine, coarse)

@@ -1,8 +1,9 @@
 """Particle filter, coupled particle filter, and their estimators.
 
-The PF propagates a weighted cloud one unit interval at a time; estimates at
-integer times use the cumulative log-weights including the just-finished
-interval's potentials, evaluated before any resampling at that time.  The
+The PF propagates a weighted cloud one unit interval at a time.  Estimates
+are weighted means at integer report times, the ends of unit intervals: they
+use the cumulative log-weights including the just-finished interval's
+potentials, evaluated before any resampling at that time.  The
 CPF runs a fine/coarse pair on common Brownian increments with jointly
 resampled ancestor indices, and tracks the set of pairs that have always
 drawn a common ancestor.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .euler import UnitPropagation, propagate_unit, propagate_unit_coupled
+from .euler import propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
@@ -54,7 +55,6 @@ __all__ = [
     "resolve_functionals",
     "pf_run",
     "cpf_run",
-    "pf_estimate_intermediate",
     "MAX_GROUP_PARTICLE_STEPS",
 ]
 
@@ -137,16 +137,14 @@ def _check_common(path, l, n, report_times, resample_policy):
     return report_times
 
 
-def _weighted_mean(log_weights: np.ndarray, vals: np.ndarray) -> float:
-    # ratio of two identical dot-product expressions, so a constant functional
-    # yields exactly 1 and difference estimators cancel exactly
-    w = np.exp(log_weights - np.max(log_weights))
-    return float((w @ vals) / (w @ np.ones_like(vals)))
-
-
 def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: dict) -> None:
+    """Weighted mean of every functional at report time ``t``, into ``into``."""
+    w = np.exp(log_weights - np.max(log_weights))
     for fid, phi in phis.items():
-        into[(float(t), fid)] = _weighted_mean(log_weights, phi(states))
+        vals = phi(states)
+        # ratio of two identical dot-product expressions, so a constant functional
+        # yields exactly 1 and difference estimators cancel exactly
+        into[(float(t), fid)] = float((w @ vals) / (w @ np.ones_like(vals)))
 
 
 def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
@@ -177,7 +175,6 @@ def pf_run(
     report_times=None,
     resample_policy: str = "ess_below_half",
     seed: int | tuple = 0,
-    intermediate_times=None,
 ):
     """Run a particle filter at level ``l`` on one observation path.
 
@@ -189,23 +186,19 @@ def pf_run(
     """
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
-    inter = _group_intermediate(intermediate_times, l, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
     buf = np.empty((len(groups[0]) * n, 1 << l))  # noise for the largest (the first) group
     outs = []
     for group in groups:
-        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, inter,
-                          buf)
+        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, buf)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
-def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, inter,
-              buf) -> list:
+def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, buf) -> list:
     """One stacked group of replicates.  Each interval's weights and ESS are
     reduced for the whole group at once, one row per replicate; estimates and
     resampling are per replicate."""
-    delta = 2.0 ** (-l)
     n_rep = len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     x = np.full(n_rep * n, model.x_star)
@@ -217,14 +210,9 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
         noise = _stacked_noise(seeds, l, p, n, buf)
-        prop = propagate_unit(model, l, x, obs, noise, retain=bool(inter.get(p)))
+        prop = propagate_unit(model, l, x, obs, noise)
         x = prop.endpoint
         t = p + 1
-        for r, sl in enumerate(rows):
-            for j in inter.get(p, ()):
-                for fid, phi in phis.items():
-                    estimates[r][(p + j * delta, fid)] = pf_estimate_intermediate(
-                        cum[sl], prop.rows(sl), j * delta, phi)
         cum += prop.log_g_total
         wv = normalize_log_weights(cum.reshape(n_rep, n))
         group_ess = ess(wv).tolist()
@@ -253,46 +241,6 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, int
     ]
 
 
-def pf_estimate_intermediate(cum_entry: np.ndarray, prop: UnitPropagation, t: float, phi) -> float:
-    """Weighted estimate at fractional time ``t`` within the propagated interval.
-
-    ``cum_entry`` is the cumulative log-weight at the start of the interval;
-    the partial products retained by ``propagate_unit`` supply the within-
-    interval potentials up to ``t``.
-    """
-    if prop.partial_log_g is None or prop.intermediate_states is None:
-        raise ValueError("propagation was run without retention; intermediate estimate unavailable")
-    delta = 2.0 ** (-prop.level)
-    j = t / delta
-    if abs(j - round(j)) > 1e-9 or not (1 <= round(j) < 2 ** prop.level + 1):
-        raise ValueError(f"time {t} is not on the level-{prop.level} grid interior")
-    j = int(round(j))
-    if j == 2 ** prop.level:
-        raise ValueError("use the integer-time estimator at interval endpoints")
-    lw = cum_entry + prop.partial_log_g[:, j - 1]
-    if not np.any(np.isfinite(lw)):
-        raise ValueError("degenerate weights: all -inf")
-    return _weighted_mean(lw, phi(prop.intermediate_states[:, j]))
-
-
-def _group_intermediate(intermediate_times, l, T):
-    """Map unit interval -> sorted list of on-grid step offsets j in 1..2**l - 1."""
-    grouped: dict = {}
-    if not intermediate_times:
-        return grouped
-    delta = 2.0 ** (-l)
-    for t in intermediate_times:
-        p = int(np.floor(t + 1e-12))
-        frac = t - p
-        j = frac / delta
-        if p < 0 or p >= T or abs(j - round(j)) > 1e-9 or not (1 <= round(j) <= 2 ** l - 1):
-            raise ValueError(f"intermediate time {t} is not on the interior level-{l} grid")
-        grouped.setdefault(p, []).append(int(round(j)))
-    for p in grouped:
-        grouped[p].sort()
-    return grouped
-
-
 def cpf_run(
     model: ModelSpec,
     path: ObservationPath,
@@ -303,7 +251,6 @@ def cpf_run(
     resample_policy: str = "ess_below_half",
     seed: int | tuple = 0,
     coupling: str = "maximal",
-    intermediate_times=None,
 ):
     """Run a coupled particle filter approximating levels ``l`` and ``l-1``.
 
@@ -320,7 +267,6 @@ def cpf_run(
         raise ValueError(f"coupling must be one of {COUPLINGS}")
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
-    inter = _group_intermediate(intermediate_times, l - 1, path.T)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
     group_rows = len(groups[0]) * n  # the largest (the first) group's
@@ -329,15 +275,14 @@ def cpf_run(
     outs = []
     for group in groups:
         outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
-                           coupling, inter, buf, pair_buf)
+                           coupling, buf, pair_buf)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
 def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
-               inter, buf, pair_buf) -> list:
+               buf, pair_buf) -> list:
     """One stacked group of coupled replicates; weights and ESS are reduced
     per group as in ``_pf_group``, estimates and resampling per replicate."""
-    delta_c = 2.0 ** (-(l - 1))
     n_rep = len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     xf = np.full(n_rep * n, model.x_star)
@@ -359,20 +304,10 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
         obs_c = increments_at_level(path, l - 1, p)
         noise = _stacked_noise(seeds, l, p, n, buf)
         prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
-                                      retain=bool(inter.get(p)),
                                       coarse_noise=pair_buf[: n_rep * n])
         xf = prop.fine.endpoint
         xc = prop.coarse.endpoint
         t = p + 1
-        for r, sl in enumerate(rows):
-            for j in inter.get(p, ()):
-                for fid, phi in phis.items():
-                    f_val = pf_estimate_intermediate(cum_f[sl], prop.fine.rows(sl), j * delta_c, phi)
-                    c_val = pf_estimate_intermediate(cum_c[sl], prop.coarse.rows(sl), j * delta_c, phi)
-                    key = (p + j * delta_c, fid)
-                    fine_est[r][key] = f_val
-                    coarse_est[r][key] = c_val
-                    diffs[r][key] = f_val - c_val
         cum_f += prop.fine.log_g_total
         cum_c += prop.coarse.log_g_total
         group_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -162,7 +163,8 @@ def _take(params, **defaults):
         raise ModelParameterError(
             f"unknown parameter(s) {sorted(unknown)}; expected subset of {sorted(defaults)}")
     for k, v in params.items():
-        if not (_is_real(v) and math.isfinite(v)):
+        # finite as a float; math.isfinite would raise OverflowError on a huge int
+        if not (_is_real(v) and abs(v) <= sys.float_info.max):
             raise ModelParameterError(f"parameter {k!r} must be a finite real number, got {v!r}", k)
     out = dict(defaults)
     out.update({k: float(v) for k, v in params.items()})

@@ -1,4 +1,9 @@
-"""Sample allocation across levels, the multilevel estimator, and cost accounting."""
+"""Sample allocation across levels, the multilevel estimator, and cost accounting.
+
+The multilevel estimate at each integer report time is the telescoping sum
+of the level-0 PF estimate and the fine-minus-coarse CPF differences of
+levels 1..L.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import streams
-from .filters import FilterOutput, cpf_run, pf_run
+from .filters import cpf_run, pf_run
 from .models import ModelSpec
 from .observations import ObservationPath
 
@@ -91,7 +94,6 @@ def mlpf_run(
     resample_policy: str = "ess_below_half",
     coupling: str = "maximal",
     seed: int | tuple = 0,
-    intermediate_times=None,
 ):
     """One level-0 PF plus L independent CPFs, combined by the telescoping sum.
 
@@ -113,65 +115,32 @@ def mlpf_run(
         outs = pf_run(
             model, path, allocation.L, allocation.counts[0], functionals,
             report_times=report_times, resample_policy=resample_policy,
-            seed=level_seeds(allocation.L), intermediate_times=intermediate_times,
+            seed=level_seeds(allocation.L),
         )
         results = tuple(MLPFOutput(allocation, (out,), dict(out.estimates), out.cost_units)
                         for out in outs)
         return results if isinstance(seed, tuple) else results[0]
-    # intermediate combined estimates are based at the coarsest CPF level whose
-    # grid contains the requested time; the level-0 half-open grid is empty
-    base_inter = _intermediate_base_levels(intermediate_times, allocation.L)
     levels = [pf_run(
         model, path, 0, allocation.counts[0], functionals,
         report_times=report_times, resample_policy=resample_policy, seed=level_seeds(0),
     )]
     for l in range(1, allocation.L + 1):
-        inter_l = [t for t, lb in base_inter.items() if lb <= l] if base_inter else None
         levels.append(cpf_run(
             model, path, l, allocation.counts[l], functionals,
             report_times=report_times, resample_policy=resample_policy,
-            seed=level_seeds(l), coupling=coupling, intermediate_times=inter_l,
+            seed=level_seeds(l), coupling=coupling,
         ))
-    results = tuple(_combine(allocation, outputs, base_inter) for outputs in zip(*levels))
+    results = tuple(_combine(allocation, outputs) for outputs in zip(*levels))
     return results if isinstance(seed, tuple) else results[0]
 
 
-def _combine(allocation: LevelAllocation, outputs: tuple, base_inter: dict) -> MLPFOutput:
+def _combine(allocation: LevelAllocation, outputs: tuple) -> MLPFOutput:
     """Telescoping sum of one replicate's level outputs, in ascending level order."""
-    out0 = outputs[0]
     combined: dict = {}
-    for key, value in out0.estimates.items():
-        acc = value
+    for key, acc in outputs[0].estimates.items():
         for out in outputs[1:]:
             acc = acc + out.estimates[key]
         combined[key] = acc
-    for t, lb in base_inter.items():
-        cpf_base = outputs[lb]
-        for key in [k for k in cpf_base.fine_estimates if k[0] == t]:
-            # base term: the fine-level estimate of the coarsest usable CPF,
-            # then the telescoping differences from the finer levels
-            acc = cpf_base.fine_estimates[key]
-            for out in outputs[lb + 1 :]:
-                acc += out.estimates[key]
-            combined[key] = acc
     cost = sum(out.cost_units for out in outputs)
     return MLPFOutput(allocation, tuple(outputs), combined, cost)
 
-
-def _intermediate_base_levels(intermediate_times, L):
-    """Coarsest CPF level whose coarse grid contains each fractional time."""
-    if not intermediate_times:
-        return {}
-    out = {}
-    for t in intermediate_times:
-        frac = t - math.floor(t)
-        base = None
-        for l in range(1, L + 1):
-            j = frac * 2 ** (l - 1)
-            if abs(j - round(j)) < 1e-9 and 1 <= round(j) <= 2 ** (l - 1) - 1:
-                base = l
-                break
-        if base is None:
-            raise ValueError(f"intermediate time {t} not on any coarse grid up to level {L}")
-        out[float(t)] = base
-    return out

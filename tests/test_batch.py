@@ -24,11 +24,11 @@ def model_path(request):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_pf_batch_equals_single(model_path, policy):
     model, path = model_path
-    kw = dict(resample_policy=policy, intermediate_times=[0.5, 1.25, 2.0625])
-    batch = pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=SEEDS, **kw)
+    batch = pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=SEEDS, resample_policy=policy)
     assert isinstance(batch, tuple) and len(batch) == len(SEEDS)
     for s, out in zip(SEEDS, batch):
-        assert out == pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=s, **kw)
+        assert out == pf_run(model, path, 4, 37, ["x", "x2", "one"], seed=s,
+                             resample_policy=policy)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -38,7 +38,7 @@ def test_cpf_batch_equals_single(model_path, policy, coupling, request):
     if coupling == "independent":
         request.getfixturevalue("independent_resampling")
         coupling = "maximal"
-    kw = dict(resample_policy=policy, coupling=coupling, intermediate_times=[0.5, 1.25])
+    kw = dict(resample_policy=policy, coupling=coupling)
     batch = cpf_run(model, path, 4, 29, ["x", "x2"], seed=SEEDS, **kw)
     assert len(batch) == len(SEEDS)
     for s, out in zip(SEEDS, batch):
@@ -46,15 +46,17 @@ def test_cpf_batch_equals_single(model_path, policy, coupling, request):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("rule,coupling,inter", [
-    ("mlpf_constant", "maximal", [0.5, 1.75]),
-    ("mlpf_nonconstant", "sorted", [0.25]),
-    ("single_pf", "maximal", None),
+# report_times None reports at every integer time; the case ids are kept
+# stable so that recorded test names still match
+@pytest.mark.parametrize("rule,coupling,report_times", [
+    pytest.param("mlpf_constant", "maximal", [1, 3], id="mlpf_constant-maximal-inter0"),
+    pytest.param("mlpf_nonconstant", "sorted", [2], id="mlpf_nonconstant-sorted-inter1"),
+    pytest.param("single_pf", "maximal", None, id="single_pf-maximal-None"),
 ])
-def test_mlpf_batch_equals_single(model_path, policy, rule, coupling, inter):
+def test_mlpf_batch_equals_single(model_path, policy, rule, coupling, report_times):
     model, path = model_path
     alloc = allocate(rule, 5, 0.5)
-    kw = dict(resample_policy=policy, coupling=coupling, intermediate_times=inter)
+    kw = dict(resample_policy=policy, coupling=coupling, report_times=report_times)
     batch = mlpf_run(model, path, alloc, ["x"], seed=SEEDS, **kw)
     assert len(batch) == len(SEEDS)
     for s, out in zip(SEEDS, batch):

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mlpf.bench import (
+    _CONFIG_KEYS,
+    _ESTIMATOR_KEYS,
+    BenchmarkConfig,
     ConfigError,
     _seed_slices,
     emit_outputs,
@@ -44,7 +48,6 @@ class TestParseConfig:
         assert cfg.functionals == ("x",)
         assert cfg.workers == 1
         assert cfg.truth_level is None
-        assert cfg.wall_time_in_csv is False
 
     @pytest.mark.parametrize("mutate,fragment", [
         (lambda r: r.update(bogus=1), "bogus"),
@@ -86,6 +89,37 @@ class TestParseConfig:
                      id="model_params-unknown-key"),
         pytest.param(lambda r: r.update(model="cir"), "config.model: unknown model",
                      id="model-unknown"),
+        pytest.param(lambda r: r.update(wall_time_in_csv="no"), "wall_time_in_csv",
+                     id="wall_time_in_csv-removed"),
+        pytest.param(lambda r: r["estimators"][0].update(base=[1]), "config.estimators[0].base",
+                     id="base-list"),
+        pytest.param(lambda r: r["estimators"][0].update(base=None), "config.estimators[0].base",
+                     id="base-null"),
+        pytest.param(lambda r: r["estimators"][0].update(base=float("inf")),
+                     "config.estimators[0].base", id="base-infinity"),
+        pytest.param(lambda r: r["estimators"][0].update(base=float("nan")),
+                     "config.estimators[0].base", id="base-nan"),
+        pytest.param(lambda r: r["estimators"][0].update(base="abc"), "config.estimators[0].base",
+                     id="base-string"),
+        pytest.param(lambda r: r["estimators"][0].update(base=0), "config.estimators[0].base",
+                     id="base-zero"),
+        pytest.param(lambda r: r["estimators"][1].update(base=True), "config.estimators[1].base",
+                     id="base-bool"),
+        pytest.param(lambda r: r["estimators"][0].update(base=10 ** 400),
+                     "config.estimators[0].base", id="base-huge-int"),
+        pytest.param(lambda r: r.update(truth_level=-1), "config.truth_level",
+                     id="truth_level-negative"),
+        pytest.param(lambda r: r.update(master_seed=-1), "config.master_seed",
+                     id="master_seed-negative"),
+        pytest.param(lambda r: r.update(data_seed=-1), "config.data_seed",
+                     id="data_seed-negative"),
+        pytest.param(lambda r: r.update(workers=0), "config.workers", id="workers-zero"),
+        pytest.param(lambda r: r.update(workers=-3), "config.workers", id="workers-negative"),
+        pytest.param(lambda r: r.update(truth_n=0), "config.truth_n", id="truth_n-zero"),
+        pytest.param(lambda r: r.update(output_dir=[1]), "config.output_dir",
+                     id="output_dir-list"),
+        pytest.param(lambda r: r.update(model_params={"sigma": 10 ** 400}),
+                     "config.model_params.sigma", id="model_params-sigma-huge-int"),
     ])
     def test_rejections_name_the_field(self, mutate, fragment):
         raw = copy.deepcopy(BASE_CONFIG)
@@ -97,6 +131,35 @@ class TestParseConfig:
     def test_not_a_dict(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2])
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2 ** 63, -(10 ** 400), 10 ** 400]),
+    st.floats(), st.text(max_size=8),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=4)), max_size=3),
+    st.dictionaries(st.text(max_size=6), st.one_of(st.integers(), st.floats()), max_size=2),
+)
+FIELDS = ([(key,) for key in sorted(_CONFIG_KEYS)]
+          + [(i, key) for i in (0, 1) for key in sorted(_ESTIMATOR_KEYS)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+@example(field=(0, "base"), value=[1])
+@example(field=(1, "base"), value=float("inf"))
+@example(field=("model_params",), value={"sigma": 10 ** 400})
+def test_any_field_value_parses_or_is_a_config_error(field, value):
+    """One field of a valid config set to an arbitrary JSON value: parse_config
+    returns a config or raises ConfigError, and raises nothing else."""
+    raw = copy.deepcopy(BASE_CONFIG)
+    if len(field) == 1:
+        raw[field[0]] = value
+    else:
+        raw["estimators"][field[0]][field[1]] = value
+    try:
+        assert isinstance(parse_config(raw), BenchmarkConfig)
+    except ConfigError:
+        pass
 
 
 class TestFitSlope:
@@ -160,13 +223,13 @@ class TestRunBenchmark:
     def test_deterministic_rerun(self, bench_result):
         cfg, (records, _) = bench_result
         records2, _ = run_benchmark(cfg)
-        assert records_csv(records, False) == records_csv(records2, False)
+        assert records_csv(records) == records_csv(records2)
 
     def test_workers_match_serial(self, bench_result):
         cfg, (records, _) = bench_result
         cfg_mp = make_config(workers=2)
         records_mp, _ = run_benchmark(cfg_mp)
-        assert records_csv(records, False) == records_csv(records_mp, False)
+        assert records_csv(records) == records_csv(records_mp)
 
     def test_pool_splits_jobs_into_seed_slices(self):
         assert _seed_slices(6, 1) == [(0, 6)]
@@ -179,7 +242,7 @@ class TestRunBenchmark:
         # two slices per job (2 and 1 of the 3 replicates), largest planned cost first
         assert calls == [(2, 6), (3, 6), (5, 6), (6, 6)]
         serial, _ = run_benchmark(make_config(estimators=ests))
-        assert records_csv(records, False) == records_csv(serial, False)
+        assert records_csv(records) == records_csv(serial)
 
     def test_multiple_paths(self):
         cfg = make_config(paths=2, repeats=2,
@@ -196,14 +259,12 @@ class TestRunBenchmark:
 class TestOutputs:
     def test_csv_full_precision(self, bench_result):
         _, (records, summary) = bench_result
-        text = records_csv(records, False)
+        text = records_csv(records)
         rows = text.strip().split("\n")
         assert rows[0] == "estimator,L,repeat,seed,cost_units,wall_seconds,estimate,truth,squared_error"
         first = rows[1].split(",")
         assert float(first[6]) == records[0].estimate  # round-trips exactly
-        assert first[5] == "0"  # wall time suppressed by default
-        with_wall = records_csv(records, True).strip().split("\n")[1].split(",")
-        assert float(with_wall[5]) == records[0].wall_seconds
+        assert first[5] == "0"  # wall time is kept out of the CSV
 
     def test_summary_csv(self, bench_result):
         _, (_, summary) = bench_result

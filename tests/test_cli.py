@@ -158,7 +158,9 @@ class TestBenchmarkCommand:
         cfg = self.config(tmp_path, repeats=1)
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("field,value", [("truth_level", "3"), ("data_mode", "bogus")])
+    @pytest.mark.parametrize("field,value", [("truth_level", "3"), ("data_mode", "bogus"),
+                                             ("master_seed", -1), ("workers", 0),
+                                             ("output_dir", [1])])
     def test_bad_field_is_named_config_error(self, tmp_path, capsys, field, value):
         cfg = self.config(tmp_path, **{field: value})
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG

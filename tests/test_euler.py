@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpf import streams
-from mlpf.euler import NonFiniteStateError, log_potential, propagate_unit, propagate_unit_coupled
+from mlpf.euler import NonFiniteStateError, propagate_unit, propagate_unit_coupled
 from mlpf.models import ModelSpec, builtin_model
 
 OU = builtin_model("ou", {})
@@ -18,24 +20,28 @@ def constant_model(c):
     )
 
 
+def one_step_log_g(x, dy):
+    """The log-potential h*dy - (delta/2)*h^2 of one Euler step at l = 0
+    (delta = 1) from the state x, with h = x for the OU model."""
+    return propagate_unit(OU, 0, np.array([x]), np.array([dy]), np.zeros((1, 1))).log_g_total[0]
+
+
 class TestLogPotential:
     def test_zero_state(self):
-        assert log_potential(OU, np.array([0.0]), 0.7, 0.25)[0] == 0.0
+        assert one_step_log_g(0.0, 0.7) == 0.0
 
     def test_hand_value(self):
-        val = log_potential(OU, np.array([1.0]), 0.2, 0.5)[0]
-        assert val == pytest.approx(0.2 - 0.25)
+        assert one_step_log_g(1.0, 0.2) == pytest.approx(0.2 - 0.5)
 
     def test_signal_matched_increment_is_positive(self):
-        delta = 0.125
-        val = log_potential(OU, np.array([1.0]), delta, delta)[0]
-        assert val == pytest.approx(delta / 2)
+        # dy = h * delta with delta = 1
+        assert one_step_log_g(1.0, 1.0) == pytest.approx(0.5)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            log_potential(OU, np.array([np.inf]), 0.0, 0.5)
-        with pytest.raises(ValueError):
-            log_potential(OU, np.array([0.0]), 0.0, 0.0)
+        with pytest.raises(NonFiniteStateError, match="non-finite state"):
+            one_step_log_g(np.inf, 0.0)
+        with pytest.raises(NonFiniteStateError, match="observation increment"):
+            one_step_log_g(0.0, np.nan)
 
 
 class TestPropagateUnit:
@@ -54,7 +60,7 @@ class TestPropagateUnit:
         prop = propagate_unit(OU, 0, np.array([2.0]), obs, noise)
         # one Euler step: x + theta*(mu-x)*1 + sigma*xi
         assert prop.endpoint[0] == pytest.approx(2.0 - 2.0 + 0.5 * 0.4)
-        assert prop.log_g_total[0] == pytest.approx(log_potential(OU, np.array([2.0]), obs[0], 1.0)[0])
+        assert prop.log_g_total[0] == pytest.approx(2.0 * 0.1 - 0.5 * 2.0 * 2.0)
 
     def test_hand_iteration_ou_level2(self):
         # independent scalar re-implementation of the recursion
@@ -67,17 +73,6 @@ class TestPropagateUnit:
         prop = propagate_unit(OU, 2, np.array([0.0]), np.zeros(4), xi.reshape(1, 4))
         assert prop.endpoint[0] == pytest.approx(x, abs=1e-15)
         assert prop.log_g_total[0] == pytest.approx(log_g, abs=1e-15)
-
-    def test_partials_and_states_retained(self):
-        noise = np.random.default_rng(1).standard_normal((3, 4)) * 0.5
-        obs = np.random.default_rng(2).standard_normal(4) * 0.1
-        prop = propagate_unit(OU, 2, np.zeros(3), obs, noise, retain=True)
-        assert prop.endpoint.shape == (3,)
-        assert prop.partial_log_g.shape == (3, 4)
-        assert prop.intermediate_states.shape == (3, 5)
-        assert np.array_equal(prop.intermediate_states[:, 0], np.zeros(3))
-        assert np.array_equal(prop.partial_log_g[:, -1], prop.log_g_total)
-        assert np.array_equal(prop.intermediate_states[:, -1], prop.endpoint)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -95,7 +90,7 @@ class TestPropagateUnit:
 
     def test_non_finite_observation_rejected(self):
         obs = np.array([0.1, np.nan])
-        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
+        with pytest.raises(ValueError, match="non-finite state or observation increment"):
             propagate_unit(OU, 1, np.zeros(2), obs, np.zeros((2, 2)))
 
 
@@ -127,17 +122,17 @@ class TestNonFiniteStates:
     @pytest.mark.parametrize("k", range((1 << L) - 2))
     def test_mid_interval_raises(self, k):
         # the state is inf before step k + 2 <= 2**L - 1: a per-step check raises in this interval
-        with pytest.raises(ValueError, match="non-finite inputs to log_potential"):
+        with pytest.raises(ValueError, match="non-finite state or observation increment"):
             self.run(self.kick_at(k))
 
     def test_endpoint_overflow_raises(self):
         # kicked at step 2**L - 2, the state first turns inf at the endpoint
-        with pytest.raises(NonFiniteStateError, match="non-finite inputs to log_potential"):
+        with pytest.raises(NonFiniteStateError, match="non-finite state or observation increment"):
             self.run(self.kick_at((1 << self.L) - 2))
 
     def test_non_finite_start_raises(self):
         x0 = np.array([0.0, np.inf])
-        with pytest.raises(NonFiniteStateError, match="non-finite inputs to log_potential"):
+        with pytest.raises(NonFiniteStateError, match="non-finite state or observation increment"):
             self.run(np.zeros((2, 1 << self.L)), x0=x0)
 
     def test_kick_on_last_step_stays_finite(self):
@@ -203,29 +198,22 @@ def test_potential_accumulation_consistency(seed, l):
     noise = rng.standard_normal((n, steps)) * np.sqrt(2.0 ** -l)
     obs = rng.standard_normal(steps) * 0.3
     x0 = rng.standard_normal(n)
-    prop = propagate_unit(OU, l, x0, obs, noise, retain=True)
-    total = np.zeros(n)
-    for k in range(steps):
-        total = total + log_potential(OU, prop.intermediate_states[:, k], obs[k], 2.0 ** -l)
-    assert np.array_equal(total, prop.log_g_total)
+    prop = propagate_unit(OU, l, x0, obs, noise)
+    assert np.array_equal(prop.log_g_total, reference_propagate(OU, l, x0, obs, noise)[1])
 
 
-def reference_propagate(model, l, x0, obs, noise, retain):
+def reference_propagate(model, l, x0, obs, noise):
     """The Euler loop in its plain form: fresh arrays on every step and the
-    diffusion called on every step, whatever ``model.sigma`` is."""
-    steps, delta = 1 << l, 2.0 ** -l
+    diffusion called on every step, whatever ``model.sigma`` is.  Returns the
+    endpoint and the summed log-potential."""
+    delta = 2.0 ** -l
     x = x0
     log_g = np.zeros(x0.shape[0])
-    partials = np.empty((x0.shape[0], steps))
-    states = np.empty((x0.shape[0], steps + 1))
-    for k in range(steps):
+    for k in range(1 << l):
         h = model.observation(x)
         log_g += h * float(obs[k]) - 0.5 * delta * (h * h)
-        partials[:, k] = log_g
-        states[:, k] = x
         x = x + model.drift(x) * delta + model.diffusion(x) * noise[:, k]
-    states[:, steps] = x
-    return x, log_g, (partials if retain else None), (states if retain else None)
+    return x, log_g
 
 
 KERNEL_MODELS = {name: builtin_model(name, {}) for name in ("ou", "langevin", "gbm",
@@ -251,49 +239,52 @@ def kernel_inputs(name, l, n=7):
     return x0, obs, noise
 
 
+def kernel_model(name, sigma_withheld):
+    """``KERNEL_MODELS[name]``, or the same model with ``sigma`` unset, so the
+    kernel calls the diffusion even where it is a constant."""
+    m = KERNEL_MODELS[name]
+    return dataclasses.replace(m, sigma=None) if sigma_withheld else m
+
+
 def assert_same_propagation(prop, ref):
-    endpoint, log_g, partials, states = ref
+    endpoint, log_g = ref
     assert np.array_equal(prop.endpoint, endpoint)
     assert np.array_equal(prop.log_g_total, log_g)
-    for got, want in ((prop.partial_log_g, partials), (prop.intermediate_states, states)):
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
 
 
 class TestKernelBitIdentity:
-    """The buffered kernel gives the bytes of the plain loop and leaves its inputs alone."""
+    """The buffered kernel gives the bytes of the plain loop and leaves its
+    inputs alone, whether it multiplies a constant ``sigma`` into the noise or
+    calls the diffusion."""
 
-    @pytest.mark.parametrize("retain", [False, True])
+    @pytest.mark.parametrize("sigma_withheld", [False, True])
     @pytest.mark.parametrize("l", [0, 1, 4])
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
-    def test_propagate_unit(self, name, l, retain):
-        m = KERNEL_MODELS[name]
+    def test_propagate_unit(self, name, l, sigma_withheld):
+        m = kernel_model(name, sigma_withheld)
         x0, obs, noise = kernel_inputs(name, l)
         x0_copy, noise_copy = x0.copy(), noise.copy()
-        prop = propagate_unit(m, l, x0, obs, noise, retain=retain)
-        assert_same_propagation(prop, reference_propagate(m, l, x0_copy, obs, noise_copy, retain))
+        prop = propagate_unit(m, l, x0, obs, noise)
+        assert_same_propagation(prop, reference_propagate(m, l, x0_copy, obs, noise_copy))
         assert np.array_equal(x0, x0_copy) and np.array_equal(noise, noise_copy)
         assert not np.shares_memory(prop.endpoint, x0)
 
     @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("retain", [False, True])
+    @pytest.mark.parametrize("sigma_withheld", [False, True])
     @pytest.mark.parametrize("l", [1, 4])
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
-    def test_propagate_unit_coupled(self, name, l, retain, buffered):
-        m = KERNEL_MODELS[name]
+    def test_propagate_unit_coupled(self, name, l, sigma_withheld, buffered):
+        m = kernel_model(name, sigma_withheld)
         x0, obs_f, noise = kernel_inputs(name, l)
         obs_c = obs_f[0::2] + obs_f[1::2]
         xc = x0[::-1].copy()
         x0_copy, xc_copy, noise_copy = x0.copy(), xc.copy(), noise.copy()
         pair_buf = np.full((x0.shape[0], 1 << (l - 1)), np.nan) if buffered else None
-        cp = propagate_unit_coupled(m, l, x0, xc, obs_f, obs_c, noise, retain=retain,
-                                    coarse_noise=pair_buf)
+        cp = propagate_unit_coupled(m, l, x0, xc, obs_f, obs_c, noise, coarse_noise=pair_buf)
         pair_sums = noise_copy[:, 0::2] + noise_copy[:, 1::2]
-        assert_same_propagation(cp.fine, reference_propagate(m, l, x0_copy, obs_f, noise_copy,
-                                                             retain))
+        assert_same_propagation(cp.fine, reference_propagate(m, l, x0_copy, obs_f, noise_copy))
         assert_same_propagation(cp.coarse, reference_propagate(m, l - 1, xc_copy, obs_c,
-                                                               pair_sums, retain))
+                                                               pair_sums))
         if buffered:
             assert np.array_equal(pair_buf, pair_sums)
         assert np.array_equal(x0, x0_copy) and np.array_equal(xc, xc_copy)

@@ -3,14 +3,9 @@ import pytest
 from scipy.stats import ks_2samp
 
 from mlpf.euler import NonFiniteStateError, propagate_unit
-from mlpf.filters import (
-    cpf_run,
-    pf_estimate_intermediate,
-    pf_run,
-    resolve_functionals,
-)
+from mlpf.filters import cpf_run, pf_run, resolve_functionals
 from mlpf.models import ModelSpec, builtin_model
-from mlpf.observations import ObservationPath, simulate_observations
+from mlpf.observations import simulate_observations
 from mlpf.oracle import kalman_log_normalizer, kalman_run
 
 OU = builtin_model("ou", {})
@@ -118,39 +113,6 @@ class TestPf:
             np.log((np.exp(a) + np.exp(b)) / 2))
 
 
-class TestIntermediate:
-    def test_constant_functional(self, path):
-        out = pf_run(OU, path, 3, 30, ["one"], seed=2, intermediate_times=[0.5, 1.25])
-        assert out.estimates[(0.5, "one")] == 1.0
-        assert out.estimates[(1.25, "one")] == 1.0
-
-    def test_two_particle_hand_arithmetic(self):
-        rng = np.random.default_rng(0)
-        obs = rng.standard_normal(4) * 0.2
-        noise = rng.standard_normal((2, 4)) * 0.5
-        prop = propagate_unit(OU, 2, np.zeros(2), obs, noise, retain=True)
-        cum = np.array([0.1, -0.3])
-        got = pf_estimate_intermediate(cum, prop, 0.5, lambda x: x)
-        lw = cum + prop.partial_log_g[:, 1]
-        w = np.exp(lw - lw.max())
-        w /= w.sum()
-        assert got == pytest.approx(w @ prop.intermediate_states[:, 2])
-
-    def test_off_grid_time_rejected(self):
-        prop = propagate_unit(OU, 2, np.zeros(1), np.zeros(4), np.zeros((1, 4)), retain=True)
-        with pytest.raises(ValueError):
-            pf_estimate_intermediate(np.zeros(1), prop, 0.3, lambda x: x)
-
-    def test_smallest_grid_time_uses_one_potential(self):
-        obs = np.full(4, 0.7)
-        prop = propagate_unit(OU, 2, np.full(2, 1.0), obs, np.zeros((2, 4)), retain=True)
-        got = pf_estimate_intermediate(np.zeros(2), prop, 0.25, lambda x: x)
-        # both particles identical: estimate equals the deterministic state
-        assert got == pytest.approx(prop.intermediate_states[0, 1])
-        assert np.array_equal(prop.partial_log_g[:, 0],
-                              np.full(2, 0.7 - 0.5 * 0.25))
-
-
 class TestCpf:
     def test_difference_zero_for_constant(self, path):
         out = cpf_run(OU, path, 3, 40, ["one"], seed=1)
@@ -180,10 +142,6 @@ class TestCpf:
         out = cpf_run(OU, path, 5, 300, ["x"], resample_policy="always", seed=4)
         trace = out.diagnostics.same_ancestor_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-
-    def test_intermediate_difference_constant_zero(self, path):
-        out = cpf_run(OU, path, 3, 30, ["one"], seed=2, intermediate_times=[0.5])
-        assert out.estimates[(0.5, "one")] == 0.0
 
     def test_unknown_coupling_rejected(self, path):
         with pytest.raises(ValueError, match="coupling"):

@@ -130,12 +130,6 @@ class TestMlpfRun:
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - kal.at_time(4.0)[0]) < 4 * se
 
-    def test_intermediate_combined(self, path):
-        alloc = allocate("mlpf_constant", 3, 4.0)
-        out = mlpf_run(OU, path, alloc, ["one", "x"], seed=3, intermediate_times=[1.5])
-        assert out.estimates[(1.5, "one")] == 1.0
-        assert (1.5, "x") in out.estimates
-
     def test_allocation_data_mismatch(self, path):
         with pytest.raises(ValueError):
             mlpf_run(OU, path, allocate("mlpf_constant", 8, 1.0), ["x"])

@@ -42,7 +42,7 @@ def sweep_digest(model: str, mode: str) -> str:
         ],
     })
     records, summary = run_benchmark(cfg)
-    text = records_csv(records, wall_time_in_csv=False) + summary_csv(summary)
+    text = records_csv(records) + summary_csv(summary)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
