@@ -16,6 +16,11 @@ largest job does not bound the sweep.  Tasks go to the workers largest
 planned cost first.  A record's ``wall_seconds`` is its task's wall time
 split equally over the task's replicates; it goes to ``results.json`` only,
 and ``records.csv`` writes 0 in its place, so the CSVs are deterministic.
+
+The config schema is the fields of ``BenchmarkConfig`` and
+``EstimatorConfig``: those without a default are required, the others take
+their defaults when absent.  Name fields take the vocabularies of the
+modules that use them, and integer fields their least values from ``_INT_LEAST``.
 """
 
 from __future__ import annotations
@@ -26,15 +31,15 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import streams
-from .filters import DEFAULT_FUNCTIONALS
+from .filters import COUPLINGS, DEFAULT_FUNCTIONALS, RESAMPLE_POLICIES
 from .models import ModelParameterError, builtin_model
 from .multilevel import ALLOCATION_RULES, allocate, mlpf_run, total_cost
-from .observations import ObservationPath, simulate_observations
+from .observations import MODES, ObservationPath, simulate_observations
 from .oracle import reference_truth
 
 __all__ = [
@@ -88,93 +93,57 @@ class BenchmarkConfig:
     workers: int = 1
 
 
-_ESTIMATOR_KEYS = {"id", "rule", "L_min", "L_max", "base", "coupling", "resample_policy"}
-_CONFIG_KEYS = {
-    "model", "model_params", "T", "L_data", "data_mode", "data_seed", "estimators",
-    "functionals", "repeats", "paths", "master_seed", "output_dir", "truth_level",
-    "truth_n", "workers",
-}
+_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)}
+_ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
+# the least value of each integer field; two replicates give a variance estimate
+_INT_LEAST = {"T": 1, "L_data": 1, "data_seed": 0, "repeats": 2, "paths": 1, "master_seed": 0,
+              "truth_level": 0, "truth_n": 1, "workers": 1, "L_min": 0, "L_max": 0}
+# the names each name field takes, as defined by the module that uses the field
+_NAMES = {"data_mode": MODES, "rule": ALLOCATION_RULES, "coupling": COUPLINGS,
+          "resample_policy": RESAMPLE_POLICIES}
 
 
 def parse_config(raw: dict) -> BenchmarkConfig:
-    """Validate a JSON-decoded config dict; unknown keys are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown key(s) {sorted(unknown)}")
-    missing = {"model", "T", "L_data", "estimators", "repeats", "master_seed", "output_dir"} - set(raw)
-    if missing:
-        raise ConfigError(f"config: missing required key(s) {sorted(missing)}")
-    ests = raw["estimators"]
+    """Validate a JSON-decoded config dict; unknown keys are rejected, and an
+    absent optional key takes its ``BenchmarkConfig``/``EstimatorConfig`` default."""
+    kw = _present(raw, BenchmarkConfig, "config")
+    ests = kw["estimators"]
     if not isinstance(ests, list) or not ests:
         raise ConfigError("config.estimators: expected a non-empty list")
     parsed_ests = []
     for i, e in enumerate(ests):
         where = f"config.estimators[{i}]"
-        if not isinstance(e, dict):
-            raise ConfigError(f"{where}: expected an object")
-        unknown = set(e) - _ESTIMATOR_KEYS
-        if unknown:
-            raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-        missing = {"id", "rule", "L_min", "L_max", "base"} - set(e)
-        if missing:
-            raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
-        if str(e["id"]) in {ec.id for ec in parsed_ests}:
-            raise ConfigError(f"{where}.id: duplicate estimator id {e['id']!r}")
-        if e["rule"] not in ALLOCATION_RULES:
-            raise ConfigError(f"{where}.rule: {e['rule']!r} not in {ALLOCATION_RULES}")
-        ec = EstimatorConfig(
-            id=str(e["id"]), rule=e["rule"], L_min=_int(e["L_min"], f"{where}.L_min"),
-            L_max=_int(e["L_max"], f"{where}.L_max"),
-            base=_positive_number(e["base"], f"{where}.base"),
-            coupling=e.get("coupling", "maximal"),
-            resample_policy=e.get("resample_policy", "ess_below_half"),
-        )
-        if ec.L_min > ec.L_max or ec.L_min < 0:
+        ekw = _present(e, EstimatorConfig, where)
+        if not (isinstance(ekw["id"], str) and ekw["id"]):
+            raise ConfigError(f"{where}.id: expected a non-empty string, got {ekw['id']!r}")
+        if ekw["id"] in {ec.id for ec in parsed_ests}:
+            raise ConfigError(f"{where}.id: duplicate estimator id {ekw['id']!r}")
+        ekw["base"] = _positive_number(ekw["base"], f"{where}.base")
+        if ekw["L_min"] > ekw["L_max"]:
             raise ConfigError(f"{where}: need 0 <= L_min <= L_max")
-        if ec.coupling not in ("maximal", "sorted"):
-            raise ConfigError(f"{where}.coupling: must be 'maximal' or 'sorted'")
-        if ec.resample_policy not in ("always", "ess_below_half"):
-            raise ConfigError(f"{where}.resample_policy: must be 'always' or 'ess_below_half'")
-        parsed_ests.append(ec)
-    model_params = raw.get("model_params", {})
-    if not isinstance(model_params, dict):
-        raise ConfigError(f"config.model_params: expected a JSON object, got {model_params!r}")
+        parsed_ests.append(EstimatorConfig(**ekw))
+    kw["estimators"] = tuple(parsed_ests)
+    if "model_params" in kw:
+        if not isinstance(kw["model_params"], dict):
+            raise ConfigError(f"config.model_params: expected a JSON object, got {kw['model_params']!r}")
+        kw["model_params"] = dict(kw["model_params"])
+    if "functionals" in kw:
+        functionals = kw["functionals"]
+        if (not isinstance(functionals, list) or not functionals
+                or not all(isinstance(f, str) and f in DEFAULT_FUNCTIONALS for f in functionals)):
+            raise ConfigError(f"config.functionals: expected a non-empty list of names from "
+                              f"{sorted(DEFAULT_FUNCTIONALS)}, got {functionals!r}")
+        kw["functionals"] = tuple(functionals)
+    if not isinstance(kw["output_dir"], str):
+        raise ConfigError(f"config.output_dir: expected a string, got {kw['output_dir']!r}")
+    cfg = BenchmarkConfig(**kw)
     try:  # build the model once, so a bad name or parameter is a config error
-        builtin_model(str(raw["model"]), model_params)
+        builtin_model(cfg.model, cfg.model_params)
     except ModelParameterError as exc:
         where = "config.model_params" if exc.key is None else f"config.model_params.{exc.key}"
         raise ConfigError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from None
-    functionals = raw.get("functionals", ["x"])
-    if (not isinstance(functionals, list) or not functionals
-            or not all(isinstance(f, str) and f in DEFAULT_FUNCTIONALS for f in functionals)):
-        raise ConfigError(f"config.functionals: expected a non-empty list of names from "
-                          f"{sorted(DEFAULT_FUNCTIONALS)}, got {functionals!r}")
-    if not isinstance(raw["output_dir"], str):
-        raise ConfigError(f"config.output_dir: expected a string, got {raw['output_dir']!r}")
-    truth_level = raw.get("truth_level")
-    cfg = BenchmarkConfig(
-        model=str(raw["model"]),
-        model_params=dict(model_params),
-        T=_int(raw["T"], "config.T", 1),
-        L_data=_int(raw["L_data"], "config.L_data", 1),
-        data_mode=raw.get("data_mode", "pbar"),
-        data_seed=_int(raw.get("data_seed", 0), "config.data_seed", 0),
-        estimators=tuple(parsed_ests),
-        functionals=tuple(functionals),
-        repeats=_int(raw["repeats"], "config.repeats", 2),  # two for a variance estimate
-        paths=_int(raw.get("paths", 1), "config.paths", 1),
-        master_seed=_int(raw["master_seed"], "config.master_seed", 0),
-        output_dir=raw["output_dir"],
-        truth_level=None if truth_level is None else _int(truth_level, "config.truth_level", 0),
-        truth_n=_int(raw.get("truth_n", 51200), "config.truth_n", 1),
-        workers=_int(raw.get("workers", 1), "config.workers", 1),
-    )
-    if cfg.data_mode not in ("pbar", "p"):
-        raise ConfigError(f"config.data_mode: {cfg.data_mode!r} must be 'pbar' or 'p'")
     max_l = max(e.L_max for e in cfg.estimators)
     if max_l > cfg.L_data:
         raise ConfigError(f"config.estimators: max L {max_l} exceeds L_data {cfg.L_data}")
@@ -184,14 +153,28 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     return cfg
 
 
-def _int(value, where: str, least: int | None = None) -> int:
-    """A JSON integer, at least ``least`` when that is given; anything else (a
-    bool, a float, a string, a smaller integer) is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{where}: must be >= {least}, got {value}")
-    return value
+def _present(raw, cls, where: str) -> dict:
+    """JSON object ``raw`` as keyword arguments of dataclass ``cls``, with its
+    keys, integers and names checked; a null is kept where the default is None."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    missing = {f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING} - set(raw)
+    if missing:
+        raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
+    kw = dict(raw)
+    for key, value in kw.items():
+        if key in _INT_LEAST and not (value is None and getattr(cls, key, MISSING) is None):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+            if value < _INT_LEAST[key]:
+                raise ConfigError(f"{where}.{key}: must be >= {_INT_LEAST[key]}, got {value}")
+        if key in _NAMES and value not in _NAMES[key]:
+            raise ConfigError(f"{where}.{key}: {value!r} not in {_NAMES[key]}")
+    return kw
 
 
 def _positive_number(value, where: str) -> float:
@@ -259,9 +242,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
     # one job per (estimator, L, path); replicate seeds are numbered in that order.
     # A pool gets each job as contiguous seed slices, one task per slice.
     slices = _seed_slices(config.repeats, config.workers)
-    jobs = []
-    meta = []
-    planned = []
+    jobs, meta, planned = [], [], []
     n_seeds = 0
     for est in config.estimators:
         for L in range(est.L_min, est.L_max + 1):
@@ -302,8 +283,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
             records.append(BenchmarkRecord(est_id, L, rep0 + r, seed, cost, wall / len(seeds),
                                            estimate, truth_val, err * err))
     records.sort(key=lambda r: (r.estimator, r.L, r.repeat))
-    summary = summarize(records)
-    return records, summary
+    return records, summarize(records)
 
 
 def _seed_slices(repeats: int, workers: int) -> list:
@@ -399,10 +379,12 @@ def emit_outputs(records, summary, output_dir) -> dict:
 
 
 _PALETTE = ("#c8a400", "#000000", "#6fb7e8", "#c04040", "#40a060", "#8040c0")
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480
 
 
-def render_svg(summary, width=640, height=480) -> str:
+def render_svg(summary) -> str:
     """Self-contained log-log scatter of cost against MSE with OLS fit lines."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     by_est: dict = {}
     for row in summary:
         by_est.setdefault(row["estimator"], []).append(row)

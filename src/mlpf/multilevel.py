@@ -1,8 +1,9 @@
 """Sample allocation across levels, the multilevel estimator, and cost accounting.
 
-The multilevel estimate at each integer report time is the telescoping sum
-of the level-0 PF estimate and the fine-minus-coarse CPF differences of
-levels 1..L.
+An allocation is a ladder of levels: a PF on its lowest rung and a
+fine-minus-coarse CPF on each rung above, up to L, whose estimates sum
+(telescope) at each integer report time.  Multilevel rules start at level
+0; "single_pf" is the one-rung ladder at level L.
 """
 
 from __future__ import annotations
@@ -24,9 +25,19 @@ ALLOCATION_RULES = ("mlpf_nonconstant", "mlpf_constant", "wasserstein_new", "sin
 @dataclass(frozen=True)
 class LevelAllocation:
     L: int
-    counts: tuple  # N_0..N_L for multilevel rules; (N,) at level L for single_pf
+    counts: tuple  # one per rung lowest..L: N_0..N_L, or (N,) at level L for single_pf
     rule: str
     base: float
+
+    def __post_init__(self):
+        rungs = self.L - self.lowest + 1
+        if len(self.counts) != rungs:
+            raise ValueError(f"{self.rule} at L={self.L} needs {rungs} count(s), got {len(self.counts)}")
+
+    @property
+    def lowest(self) -> int:
+        """The lowest rung, where the plain PF runs: L for "single_pf", else 0."""
+        return self.L if self.rule == "single_pf" else 0
 
     @property
     def epsilon(self) -> float:
@@ -48,11 +59,10 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
     if L < 0 or base <= 0:
         raise ValueError("need L >= 0 and base > 0")
     inv_eps2 = float(2 ** L)
-    if rule == "single_pf":
-        return LevelAllocation(L, (max(2, math.ceil(base * inv_eps2)),), rule, base)
-    if L == 0:
-        warnings.warn(f"L=0 with rule {rule!r}: degrading to single_pf")
-        return LevelAllocation(0, (max(2, math.ceil(base * inv_eps2)),), "single_pf", base)
+    if rule == "single_pf" or L == 0:
+        if rule != "single_pf":
+            warnings.warn(f"L=0 with rule {rule!r}: degrading to single_pf")
+        return LevelAllocation(L, (max(2, math.ceil(base * inv_eps2)),), "single_pf", base)
     counts = []
     for l in range(L + 1):
         if rule == "mlpf_nonconstant":
@@ -68,12 +78,12 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
 
 
 def total_cost(allocation: LevelAllocation, T: int = 1) -> int:
-    """Total Euler steps implied by an allocation over a horizon of T unit intervals."""
-    if allocation.rule == "single_pf":
-        return T * allocation.counts[0] * (1 << allocation.L)
-    cost = allocation.counts[0]
-    for l in range(1, allocation.L + 1):
-        cost += allocation.counts[l] * ((1 << l) + (1 << (l - 1)))
+    """Total Euler steps of an allocation over T unit intervals: 2^l per particle
+    on the lowest rung l, 2^l + 2^(l-1) per particle pair on each rung above."""
+    lowest = allocation.lowest
+    cost = allocation.counts[0] * (1 << lowest)
+    for l, n in enumerate(allocation.counts[1:], lowest + 1):
+        cost += n * ((1 << l) + (1 << (l - 1)))
     return T * cost
 
 
@@ -95,12 +105,13 @@ def mlpf_run(
     coupling: str = "maximal",
     seed: int | tuple = 0,
 ):
-    """One level-0 PF plus L independent CPFs, combined by the telescoping sum.
+    """A PF on the allocation's lowest rung plus an independent CPF on each
+    rung above it, combined by the telescoping sum.
 
     Per-level seeds derive from ``(seed, level)`` so levels are independent
-    and insensitive to execution order.  Combined estimates sum the level-0
-    value and the difference estimators in ascending level order.  ``seed``
-    may be a tuple of ints: every level then runs all replicates at once
+    and insensitive to execution order.  Combined estimates sum the lowest
+    rung's value and the difference estimators in ascending level order.
+    ``seed`` may be a tuple of ints: every level then runs all replicates at once
     (stacked by ``pf_run`` and ``cpf_run``) and one ``MLPFOutput`` per seed
     is returned, each equal to the single-seed run.
     """
@@ -111,22 +122,14 @@ def mlpf_run(
     def level_seeds(l):
         return tuple(streams.level_seed(s, l) for s in seeds)
 
-    if allocation.rule == "single_pf":
-        outs = pf_run(
-            model, path, allocation.L, allocation.counts[0], functionals,
-            report_times=report_times, resample_policy=resample_policy,
-            seed=level_seeds(allocation.L),
-        )
-        results = tuple(MLPFOutput(allocation, (out,), dict(out.estimates), out.cost_units)
-                        for out in outs)
-        return results if isinstance(seed, tuple) else results[0]
+    lowest = allocation.lowest
     levels = [pf_run(
-        model, path, 0, allocation.counts[0], functionals,
-        report_times=report_times, resample_policy=resample_policy, seed=level_seeds(0),
+        model, path, lowest, allocation.counts[0], functionals,
+        report_times=report_times, resample_policy=resample_policy, seed=level_seeds(lowest),
     )]
-    for l in range(1, allocation.L + 1):
+    for l, n in enumerate(allocation.counts[1:], lowest + 1):
         levels.append(cpf_run(
-            model, path, l, allocation.counts[l], functionals,
+            model, path, l, n, functionals,
             report_times=report_times, resample_policy=resample_policy,
             seed=level_seeds(l), coupling=coupling,
         ))

@@ -24,6 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import streams
+from .euler import NonFiniteStateError
 from .models import ModelSpec
 
 __all__ = [
@@ -35,10 +36,11 @@ __all__ = [
     "export_csv",
     "FrequencyExceededError",
     "PathFormatError",
+    "MODES",
 ]
 
 _MAGIC = b"MLPFOBS1"
-_MODES = ("pbar", "p")
+MODES = ("pbar", "p")  # the data modes of simulate_observations
 MAX_INCREMENTS = 1 << 26
 
 
@@ -64,17 +66,26 @@ class ObservationPath:
     d_y: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         inc = np.asarray(self.increments, dtype=float)
         expected = self.T * (1 << self.L_data)
         if inc.shape != (expected,):
             raise ValueError(
                 f"increments shape {inc.shape} != ({expected},) for T={self.T}, L_data={self.L_data}"
             )
+        bad = _first_non_finite(inc)
+        if bad is not None:
+            raise ValueError(f"increment {bad} is not finite ({inc[bad]!r})")
         object.__setattr__(self, "increments", inc)
         self.increments.setflags(write=False)
         self._pyramid[self.L_data] = self.increments
+
+
+def _first_non_finite(values: np.ndarray):
+    """Index of the first non-finite entry of ``values``, or None."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def _increment_count(T: int, L_data: int) -> int:
@@ -91,6 +102,8 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     mode "p": a latent fine-grid Euler signal path is simulated and each
     increment is h(x) * step + Brownian part; the Brownian stream is shared
     with the "pbar" mode so the two coincide when h is identically zero.
+    A latent state or increment that is not finite (the signal blew up)
+    raises ``NonFiniteStateError``.
     """
     if T < 1 or L_data < 1:
         raise ValueError("need T >= 1 and L_data >= 1")
@@ -101,7 +114,7 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     if mode == "pbar":
         return ObservationPath(T, L_data, brownian, "pbar", seed)
     if mode != "p":
-        raise ValueError(f"mode must be one of {_MODES}")
+        raise ValueError(f"mode must be one of {MODES}")
     g_lat = streams.generator(seed, streams.TAG_LATENT)
     xi = (np.sqrt(delta) * g_lat.standard_normal(n)).tolist()
     latent = np.empty(n + 1)
@@ -113,6 +126,10 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
         latent[k + 1] = x
     h_vals = model.observation(latent[:-1])
     increments = h_vals * delta + brownian
+    for name, values in (("latent state", latent), ("increment", increments)):
+        bad = _first_non_finite(values)
+        if bad is not None:
+            raise NonFiniteStateError(f"simulated {name} {bad} is not finite ({values[bad]!r})")
     return ObservationPath(T, L_data, increments, "p", seed, latent=latent)
 
 
@@ -154,7 +171,7 @@ def _opened(file, mode: str, **kwargs):
 def write_path(path: ObservationPath, file) -> None:
     """Write the binary path format (little-endian, increment-major)."""
     with _opened(file, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, path.T, path.L_data, path.d_y, path.seed, _MODES.index(path.mode)))
+        f.write(_HEADER.pack(_MAGIC, path.T, path.L_data, path.d_y, path.seed, MODES.index(path.mode)))
         f.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 
@@ -167,7 +184,7 @@ def read_path(file) -> ObservationPath:
         magic, T, L_data, d_y, seed, mode_code = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise PathFormatError(f"bad magic {magic!r}")
-        if mode_code >= len(_MODES):
+        if mode_code >= len(MODES):
             raise PathFormatError(f"unknown mode code {mode_code}")
         if T < 1 or L_data < 1:
             raise PathFormatError("invalid dimensions in header")
@@ -181,7 +198,10 @@ def read_path(file) -> ObservationPath:
         if len(body) != n * 8:
             raise PathFormatError(f"body has {len(body)} bytes, expected {n * 8}")
         inc = np.frombuffer(body, dtype="<f8").astype(float)
-        return ObservationPath(T, L_data, inc, _MODES[mode_code], seed)
+        try:
+            return ObservationPath(T, L_data, inc, MODES[mode_code], seed)
+        except ValueError as exc:
+            raise PathFormatError(str(exc)) from None
 
 
 def export_csv(path: ObservationPath, file) -> None:

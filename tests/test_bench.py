@@ -77,6 +77,14 @@ class TestParseConfig:
                      id="model_params-list"),
         pytest.param(lambda r: r["estimators"][1].update(id="ml"), "config.estimators[1].id",
                      id="estimator-id-duplicate"),
+        pytest.param(lambda r: r["estimators"][0].update(id=[1]), "config.estimators[0].id",
+                     id="id-list"),
+        pytest.param(lambda r: r["estimators"][0].update(id=None), "config.estimators[0].id",
+                     id="id-null"),
+        pytest.param(lambda r: r["estimators"][1].update(id=3), "config.estimators[1].id",
+                     id="id-int"),
+        pytest.param(lambda r: r["estimators"][0].update(id=""), "config.estimators[0].id",
+                     id="id-empty"),
         pytest.param(lambda r: r.update(model_params={"sigma": [1]}), "config.model_params.sigma",
                      id="model_params-sigma-list"),
         pytest.param(lambda r: r.update(model_params={"theta": "1"}), "config.model_params.theta",

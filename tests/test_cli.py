@@ -69,6 +69,13 @@ class TestRunCommands:
         assert out["cost_units"] == out["planned_cost"]
         assert len(out["counts"]) == 4
 
+    def test_run_mlpf_single_pf(self, path_file, capsys):
+        assert main(["run-mlpf", "--model", "ou", "--path", path_file,
+                     "--rule", "single_pf", "--L", "3", "--base", "4"]) == EXIT_OK
+        out = read_json(capsys)
+        assert out["cost_units"] == out["planned_cost"]
+        assert out["counts"] == [32] and out["L"] == 3
+
     def test_truth(self, path_file, capsys):
         assert main(["truth", "--model", "ou", "--path", path_file,
                      "--level", "4", "--n", "100"]) == EXIT_OK
@@ -124,6 +131,23 @@ class TestRunCommands:
         assert main([command, "--model", "ou", "--path", str(two), "--level", "1",
                      "--n", "10"]) == EXIT_CONFIG
         assert "header field d_y is 2" in capsys.readouterr().err
+
+    def test_simulated_blow_up_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "blow.bin"
+        assert main(["simulate-data", "--model", "gbm", "--params", '{"mu": 1e300}', "--mode", "p",
+                     "--T", "2", "--L-data", "4", "--out", str(out)]) == EXIT_RUNTIME
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-pf", "truth"])
+    def test_non_finite_increment_in_path_is_config_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.bin"  # T = 2, L_data = 1, one NaN increment
+        bad.write_bytes(struct.pack("<8sIIIQB", b"MLPFOBS1", 2, 1, 1, 0, 0)
+                        + np.array([0.1, np.nan, 0.2, 0.3]).astype("<f8").tobytes())
+        assert main([command, "--model", "ou", "--path", str(bad), "--level", "1",
+                     "--n", "10"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "increment 1 is not finite" in captured.err and captured.out == ""
 
     def test_missing_path_is_runtime_error(self, tmp_path):
         assert main(["run-pf", "--model", "ou", "--path", str(tmp_path / "none.bin"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ class TestAllocate:
         alloc = allocate("single_pf", 4, 100.0)
         assert alloc.counts == (1600,)
         assert alloc.L == 4
+        assert alloc.lowest == 4
 
     def test_wasserstein_variants(self):
         const = allocate("wasserstein_new", 4, 1.0, constant_diffusion=True)
@@ -52,6 +54,7 @@ class TestAllocate:
             alloc = allocate("mlpf_constant", 0, 3.0)
         assert alloc.rule == "single_pf"
         assert alloc.counts == (3,)
+        assert alloc.lowest == 0
 
     def test_epsilon(self):
         assert allocate("single_pf", 4, 1.0).epsilon == pytest.approx(0.25)
@@ -66,6 +69,15 @@ class TestAllocate:
 class TestTotalCost:
     def test_single_pf(self):
         assert total_cost(allocate("single_pf", 4, 100.0), T=1) == 25600
+
+    @pytest.mark.parametrize("L,counts,rule", [(4, (32, 20, 12), "mlpf_nonconstant"),
+                                               (2, (8, 4, 2, 1), "mlpf_constant"),
+                                               (3, (16, 8), "single_pf"),
+                                               (3, (), "single_pf")],
+                             ids=["short", "long", "single_pf-two", "single_pf-none"])
+    def test_mis_sized_counts_rejected(self, L, counts, rule):
+        with pytest.raises(ValueError, match="count"):
+            LevelAllocation(L, counts, rule, 1.0)
 
     def test_literal_counts(self):
         alloc = LevelAllocation(4, (32, 20, 12, 8, 4), "mlpf_nonconstant", 1.0)
@@ -86,20 +98,31 @@ def path():
 
 
 class TestMlpfRun:
-    def test_l0_equals_pf(self, path):
-        alloc = allocate("single_pf", 0, 50.0)
+    @pytest.mark.parametrize("L", [0, 3], ids=["L0", "single_pf-L3"])
+    def test_l0_equals_pf(self, path, L):
+        # a one-rung ladder is the plain PF on its rung, with that level's seed
+        alloc = allocate("single_pf", L, 50.0 / 2 ** L)
         out = mlpf_run(OU, path, alloc, ["x"], seed=42)
-        direct = pf_run(OU, path, 0, 50, ["x"], seed=streams.level_seed(42, 0))
+        direct = pf_run(OU, path, L, 50, ["x"], seed=streams.level_seed(42, L))
         assert out.estimates == direct.estimates
+        assert out.cost_units == direct.cost_units == total_cost(alloc, T=path.T)
 
     def test_constant_functional_exact_one(self, path):
         alloc = allocate("mlpf_constant", 3, 4.0)
         out = mlpf_run(OU, path, alloc, ["one"], seed=1)
         assert all(v == 1.0 for v in out.estimates.values())
 
-    def test_cost_is_sum_of_levels(self, path):
-        alloc = allocate("mlpf_constant", 3, 4.0)
+    @pytest.mark.parametrize("rule,L", [("mlpf_constant", 3), ("mlpf_nonconstant", 3),
+                                        ("wasserstein_new", 3), ("single_pf", 3),
+                                        ("mlpf_constant", 0)],
+                             ids=["mlpf_constant", "mlpf_nonconstant", "wasserstein_new",
+                                  "single_pf-L3", "L0-degrade"])
+    def test_cost_is_sum_of_levels(self, path, rule, L):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the L = 0 degrade warns
+            alloc = allocate(rule, L, 4.0)
         out = mlpf_run(OU, path, alloc, ["x"], seed=1)
+        assert len(out.level_outputs) == len(alloc.counts)
         assert out.cost_units == sum(o.cost_units for o in out.level_outputs)
         assert out.cost_units == total_cost(alloc, T=path.T)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlpf.euler import NonFiniteStateError
 from mlpf.models import builtin_model
 from mlpf.observations import (
     FrequencyExceededError,
@@ -222,3 +223,24 @@ def test_invalid_dimensions():
         ObservationPath(1, 2, np.zeros(3), "pbar", 0)
     with pytest.raises(ValueError):  # a trailing length-1 axis is rejected
         ObservationPath(1, 2, np.zeros((4, 1)), "pbar", 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_increment_rejected(value):
+    inc = np.arange(8.0)
+    inc[5] = value
+    with pytest.raises(ValueError, match="increment 5 is not finite"):
+        ObservationPath(2, 2, inc, "pbar", 0)
+
+
+def test_non_finite_increment_in_file_is_format_error():
+    head = struct.pack("<8sIIIQB", b"MLPFOBS1", 2, 1, 1, 0, 0)
+    body = np.array([0.0, 1.0, np.nan, 2.0]).astype("<f8").tobytes()
+    with pytest.raises(PathFormatError, match="increment 2 is not finite"):
+        read_path(io.BytesIO(head + body))
+
+
+def test_simulated_blow_up_raises():
+    # gbm with drift mu = 1e300 overflows the latent signal in the first steps
+    with pytest.raises(NonFiniteStateError, match="not finite"):
+        simulate_observations("p", builtin_model("gbm", {"mu": 1e300}), 2, 4, seed=7)
