@@ -28,16 +28,34 @@ group and interval draws its Philox blocks into it in place, so a call holds
 one noise block at a time: max(``MAX_GROUP_PARTICLE_STEPS``, N * 2**l)
 float64 values at most.  A coupled call also allocates one buffer for the
 coarse chain's pair sums, half as large, which every interval reuses.
+
+A (group, interval) block of more than ``CUT_ROWS`` rows and at least
+``CUT_PARTICLE_STEPS`` particle-steps is cut into two row halves, the two
+halves of the noise buffer and of the pair-sum buffer; every other block is
+one tile.  A call draws and steps its tiles in one ordered stream.  A
+replicate whose rows straddle the cut continues its own Philox generator
+into the second half, and successive row draws from one generator give the
+values of one whole draw, so the cut changes no output byte.  A block never
+depends on the particle states, so while the main thread steps tile j, a
+helper thread draws tile j+1, scales it and forms its pair sums, into rows
+that tile j does not use.  It does so only when tile j has more than
+``DRAW_AHEAD_ROWS`` rows: numpy releases the GIL only in loops over more than
+500 elements, and a step on fewer rows would starve the helper.  The helper
+is a one-thread pool owned by the call: it is started only if some tile is
+drawn ahead, and it is shut down, after its last draw ends, before the call
+returns or raises.  No thread outlives a call and none is shared between
+calls, so a forked worker process never inherits one.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .euler import propagate_unit, propagate_unit_coupled
+from .euler import propagate_unit
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
@@ -66,6 +84,15 @@ COUPLINGS = ("maximal", "sorted")
 # float64): the Euler sweep's cost per particle-step stops falling by this
 # size, and larger blocks only hold more memory
 MAX_GROUP_PARTICLE_STEPS = 1 << 18
+# a block of more than CUT_ROWS rows and at least CUT_PARTICLE_STEPS
+# particle-steps is cut into two row halves, one drawn while the other is
+# stepped; a smaller block is stepped too fast to repay a thread's hand-off
+CUT_ROWS = 1000
+CUT_PARTICLE_STEPS = 1 << 17
+# the next tile is drawn ahead only while a tile of more than this many rows
+# is stepped: numpy holds the GIL through loops over 500 elements or fewer
+# (NPY_BEGIN_THREADS_THRESHOLDED), so the helper would wait on every step
+DRAW_AHEAD_ROWS = 500
 
 DEFAULT_FUNCTIONALS = {
     "x": lambda x: x,
@@ -123,6 +150,8 @@ class FilterOutput:
 
 
 def _check_common(path, l, n, report_times, resample_policy):
+    if l < 0:
+        raise ValueError(f"level must be >= 0, got {l}")
     if l > path.L_data:
         raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
     if n < 1:
@@ -155,15 +184,90 @@ def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
-def _stacked_noise(seeds: tuple, l: int, p: int, n: int, buf: np.ndarray) -> np.ndarray:
-    """Brownian increments of every replicate in a group, stacked along the
-    particle axis in a prefix of ``buf``: rows ``r*n .. (r+1)*n - 1`` are
-    replicate ``r``'s own Philox block, bit-identical to a single-seed run's."""
-    noise = buf[: len(seeds) * n]
-    for r, s in enumerate(seeds):
-        streams.noise_block(s, l, p, n, out=noise[r * n : (r + 1) * n])
-    noise *= np.sqrt(2.0 ** (-l))
-    return noise
+def _cuts(rows: int, l: int) -> tuple:
+    """Row slices of one (group, interval) block: its two halves when it is
+    cut, else the whole block."""
+    if rows > CUT_ROWS and rows << l >= CUT_PARTICLE_STEPS:
+        half = rows // 2
+        return slice(0, half), slice(half, rows)
+    return (slice(0, rows),)
+
+
+class _NoiseTiles:
+    """A call's Brownian increments, drawn tile by tile in stepping order.
+
+    The noise buffer, and for a coupled call the pair-sum buffer, is sized
+    for the largest (the first) group; each group's block fills a prefix of
+    it, with replicate ``r``'s Philox block in rows ``r*n .. (r+1)*n - 1``.
+    ``block()`` hands out the next (group, interval) block's tiles.  Used as
+    a context manager, it owns the helper thread that draws ahead (see the
+    module docstring).
+    """
+
+    def __init__(self, groups: list, n: int, l: int, T: int, coupled: bool = False):
+        largest = len(groups[0]) * n
+        self._buf = np.empty((largest, 1 << l))
+        self._pairs = np.empty((largest, 1 << (l - 1))) if coupled else None
+        self._n, self._l = n, l
+        self._scale = np.sqrt(2.0 ** (-l))
+        blocks = [(group, p, _cuts(len(group) * n, l)) for group in groups for p in range(T)]
+        self._sizes = [len(cuts) for _, _, cuts in blocks]
+        self._tiles = [(group, p, rows) for group, p, cuts in blocks for rows in cuts]
+        self._ahead = [a.stop - a.start > DRAW_AHEAD_ROWS and (a.stop <= b.start or b.stop <= a.start)
+                       for (_, _, a), (_, _, b) in zip(self._tiles, self._tiles[1:])] + [False]
+        self._block = self._next = 0
+        self._pending = None  # the draw of the next tile, when it runs ahead
+        self._straddler = None  # the generator of a replicate cut by a tile edge
+        self._pool = None
+
+    def __enter__(self):
+        if any(self._ahead):
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="mlpf-noise")
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()  # waits for a draw that is still running
+            self._pool = None
+
+    def block(self):
+        """The next (group, interval) block's tiles, lazily, as (rows, noise,
+        pair sums); a tile is drawn by the time it is handed out."""
+        size = self._sizes[self._block]
+        self._block += 1
+        return (self._take() for _ in range(size))
+
+    def _take(self):
+        j = self._next
+        self._next += 1
+        if self._pending is None:
+            self._draw(j)
+        else:
+            self._pending.result()
+            self._pending = None
+        if self._ahead[j]:
+            self._pending = self._pool.submit(self._draw, j + 1)
+        rows = self._tiles[j][2]
+        return rows, self._buf[rows], None if self._pairs is None else self._pairs[rows]
+
+    def _draw(self, j: int) -> None:
+        """Tile ``j``'s increments, bit-identical to the rows of each
+        replicate's ``streams.noise_block`` scaled by sqrt(2**-l), and their
+        pair sums for a coupled call."""
+        seeds, p, rows = self._tiles[j]
+        n, l = self._n, self._l
+        for r in range(rows.start // n, -(-rows.stop // n)):
+            lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
+            if hi - lo == n:
+                streams.noise_block(seeds[r], l, p, n, out=self._buf[lo:hi])
+                continue
+            if lo == r * n:  # the first rows of a straddling replicate: noise_block's generator
+                self._straddler = streams.generator(seeds[r], streams.TAG_NOISE, l, p)
+            self._straddler.standard_normal(out=self._buf[lo:hi])
+        noise = self._buf[rows]
+        noise *= self._scale
+        if self._pairs is not None:
+            np.add(noise[:, 0::2], noise[:, 1::2], out=self._pairs[rows])
 
 
 def pf_run(
@@ -181,21 +285,21 @@ def pf_run(
     ``seed`` is an int, giving one ``FilterOutput``, or a tuple of ints,
     giving a tuple with one output per seed, each equal to the single-seed
     run.  The replicates are stacked in groups (see ``_replicate_groups``)
-    and each group takes one Euler sweep per interval, with its noise drawn
-    into one buffer that all groups share.
+    and each group takes one Euler sweep per interval and tile, with its
+    noise drawn into one buffer that all groups share (see ``_NoiseTiles``).
     """
     phis = resolve_functionals(functionals)
     report_times = _check_common(path, l, n, report_times, resample_policy)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
-    buf = np.empty((len(groups[0]) * n, 1 << l))  # noise for the largest (the first) group
     outs = []
-    for group in groups:
-        outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, buf)
+    with _NoiseTiles(groups, n, l, path.T) as tiles:
+        for group in groups:
+            outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, tiles)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
-def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, buf) -> list:
+def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, tiles) -> list:
     """One stacked group of replicates.  Each interval's weights and ESS are
     reduced for the whole group at once, one row per replicate; estimates and
     resampling are per replicate."""
@@ -209,11 +313,11 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, buf
     ess_trace = [[] for _ in seeds]
     for p in range(path.T):
         obs = increments_at_level(path, l, p)
-        noise = _stacked_noise(seeds, l, p, n, buf)
-        prop = propagate_unit(model, l, x, obs, noise)
-        x = prop.endpoint
+        for tile, noise, _ in tiles.block():
+            prop = propagate_unit(model, l, x[tile], obs, noise)
+            x[tile] = prop.endpoint
+            cum[tile] += prop.log_g_total
         t = p + 1
-        cum += prop.log_g_total
         wv = normalize_log_weights(cum.reshape(n_rep, n))
         group_ess = ess(wv).tolist()
         for r, sl in enumerate(rows):
@@ -269,18 +373,16 @@ def cpf_run(
     report_times = _check_common(path, l, n, report_times, resample_policy)
     seeds = seed if isinstance(seed, tuple) else (seed,)
     groups = _replicate_groups(seeds, n, l)
-    group_rows = len(groups[0]) * n  # the largest (the first) group's
-    buf = np.empty((group_rows, 1 << l))  # its noise
-    pair_buf = np.empty((group_rows, 1 << (l - 1)))  # and its coarse chain's pair sums
     outs = []
-    for group in groups:
-        outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
-                           coupling, buf, pair_buf)
+    with _NoiseTiles(groups, n, l, path.T, coupled=True) as tiles:
+        for group in groups:
+            outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
+                               coupling, tiles)
     return tuple(outs) if isinstance(seed, tuple) else outs[0]
 
 
 def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
-               buf, pair_buf) -> list:
+               tiles) -> list:
     """One stacked group of coupled replicates; weights and ESS are reduced
     per group as in ``_pf_group``, estimates and resampling per replicate."""
     n_rep = len(seeds)
@@ -302,14 +404,16 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     for p in range(path.T):
         obs_f = increments_at_level(path, l, p)
         obs_c = increments_at_level(path, l - 1, p)
-        noise = _stacked_noise(seeds, l, p, n, buf)
-        prop = propagate_unit_coupled(model, l, xf, xc, obs_f, obs_c, noise,
-                                      coarse_noise=pair_buf[: n_rep * n])
-        xf = prop.fine.endpoint
-        xc = prop.coarse.endpoint
+        # the coarse chain steps on the pair sums of the fine increments, as in
+        # ``propagate_unit_coupled``
+        for tile, noise, pairs in tiles.block():
+            fine = propagate_unit(model, l, xf[tile], obs_f, noise)
+            coarse = propagate_unit(model, l - 1, xc[tile], obs_c, pairs)
+            xf[tile] = fine.endpoint
+            xc[tile] = coarse.endpoint
+            cum_f[tile] += fine.log_g_total
+            cum_c[tile] += coarse.log_g_total
         t = p + 1
-        cum_f += prop.fine.log_g_total
-        cum_c += prop.coarse.log_g_total
         group_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
         group_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))
         group_ess = ess(group_wv_c).tolist()

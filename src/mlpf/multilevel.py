@@ -56,8 +56,10 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"rule must be one of {ALLOCATION_RULES}")
-    if L < 0 or base <= 0:
-        raise ValueError("need L >= 0 and base > 0")
+    if L < 0:
+        raise ValueError(f"L must be >= 0, got {L}")
+    if not 0 < base < math.inf:
+        raise ValueError(f"base must be a finite number > 0, got {base}")
     inv_eps2 = float(2 ** L)
     if rule == "single_pf" or L == 0:
         if rule != "single_pf":

@@ -32,6 +32,13 @@ class KalmanResult:
         return float(self.means[idx]), float(self.variances[idx])
 
 
+def _check_level(path: ObservationPath, l: int) -> None:
+    if l < 0:
+        raise ValueError(f"level must be >= 0, got {l}")
+    if l > path.L_data:
+        raise ValueError(f"level {l} exceeds data frequency {path.L_data}")
+
+
 def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: float,
                x_star: float = 0.0, h_scale: float = 1.0) -> KalmanResult:
     """Exact filter of the level-l Euler-discretized linear-Gaussian model.
@@ -42,8 +49,7 @@ def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: fl
     m <- m + theta*(mu - m)*delta, P <- (1 - theta*delta)^2 P + sigma^2 delta.
     Initial law is a point mass at ``x_star``.
     """
-    if l > path.L_data:
-        raise ValueError(f"level {l} exceeds data frequency {path.L_data}")
+    _check_level(path, l)
     delta = 2.0 ** (-l)
     n = path.T * (1 << l)
     means = np.empty(n + 1)
@@ -100,8 +106,7 @@ def reference_truth(
     the mean of ``replicates`` independent particle filters with attached
     standard errors.
     """
-    if ref_level > path.L_data:
-        raise ValueError(f"reference level {ref_level} exceeds data frequency {path.L_data}")
+    _check_level(path, ref_level)
     if report_times is None:
         report_times = list(range(1, path.T + 1))
     if model.is_linear_gaussian:

@@ -94,6 +94,30 @@ class TestRunCommands:
                      "--path", str(gbm_path), "--level", "4", "--n", "10"]) == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
 
+    def test_numerical_fault_in_a_cut_call_is_runtime_error(self, tmp_path, capsys):
+        gbm_path = tmp_path / "gbm.bin"
+        assert main(["simulate-data", "--model", "gbm", "--T", "3", "--L-data", "7",
+                     "--seed", "7", "--out", str(gbm_path)]) == EXIT_OK
+        capsys.readouterr()
+        # 2560 particles at level 7 are stepped in two halves, one drawn on a helper thread
+        assert main(["run-pf", "--model", "gbm", "--params", '{"mu": 128000, "x_star": 1e-300}',
+                     "--path", str(gbm_path), "--level", "7", "--n", "2560",
+                     "--resample-policy", "always"]) == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,model", [("run-pf", "ou"), ("truth", "ou"), ("truth", "gbm")],
+                             ids=["run-pf", "truth-kalman", "truth-pf"])
+    def test_negative_level_is_config_error(self, path_file, capsys, command, model):
+        assert main([command, "--model", model, "--path", path_file, "--level", "-1",
+                     "--n", "10"]) == EXIT_CONFIG
+        assert "level must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", ["inf", "nan", "-inf"])
+    def test_non_finite_base_is_config_error(self, path_file, capsys, base):
+        assert main(["run-mlpf", "--model", "ou", "--path", path_file, "--L", "3",
+                     f"--base={base}"]) == EXIT_CONFIG
+        assert "base must be a finite number > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("params,fragment", [
         ('{"sigma": [1]}', "'sigma'"),
         ('{"theta": "fast"}', "'theta'"),

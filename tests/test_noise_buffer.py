@@ -1,11 +1,15 @@
-"""In-place noise blocks and the one noise buffer a filter call holds."""
+"""In-place noise blocks, the one noise buffer a filter call holds, and the
+helper thread that draws a cut call's next tile."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mlpf import streams
+from mlpf.bench import parse_config, records_csv, run_benchmark
+from mlpf.euler import NonFiniteStateError
 from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, cpf_run, pf_run
 from mlpf.models import builtin_model
 from mlpf.observations import simulate_observations
@@ -68,3 +72,69 @@ def test_filters_hold_one_noise_block(seeds, n):
                                            resample_policy="always"))
     assert pf_peak < 1.25 * block, (pf_peak, block)
     assert cpf_peak < 1.25 * coupled_block, (cpf_peak, coupled_block)
+
+
+# calls whose noise blocks are cut into two row halves: (level, particles, seeds)
+CUT_CALLS = {
+    "oversize": (7, 2560, 11),
+    "straddle": (5, 1400, (21, 22, 23)),
+    "uncut-last-group": (5, 1400, tuple(range(31, 38))),
+}
+
+
+@pytest.fixture()
+def draw_threads(monkeypatch):
+    """The thread of every ``streams.generator`` call, noise and resampling alike."""
+    threads = []
+    generator = streams.generator
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return generator(*args)
+
+    monkeypatch.setattr(streams, "generator", recording)
+    return threads
+
+
+def off_main(threads) -> int:
+    return sum(t is not threading.main_thread() for t in threads)
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+@pytest.mark.parametrize("call", CUT_CALLS)
+def test_cut_calls_draw_ahead_on_a_helper_thread(draw_threads, run, call):
+    l, n, seed = CUT_CALLS[call]
+    baseline = threading.active_count()
+    run(GBM, PATH, l, n, ["x"], seed=seed)
+    assert off_main(draw_threads) > 0
+    assert threading.active_count() == baseline
+
+
+def test_gbm_fine_sized_calls_start_no_thread(draw_threads):
+    fine = simulate_observations("p", GBM, 2, 9, seed=5)
+    for run in (pf_run, cpf_run):
+        run(GBM, fine, 9, 46, ["x"], seed=tuple(range(6)), resample_policy="always")
+    assert draw_threads and off_main(draw_threads) == 0
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+def test_no_thread_outlives_a_call_that_raises(draw_threads, run):
+    # the states grow by about 1e3 a step and overflow in the second of three
+    # intervals, while the helper draws that interval's second half
+    blow_up = builtin_model("gbm", {"mu": 128000.0, "x_star": 1e-300})
+    baseline = threading.active_count()
+    with pytest.raises(NonFiniteStateError):
+        run(blow_up, PATH, 7, 2560, ["x"], seed=11, resample_policy="always")
+    assert off_main(draw_threads) > 0
+    assert threading.active_count() == baseline
+
+
+def test_forked_pool_workers_match_one_worker():
+    """A truth and jobs that draw ahead in the parent, then in forked workers."""
+    raw = {
+        "model": "gbm", "T": 2, "L_data": 7, "repeats": 2, "master_seed": 3, "data_seed": 4,
+        "truth_level": 7, "truth_n": 2048, "output_dir": "unused",
+        "estimators": [{"id": "pf", "rule": "single_pf", "L_min": 6, "L_max": 7, "base": 20.0}],
+    }
+    texts = [records_csv(run_benchmark(parse_config(dict(raw, workers=w)))[0]) for w in (1, 2)]
+    assert texts[0] == texts[1]

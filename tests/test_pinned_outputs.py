@@ -15,7 +15,9 @@ import hashlib
 import pytest
 
 from mlpf.bench import parse_config, records_csv, run_benchmark, summary_csv
-from mlpf.models import BUILTIN_NAMES
+from mlpf.filters import COUPLINGS, RESAMPLE_POLICIES, cpf_run, pf_run
+from mlpf.models import BUILTIN_NAMES, builtin_model
+from mlpf.observations import simulate_observations
 
 DIGESTS = {
     ("ou", "pbar"): "50a9292c26ad80e123dcc6cc8ba0fc9d2d2db92c765bb90836e8352fb1c2fa44",
@@ -50,3 +52,38 @@ def sweep_digest(model: str, mode: str) -> str:
 @pytest.mark.parametrize("model", BUILTIN_NAMES)
 def test_benchmark_csvs_are_pinned(model, mode):
     assert sweep_digest(model, mode) == DIGESTS[(model, mode)]
+
+
+# Filter calls whose noise blocks are large enough to be cut into two row
+# halves: (level, particles, seeds).  Recorded before the cut was introduced,
+# so a cut must leave every output byte unchanged.
+CUT_CALLS = (
+    (7, 2560, 11),  # one oversize replicate, cut inside its own rows
+    (5, 1400, (21, 22, 23)),  # an odd stacked group: the middle replicate straddles the cut
+    (5, 1400, tuple(range(31, 38))),  # groups of 5 and 2 replicates; the smaller is not cut
+)
+CUT_DIGESTS = {
+    "ou": "57f42d3ce58d8b260e25d27a0e3a2d1fcf16894deca3e281c71fa0d29f165dc3",
+    "langevin": "2c3606b60c4b57d99ea4003dfd28bebff9bc65678ab90c8c2735f66843f35880",
+    "gbm": "b048afbc0f80c5e4ac8599d72589269ef794d14d34cbf5a6e3e10e93f22aa631",
+    "nonlinear_sigma": "ef04401bd61359d9a179376d2ac7ed5286af1fb21d5f81b803324a83ccdff71e",
+}
+
+
+def cut_calls_digest(model_name: str) -> str:
+    model = builtin_model(model_name, {})
+    path = simulate_observations("p", model, 2, 7, seed=3)
+    h = hashlib.sha256()
+    for l, n, seed in CUT_CALLS:
+        for policy in RESAMPLE_POLICIES:
+            runs = [pf_run(model, path, l, n, ["x", "x2"], resample_policy=policy, seed=seed)]
+            runs += [cpf_run(model, path, l, n, ["x", "x2"], resample_policy=policy, seed=seed,
+                             coupling=coupling) for coupling in COUPLINGS]
+            for out in runs:
+                h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("model", BUILTIN_NAMES)
+def test_cut_filter_calls_are_pinned(model):
+    assert cut_calls_digest(model) == CUT_DIGESTS[model]
