@@ -27,24 +27,24 @@ A call allocates one noise buffer, sized for its largest group, and every
 group and interval draws its Philox blocks into it in place, so a call holds
 one noise block at a time: max(``MAX_GROUP_PARTICLE_STEPS``, N * 2**l)
 float64 values at most.  A coupled call also allocates one buffer for the
-coarse chain's pair sums, half as large, which every interval reuses.
+coarse chain's pair sums, half as large, into which
+``propagate_unit_coupled`` writes every interval's sums.
 
 A (group, interval) block of more than ``CUT_ROWS`` rows and at least
 ``CUT_PARTICLE_STEPS`` particle-steps is cut into two row halves, the two
 halves of the noise buffer and of the pair-sum buffer; every other block is
 one tile.  A call draws and steps its tiles in one ordered stream.  A
-replicate whose rows straddle the cut continues its own Philox generator
-into the second half, and successive row draws from one generator give the
-values of one whole draw, so the cut changes no output byte.  A block never
-depends on the particle states, so while the main thread steps tile j, a
-helper thread draws tile j+1, scales it and forms its pair sums, into rows
-that tile j does not use.  It does so only when tile j has more than
-``DRAW_AHEAD_ROWS`` rows: numpy releases the GIL only in loops over more than
-500 elements, and a step on fewer rows would starve the helper.  The helper
-is a one-thread pool owned by the call: it is started only if some tile is
-drawn ahead, and it is shut down, after its last draw ends, before the call
-returns or raises.  No thread outlives a call and none is shared between
-calls, so a forked worker process never inherits one.
+replicate whose rows straddle the cut draws its second-half rows from the
+same ``streams.noise_stream`` as its first, which gives the values of one
+whole draw, so the cut changes no output byte.  A block never depends on
+the particle states, so while the main thread steps tile j, a helper thread
+draws and scales tile j+1 whenever its rows are disjoint from tile j's, as
+from the first half of a cut block to the second, and from the second half
+to the first half of the group's next block.  The helper is a one-thread
+pool owned by the call: it is started only if some tile is drawn ahead, and
+it is shut down, after its last draw ends, before the call returns or
+raises.  No thread outlives a call and none is shared between calls, so a
+forked worker process never inherits one.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .euler import propagate_unit
+from .euler import propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
@@ -86,13 +86,12 @@ COUPLINGS = ("maximal", "sorted")
 MAX_GROUP_PARTICLE_STEPS = 1 << 18
 # a block of more than CUT_ROWS rows and at least CUT_PARTICLE_STEPS
 # particle-steps is cut into two row halves, one drawn while the other is
-# stepped; a smaller block is stepped too fast to repay a thread's hand-off
+# stepped.  Each half then has at least 500 rows: numpy holds the GIL
+# through loops over 500 elements or fewer (NPY_BEGIN_THREADS_THRESHOLDED),
+# so a step on fewer rows would starve the helper, and a smaller block is
+# stepped too fast to repay a thread's hand-off
 CUT_ROWS = 1000
 CUT_PARTICLE_STEPS = 1 << 17
-# the next tile is drawn ahead only while a tile of more than this many rows
-# is stepped: numpy holds the GIL through loops over 500 elements or fewer
-# (NPY_BEGIN_THREADS_THRESHOLDED), so the helper would wait on every step
-DRAW_AHEAD_ROWS = 500
 
 DEFAULT_FUNCTIONALS = {
     "x": lambda x: x,
@@ -213,11 +212,11 @@ class _NoiseTiles:
         blocks = [(group, p, _cuts(len(group) * n, l)) for group in groups for p in range(T)]
         self._sizes = [len(cuts) for _, _, cuts in blocks]
         self._tiles = [(group, p, rows) for group, p, cuts in blocks for rows in cuts]
-        self._ahead = [a.stop - a.start > DRAW_AHEAD_ROWS and (a.stop <= b.start or b.stop <= a.start)
+        self._ahead = [a.stop <= b.start or b.stop <= a.start
                        for (_, _, a), (_, _, b) in zip(self._tiles, self._tiles[1:])] + [False]
         self._block = self._next = 0
         self._pending = None  # the draw of the next tile, when it runs ahead
-        self._straddler = None  # the generator of a replicate cut by a tile edge
+        self._stream = None  # the noise stream of the replicate drawn last
         self._pool = None
 
     def __enter__(self):
@@ -232,7 +231,7 @@ class _NoiseTiles:
 
     def block(self):
         """The next (group, interval) block's tiles, lazily, as (rows, noise,
-        pair sums); a tile is drawn by the time it is handed out."""
+        pair-sum buffer); a tile is drawn by the time it is handed out."""
         size = self._sizes[self._block]
         self._block += 1
         return (self._take() for _ in range(size))
@@ -251,23 +250,16 @@ class _NoiseTiles:
         return rows, self._buf[rows], None if self._pairs is None else self._pairs[rows]
 
     def _draw(self, j: int) -> None:
-        """Tile ``j``'s increments, bit-identical to the rows of each
-        replicate's ``streams.noise_block`` scaled by sqrt(2**-l), and their
-        pair sums for a coupled call."""
+        """Tile ``j``'s increments: the rows of each replicate's noise block
+        that it covers, scaled by sqrt(2**-l)."""
         seeds, p, rows = self._tiles[j]
         n, l = self._n, self._l
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
-            if hi - lo == n:
-                streams.noise_block(seeds[r], l, p, n, out=self._buf[lo:hi])
-                continue
-            if lo == r * n:  # the first rows of a straddling replicate: noise_block's generator
-                self._straddler = streams.generator(seeds[r], streams.TAG_NOISE, l, p)
-            self._straddler.standard_normal(out=self._buf[lo:hi])
-        noise = self._buf[rows]
-        noise *= self._scale
-        if self._pairs is not None:
-            np.add(noise[:, 0::2], noise[:, 1::2], out=self._pairs[rows])
+            if lo == r * n:  # a replicate's first rows; the rows after a cut continue its stream
+                self._stream = streams.noise_stream(seeds[r], l, p)
+            streams.noise_block(seeds[r], l, p, hi - lo, out=self._buf[lo:hi], stream=self._stream)
+        self._buf[rows] *= self._scale
 
 
 def pf_run(
@@ -404,15 +396,13 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     for p in range(path.T):
         obs_f = increments_at_level(path, l, p)
         obs_c = increments_at_level(path, l - 1, p)
-        # the coarse chain steps on the pair sums of the fine increments, as in
-        # ``propagate_unit_coupled``
-        for tile, noise, pairs in tiles.block():
-            fine = propagate_unit(model, l, xf[tile], obs_f, noise)
-            coarse = propagate_unit(model, l - 1, xc[tile], obs_c, pairs)
-            xf[tile] = fine.endpoint
-            xc[tile] = coarse.endpoint
-            cum_f[tile] += fine.log_g_total
-            cum_c[tile] += coarse.log_g_total
+        for tile, noise, sums in tiles.block():
+            step = propagate_unit_coupled(model, l, xf[tile], xc[tile], obs_f, obs_c, noise,
+                                          coarse_noise=sums)
+            xf[tile] = step.fine.endpoint
+            xc[tile] = step.coarse.endpoint
+            cum_f[tile] += step.fine.log_g_total
+            cum_c[tile] += step.coarse.log_g_total
         t = p + 1
         group_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
         group_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))

@@ -6,7 +6,9 @@ SeedSequence.  The mapping from (particle, step) to a Gaussian variate is a
 pure function of those integers, so results do not depend on execution
 order, worker count, or how many other levels are being run.  A noise block
 can be drawn into a caller's buffer (``noise_block(..., out=...)``), which
-is how the filters reuse one buffer for every interval of a call.
+is how the filters reuse one buffer for every interval of a call, and in
+successive row ranges from one ``noise_stream`` (``noise_block(...,
+stream=...)``), which is how they cut a block into tiles.
 """
 
 from __future__ import annotations
@@ -29,8 +31,14 @@ def generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def noise_stream(seed: int, level: int, interval: int) -> np.random.Generator:
+    """The generator that ``noise_block`` draws one unit interval's block from."""
+    return generator(seed, TAG_NOISE, level, interval)
+
+
 def noise_block(seed: int, level: int, interval: int, n: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None,
+                stream: np.random.Generator | None = None) -> np.ndarray:
     """Standard-normal block of shape (n, 2**level) for one unit interval.
 
     Particle ``i`` owns row ``i``; step ``k`` of particle ``i`` is column
@@ -39,9 +47,14 @@ def noise_block(seed: int, level: int, interval: int, n: int,
     With ``out``, a C-contiguous float64 array of that shape (for example a
     row slice of a larger buffer), the block is drawn into it in place and
     ``out`` is returned; the values are the same as those of a new block.
+
+    With ``stream``, the ``noise_stream`` of the same (seed, level,
+    interval), the n rows are drawn from it where it stands: after draws of
+    k rows in all, they are rows k .. k+n-1 of the whole block, so a block
+    may be drawn in successive row ranges.
     """
     shape = (n, 2 ** level)
-    g = generator(seed, TAG_NOISE, level, interval)
+    g = noise_stream(seed, level, interval) if stream is None else stream
     if out is None:
         return g.standard_normal(shape)
     if out.shape != shape:

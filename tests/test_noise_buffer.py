@@ -33,6 +33,15 @@ class TestNoiseBlockOut:
         # rows outside the slice are untouched
         assert np.all(np.isnan(buf[:a])) and np.all(np.isnan(buf[b:]))
 
+    @pytest.mark.parametrize("cuts", [(0, 1, 5), (0, 3, 4, 5), (0, 2, 5)])
+    def test_row_ranges_from_one_stream_equal_the_block(self, cuts):
+        ref = streams.noise_block(7, 3, 1, 5)
+        out = np.empty_like(ref)
+        stream = streams.noise_stream(7, 3, 1)
+        for lo, hi in zip(cuts, cuts[1:]):
+            streams.noise_block(7, 3, 1, hi - lo, out=out[lo:hi], stream=stream)
+        assert np.array_equal(out, ref)
+
     def test_out_shape_is_checked(self):
         with pytest.raises(ValueError, match="expected"):
             streams.noise_block(1, 3, 0, 4, out=np.empty((4, 4)))
