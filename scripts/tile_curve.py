@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Cost and memory of a cut ``pf_run`` against the noise tile cap.
+
+For each level l and each cap on a noise tile, runs one gbm replicate whose
+noise block per unit interval is ``--block-mib`` MiB (N = block / 2**l
+particles), so every block is cut into tiles drawn ahead on the helper
+thread.  It prints the median ns per particle-step of k timed runs and the
+tracemalloc peak of one more run.  The caps are run in turn within each
+round, so a drift in the host's speed falls on all of them alike.
+
+The cap is set through ``mlpf.filters.MAX_TILE_PARTICLE_STEPS``, as the
+filters read it on every call.  A tile drawn ahead keeps at least
+``AHEAD_TILE_ROWS`` rows, so at fine levels small caps give the same tiles;
+the ``rows`` column shows the tile each cap gives.
+
+Example:
+    python3 scripts/tile_curve.py --k 5
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from mlpf import filters  # noqa: E402
+from mlpf.models import builtin_model  # noqa: E402
+from mlpf.observations import simulate_observations  # noqa: E402
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--levels", type=int, nargs="+", default=[5, 6, 7, 8, 9])
+    ap.add_argument("--caps-mib", type=int, nargs="+", default=[1, 2, 4, 8, 16])
+    ap.add_argument("--block-mib", type=int, default=32, help="noise block per unit interval")
+    ap.add_argument("--T", type=int, default=2)
+    ap.add_argument("--k", type=int, default=5, help="timed runs per level and cap")
+    args = ap.parse_args()
+
+    model = builtin_model("gbm", {})
+    path = simulate_observations("p", model, args.T, max(args.levels), seed=700)
+    default_cap = filters.MAX_TILE_PARTICLE_STEPS
+    print(f"{'l':>2} {'N':>7} {'cap MiB':>7} {'rows':>6} {'tiles':>5} "
+          f"{'ns/step':>8} {'IQR':>11} {'peak MiB':>8}")
+    try:
+        for l in args.levels:
+            n = (args.block_mib << 17) >> l
+
+            def run():
+                filters.pf_run(model, path, l, n, ["x"], seed=(11,))
+
+            times = {cap: [] for cap in args.caps_mib}
+            for _ in range(args.k + 1):  # the first round warms up
+                for cap in args.caps_mib:
+                    filters.MAX_TILE_PARTICLE_STEPS = cap << 17
+                    t0 = time.perf_counter()
+                    run()
+                    times[cap].append(time.perf_counter() - t0)
+            for cap in args.caps_mib:
+                filters.MAX_TILE_PARTICLE_STEPS = cap << 17
+                cuts, _ = filters._cuts(n, l)
+                tracemalloc.start()
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                ns = [t * 1e9 / (n << l) / args.T for t in times[cap][1:]]
+                q = statistics.quantiles(ns, n=4) if len(ns) > 1 else (ns[0], ns[0], ns[0])
+                print(f"{l:2d} {n:7d} {cap:7d} {cuts[0].stop:6d} {len(cuts):5d} "
+                      f"{statistics.median(ns):8.1f} {q[0]:5.1f}-{q[2]:5.1f} "
+                      f"{peak / 2 ** 20:8.1f}", flush=True)
+    finally:
+        filters.MAX_TILE_PARTICLE_STEPS = default_cap
+
+
+if __name__ == "__main__":
+    main()

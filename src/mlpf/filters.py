@@ -23,32 +23,36 @@ of at most ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a
 replicate that alone exceeds it runs by itself.  Every replicate's output is
 bit-identical to the single-seed run; an int seed is the one-replicate case.
 
-A call allocates one noise buffer, sized for its largest group, and every
-group and interval draws its Philox blocks into it in place, so a call holds
-one noise block at a time: max(``MAX_GROUP_PARTICLE_STEPS``, N * 2**l)
-float64 values at most.  A coupled call also allocates one buffer for the
-coarse chain's pair sums, half as large, into which
-``propagate_unit_coupled`` writes every interval's sums.
+A call draws its noise into a ring of at most two slots and steps it from
+there, one row tile at a time, so it never holds more than two tiles of
+noise, whatever N and l.  A (group, interval) block of more than
+``CUT_ROWS`` rows and at least ``CUT_PARTICLE_STEPS`` particle-steps is cut
+for drawing ahead: into its two row halves, or, when a half would exceed
+``MAX_TILE_PARTICLE_STEPS`` (4 MiB of float64), into the fewest near-equal
+row tiles of at most max(``MAX_TILE_PARTICLE_STEPS``, ``AHEAD_TILE_ROWS``
+rows).  Any other block larger than ``MAX_TILE_PARTICLE_STEPS`` is cut into
+near-equal tiles within it, and drawn on the main thread; every other block
+is one tile.  A slot holds the call's largest tile.  A replicate whose rows
+span several tiles continues its draws from the same
+``streams.noise_stream``, which gives the values of one whole draw, so the
+tiling changes no output byte.
 
-A (group, interval) block of more than ``CUT_ROWS`` rows and at least
-``CUT_PARTICLE_STEPS`` particle-steps is cut into two row halves, the two
-halves of the noise buffer and of the pair-sum buffer; every other block is
-one tile.  A call draws and steps its tiles in one ordered stream.  A
-replicate whose rows straddle the cut draws its second-half rows from the
-same ``streams.noise_stream`` as its first, which gives the values of one
-whole draw, so the cut changes no output byte.  A block never depends on
-the particle states, so while the main thread steps tile j, a helper thread
-draws and scales tile j+1 whenever its rows are disjoint from tile j's, as
-from the first half of a cut block to the second, and from the second half
-to the first half of the group's next block.  The helper is a one-thread
-pool owned by the call: it is started only if some tile is drawn ahead, and
-it is shut down, after its last draw ends, before the call returns or
-raises.  No thread outlives a call and none is shared between calls, so a
-forked worker process never inherits one.
+A block never depends on the particle states, so while the main thread
+steps tile j from slot j mod 2, a helper thread draws and scales tile j+1
+into the other slot whenever tile j+1 belongs to a block cut for drawing
+ahead.  A call that draws nothing ahead allocates one slot.  A coupled call
+also holds one tile of the coarse chain's pair sums, into which
+``propagate_unit_coupled`` writes every tile's sums; only the main thread
+writes it, so it needs no second slot.  The helper is a one-thread pool
+owned by the call: it is started only if some tile is drawn ahead, and it
+is shut down, after its last draw ends, before the call returns or raises.
+No thread outlives a call and none is shared between calls, so a forked
+worker process never inherits one.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,6 +78,9 @@ __all__ = [
     "pf_run",
     "cpf_run",
     "MAX_GROUP_PARTICLE_STEPS",
+    "MAX_TILE_PARTICLE_STEPS",
+    "check_count",
+    "seed_tuple",
 ]
 
 RESAMPLE_POLICIES = ("always", "ess_below_half")
@@ -85,13 +92,19 @@ COUPLINGS = ("maximal", "sorted")
 # size, and larger blocks only hold more memory
 MAX_GROUP_PARTICLE_STEPS = 1 << 18
 # a block of more than CUT_ROWS rows and at least CUT_PARTICLE_STEPS
-# particle-steps is cut into two row halves, one drawn while the other is
-# stepped.  Each half then has at least 500 rows: numpy holds the GIL
+# particle-steps is cut into row tiles, each drawn while the one before it is
+# stepped, and a smaller block is stepped too fast to repay a thread's
+# hand-off.  Every such tile has more than 500 rows: numpy holds the GIL
 # through loops over 500 elements or fewer (NPY_BEGIN_THREADS_THRESHOLDED),
-# so a step on fewer rows would starve the helper, and a smaller block is
-# stepped too fast to repay a thread's hand-off
+# so a step on fewer rows would starve the helper
 CUT_ROWS = 1000
 CUT_PARTICLE_STEPS = 1 << 17
+# a noise tile holds at most MAX_TILE_PARTICLE_STEPS particle-steps (4 MiB
+# of float64; see the curve of scripts/tile_curve.py), but a tile drawn
+# ahead may hold up to AHEAD_TILE_ROWS rows at any level, so that the
+# near-equal tiles of a cut block keep more than 512 rows each
+MAX_TILE_PARTICLE_STEPS = 1 << 19
+AHEAD_TILE_ROWS = 1024
 
 DEFAULT_FUNCTIONALS = {
     "x": lambda x: x,
@@ -148,13 +161,35 @@ class FilterOutput:
     final_same_ancestor_fraction: float | None = None
 
 
-def _check_common(path, l, n, report_times, resample_policy):
+def _is_count(value, least: int) -> bool:
+    """An integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``least``."""
+    if not _is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def seed_tuple(seed) -> tuple:
+    """``seed`` as a non-empty tuple of replicate seeds; an int is the
+    one-replicate case.  Each seed is a non-negative integer, not a bool."""
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    if not seeds or not all(_is_count(s, 0) for s in seeds):
+        raise ValueError("seed must be a non-negative integer or a non-empty tuple of them, "
+                         f"got {seed!r}")
+    return seeds
+
+
+def _check_common(path, l, n, report_times, resample_policy, seed):
+    """The checked report times and replicate seeds of a filter call."""
     if l < 0:
         raise ValueError(f"level must be >= 0, got {l}")
     if l > path.L_data:
         raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
-    if n < 1:
-        raise ValueError("need at least one particle")
+    check_count(n, "n", 1)
     if resample_policy not in RESAMPLE_POLICIES:
         raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
     if report_times is None:
@@ -162,7 +197,7 @@ def _check_common(path, l, n, report_times, resample_policy):
     report_times = [int(t) for t in report_times]
     if any(t < 1 or t > path.T for t in report_times):
         raise ValueError("report times must be integers in [1, T]")
-    return report_times
+    return report_times, seed_tuple(seed)
 
 
 def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: dict) -> None:
@@ -184,36 +219,42 @@ def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
 
 
 def _cuts(rows: int, l: int) -> tuple:
-    """Row slices of one (group, interval) block: its two halves when it is
-    cut, else the whole block."""
-    if rows > CUT_ROWS and rows << l >= CUT_PARTICLE_STEPS:
-        half = rows // 2
-        return slice(0, half), slice(half, rows)
-    return (slice(0, rows),)
+    """Row slices of one (group, interval) block, near-equal and in order,
+    and whether they are drawn ahead (see the module docstring)."""
+    ahead = rows > CUT_ROWS and rows << l >= CUT_PARTICLE_STEPS
+    most = max(MAX_TILE_PARTICLE_STEPS >> l, AHEAD_TILE_ROWS if ahead else 1)
+    k = max(2 if ahead else 1, -(-rows // most))
+    bounds = [i * rows // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])], ahead
 
 
 class _NoiseTiles:
     """A call's Brownian increments, drawn tile by tile in stepping order.
 
-    The noise buffer, and for a coupled call the pair-sum buffer, is sized
-    for the largest (the first) group; each group's block fills a prefix of
-    it, with replicate ``r``'s Philox block in rows ``r*n .. (r+1)*n - 1``.
-    ``block()`` hands out the next (group, interval) block's tiles.  Used as
-    a context manager, it owns the helper thread that draws ahead (see the
-    module docstring).
+    Tile j covers some rows of one (group, interval) block, replicate ``r``
+    owning the block's rows ``r*n .. (r+1)*n - 1``, and is drawn into the
+    first rows of slot j mod 2 of a ring of two slots, or of one slot when
+    nothing is drawn ahead.  A slot holds the largest tile, and the
+    pair-sum buffer of a coupled call that tile's pair sums.  ``block()``
+    hands out the next
+    (group, interval) block's tiles.  Used as a context manager, it owns
+    the helper thread that draws ahead (see the module docstring).
     """
 
     def __init__(self, groups: list, n: int, l: int, T: int, coupled: bool = False):
-        largest = len(groups[0]) * n
-        self._buf = np.empty((largest, 1 << l))
-        self._pairs = np.empty((largest, 1 << (l - 1))) if coupled else None
         self._n, self._l = n, l
         self._scale = np.sqrt(2.0 ** (-l))
-        blocks = [(group, p, _cuts(len(group) * n, l)) for group in groups for p in range(T)]
-        self._sizes = [len(cuts) for _, _, cuts in blocks]
-        self._tiles = [(group, p, rows) for group, p, cuts in blocks for rows in cuts]
-        self._ahead = [a.stop <= b.start or b.stop <= a.start
-                       for (_, _, a), (_, _, b) in zip(self._tiles, self._tiles[1:])] + [False]
+        self._tiles, self._sizes, ahead = [], [], []
+        for group in groups:
+            cuts, drawn_ahead = _cuts(len(group) * n, l)
+            for p in range(T):
+                self._tiles += [(group, p, rows) for rows in cuts]
+                self._sizes.append(len(cuts))
+                ahead += [drawn_ahead] * len(cuts)
+        self._ahead = ahead[1:] + [False]  # tile j+1 is drawn while tile j is stepped
+        most = max(rows.stop - rows.start for _, _, rows in self._tiles)
+        self._slots = [np.empty((most, 1 << l)) for _ in range(1 + any(self._ahead))]
+        self._pairs = np.empty((most, 1 << (l - 1))) if coupled else None
         self._block = self._next = 0
         self._pending = None  # the draw of the next tile, when it runs ahead
         self._stream = None  # the noise stream of the replicate drawn last
@@ -244,22 +285,29 @@ class _NoiseTiles:
         else:
             self._pending.result()
             self._pending = None
-        if self._ahead[j]:
+        if self._ahead[j]:  # into the slot of tile j-1, which has been stepped
             self._pending = self._pool.submit(self._draw, j + 1)
+        rows, noise = self._tiles[j][2], self._slot(j)
+        return rows, noise, None if self._pairs is None else self._pairs[:len(noise)]
+
+    def _slot(self, j: int) -> np.ndarray:
+        """The rows of tile ``j``'s slot that hold it."""
         rows = self._tiles[j][2]
-        return rows, self._buf[rows], None if self._pairs is None else self._pairs[rows]
+        return self._slots[j % len(self._slots)][:rows.stop - rows.start]
 
     def _draw(self, j: int) -> None:
         """Tile ``j``'s increments: the rows of each replicate's noise block
         that it covers, scaled by sqrt(2**-l)."""
         seeds, p, rows = self._tiles[j]
+        out = self._slot(j)
         n, l = self._n, self._l
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
-            if lo == r * n:  # a replicate's first rows; the rows after a cut continue its stream
+            if lo == r * n:  # a replicate's first rows; later tiles continue its stream
                 self._stream = streams.noise_stream(seeds[r], l, p)
-            streams.noise_block(seeds[r], l, p, hi - lo, out=self._buf[lo:hi], stream=self._stream)
-        self._buf[rows] *= self._scale
+            streams.noise_block(seeds[r], l, p, hi - lo, out=out[lo - rows.start:hi - rows.start],
+                                stream=self._stream)
+        out *= self._scale
 
 
 def pf_run(
@@ -278,11 +326,11 @@ def pf_run(
     giving a tuple with one output per seed, each equal to the single-seed
     run.  The replicates are stacked in groups (see ``_replicate_groups``)
     and each group takes one Euler sweep per interval and tile, with its
-    noise drawn into one buffer that all groups share (see ``_NoiseTiles``).
+    noise drawn into a ring of slots that all groups share (see
+    ``_NoiseTiles``).
     """
     phis = resolve_functionals(functionals)
-    report_times = _check_common(path, l, n, report_times, resample_policy)
-    seeds = seed if isinstance(seed, tuple) else (seed,)
+    report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
     groups = _replicate_groups(seeds, n, l)
     outs = []
     with _NoiseTiles(groups, n, l, path.T) as tiles:
@@ -362,8 +410,7 @@ def cpf_run(
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
     phis = resolve_functionals(functionals)
-    report_times = _check_common(path, l, n, report_times, resample_policy)
-    seeds = seed if isinstance(seed, tuple) else (seed,)
+    report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
     groups = _replicate_groups(seeds, n, l)
     outs = []
     with _NoiseTiles(groups, n, l, path.T, coupled=True) as tiles:

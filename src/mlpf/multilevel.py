@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import streams
-from .filters import cpf_run, pf_run
+from .filters import cpf_run, pf_run, seed_tuple
 from .models import ModelSpec
 from .observations import ObservationPath
 
@@ -119,7 +119,7 @@ def mlpf_run(
     """
     if allocation.L > path.L_data:
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
-    seeds = seed if isinstance(seed, tuple) else (seed,)
+    seeds = seed_tuple(seed)
 
     def level_seeds(l):
         return tuple(streams.level_seed(s, l) for s in seeds)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .filters import pf_run
+from .filters import check_count, pf_run
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 
@@ -104,9 +104,11 @@ def reference_truth(
 
     Linear-Gaussian models get the exact Kalman filter; everything else gets
     the mean of ``replicates`` independent particle filters with attached
-    standard errors.
+    standard errors.  ``seed`` is the master seed of the replicates' seeds.
     """
     _check_level(path, ref_level)
+    check_count(seed, "seed", 0)
+    check_count(replicates, "replicates", 1)
     if report_times is None:
         report_times = list(range(1, path.T + 1))
     if model.is_linear_gaussian:

@@ -112,6 +112,17 @@ class TestRunCommands:
                      "--n", "10"]) == EXIT_CONFIG
         assert "level must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run-pf", "run-cpf", "truth"])
+    def test_negative_seed_is_config_error(self, path_file, capsys, command):
+        assert main([command, "--model", "gbm", "--path", path_file, "--level", "3",
+                     "--n", "10", "--seed", "-1"]) == EXIT_CONFIG
+        assert "error: seed must be" in capsys.readouterr().err
+
+    def test_negative_seed_in_run_mlpf_is_config_error(self, path_file, capsys):
+        assert main(["run-mlpf", "--model", "ou", "--path", path_file, "--L", "3",
+                     "--base", "4", "--seed", "-1"]) == EXIT_CONFIG
+        assert "error: seed must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("base", ["inf", "nan", "-inf"])
     def test_non_finite_base_is_config_error(self, path_file, capsys, base):
         assert main(["run-mlpf", "--model", "ou", "--path", path_file, "--L", "3",

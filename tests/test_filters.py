@@ -4,6 +4,7 @@ from scipy.stats import ks_2samp
 
 from mlpf.euler import NonFiniteStateError, propagate_unit
 from mlpf.filters import cpf_run, pf_run, resolve_functionals
+from mlpf.multilevel import allocate, mlpf_run
 from mlpf.models import ModelSpec, builtin_model
 from mlpf.observations import simulate_observations
 from mlpf.oracle import kalman_log_normalizer, kalman_run
@@ -187,3 +188,27 @@ def test_resolve_functionals_dict_passthrough():
     assert "sq" in fns
     with pytest.raises(ValueError):
         resolve_functionals(["nope"])
+
+
+def _mlpf_run(model, path, l, n, functionals, seed=0):
+    return mlpf_run(model, path, allocate("single_pf", l, n), functionals, seed=seed)
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run, _mlpf_run], ids=["pf", "cpf", "mlpf"])
+@pytest.mark.parametrize("seed", [(), 1.5, True, -1, (1, True), (1, -2), (2.0,), "3", None],
+                         ids=repr)
+def test_bad_seed_is_rejected_naming_it(path, run, seed):
+    with pytest.raises(ValueError, match="^seed must be"):
+        run(OU, path, 2, 10, ["x"], seed=seed)
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+@pytest.mark.parametrize("n", [0, -3, 1.5, True, "10", None], ids=repr)
+def test_bad_particle_count_is_rejected_naming_it(path, run, n):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1"):
+        run(OU, path, 2, n, ["x"], seed=1)
+
+
+def test_numpy_integer_seeds_and_counts_are_accepted(path):
+    out = pf_run(OU, path, 2, np.int64(10), ["x"], seed=(np.uint64(3),))
+    assert out == (pf_run(OU, path, 2, 10, ["x"], seed=3),)

@@ -1,16 +1,17 @@
-"""In-place noise blocks, the one noise buffer a filter call holds, and the
+"""In-place noise blocks, the ring of noise slots a filter call holds, and the
 helper thread that draws a cut call's next tile."""
 
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mlpf import streams
+from mlpf import filters, streams
 from mlpf.bench import parse_config, records_csv, run_benchmark
 from mlpf.euler import NonFiniteStateError
-from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, cpf_run, pf_run
+from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, MAX_TILE_PARTICLE_STEPS, cpf_run, pf_run
 from mlpf.models import builtin_model
 from mlpf.observations import simulate_observations
 
@@ -66,15 +67,19 @@ PATH = simulate_observations("p", GBM, 3, 7, seed=5)
 L = 7
 
 
-@pytest.mark.parametrize("seeds,n", [
-    ((1, 2), MAX_GROUP_PARTICLE_STEPS >> (L - 1)),  # each replicate alone exceeds a group
-    ((1, 2, 3, 4), MAX_GROUP_PARTICLE_STEPS >> (L + 2)),  # four replicates fill one group
-], ids=["oversize", "group-of-4"])
-def test_filters_hold_one_noise_block(seeds, n):
+@pytest.mark.parametrize("seeds,n,slots", [
+    ((1, 2), MAX_GROUP_PARTICLE_STEPS >> (L - 1), 2),  # each replicate alone exceeds a group
+    ((1, 2, 3, 4), MAX_GROUP_PARTICLE_STEPS >> (L + 2), 2),  # four replicates fill one group
+    ((1, 2), 500, 1),  # a block of 1000 rows, drawn on the main thread
+], ids=["oversize", "group-of-4", "nothing-ahead"])
+def test_filters_hold_one_noise_block(seeds, n, slots):
+    """A call that draws ahead holds two slots of half a block each, and one
+    that draws nothing ahead one slot of a whole block: one block either way."""
     rows = n * min(len(seeds), max(1, MAX_GROUP_PARTICLE_STEPS // (n << L)))
     block = 8 * rows << L
-    # a coupled step also holds the coarse chain's pair sums, half a block
-    coupled_block = block + block // 2
+    tile = block // slots
+    # a coupled step also holds one tile of the coarse chain's pair sums, half a tile
+    coupled_block = block + tile // 2
     pf_peak = traced_peak(lambda: pf_run(GBM, PATH, L, n, ["x"], seed=seeds,
                                          resample_policy="always"))
     cpf_peak = traced_peak(lambda: cpf_run(GBM, PATH, L, n, ["x"], seed=seeds,
@@ -83,11 +88,32 @@ def test_filters_hold_one_noise_block(seeds, n):
     assert cpf_peak < 1.25 * coupled_block, (cpf_peak, coupled_block)
 
 
-# calls whose noise blocks are cut into two row halves: (level, particles, seeds)
+# (N,) float64 arrays a call holds at its peak besides its noise, with room
+# to spare: states, log-weights, step buffers and resampling indices (a PF
+# measured about 7, a CPF, with two chains, about 19)
+PF_STATE_ARRAYS = 12
+CPF_STATE_ARRAYS = 24
+
+
+@pytest.mark.parametrize("run,arrays", [(pf_run, PF_STATE_ARRAYS), (cpf_run, CPF_STATE_ARRAYS)],
+                         ids=["pf_run", "cpf_run"])
+def test_a_large_block_is_held_as_two_tiles(run, arrays):
+    """A 100 MiB block (gbm, l 9, N 25600) is stepped through a ring of two
+    4 MiB tiles; a coupled call adds one tile of pair sums, half as large."""
+    l, n = 9, 25600
+    path = simulate_observations("p", GBM, 1, l, seed=5)
+    tile = 8 * MAX_TILE_PARTICLE_STEPS
+    held = 2 * tile + (tile // 2 if run is cpf_run else 0) + arrays * 8 * n
+    peak = traced_peak(lambda: run(GBM, path, l, n, ["x"], seed=(3,), resample_policy="always"))
+    assert peak < held < (8 * n << l) // 4, (peak, held)
+
+
+# calls whose noise blocks are cut into row tiles drawn ahead: (level, particles, seeds)
 CUT_CALLS = {
     "oversize": (7, 2560, 11),
     "straddle": (5, 1400, (21, 22, 23)),
     "uncut-last-group": (5, 1400, tuple(range(31, 38))),
+    "multi-tile": (7, 10240, 41),  # 10 MiB blocks, cut into three tiles
 }
 
 
@@ -117,6 +143,22 @@ def test_cut_calls_draw_ahead_on_a_helper_thread(draw_threads, run, call):
     run(GBM, PATH, l, n, ["x"], seed=seed)
     assert off_main(draw_threads) > 0
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+def test_ring_matches_drawing_on_the_main_thread_under_frequent_switches(monkeypatch, run):
+    """Tiles drawn ahead into the ring while the threads switch every 1 us
+    give the outputs of the same tiles drawn on the main thread: a slot
+    written while its tile is still being stepped would change them."""
+    l, n, seed = CUT_CALLS["multi-tile"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = run(GBM, PATH, l, n, ["x"], seed=seed, resample_policy="always")
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(filters, "CUT_ROWS", 10 ** 9)  # nothing drawn ahead
+    assert run(GBM, PATH, l, n, ["x"], seed=seed, resample_policy="always") == ahead
 
 
 def test_gbm_fine_sized_calls_start_no_thread(draw_threads):

@@ -106,3 +106,14 @@ class TestReferenceTruth:
     def test_unknown_functional_for_kalman(self, path):
         with pytest.raises(ValueError):
             reference_truth(OU, path, 5, 10, ["x3"])
+
+
+@pytest.mark.parametrize("model", ["ou", "gbm"], ids=["kalman", "pf"])
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", (1, 2)),
+    ("replicates", 0), ("replicates", 2.0), ("replicates", True),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_bad_seed_or_replicates_is_rejected_naming_it(path, model, field, value):
+    m = builtin_model(model, {})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        reference_truth(m, path, 3, 10, ["x"], **{field: value})

@@ -70,11 +70,23 @@ CUT_DIGESTS = {
 }
 
 
-def cut_calls_digest(model_name: str) -> str:
+# One replicate whose 10 MiB noise blocks are cut into three row tiles, so
+# its stream crosses two tile boundaries per interval.  Recorded before
+# blocks were cut into more than two tiles.
+MULTI_TILE_CALLS = ((7, 10240, 41),)
+MULTI_TILE_DIGESTS = {
+    "ou": "2fdeea08d1870c8275094d2fbc6b7a5769ffb1eebf486adae0b2e0b37900c33b",
+    "langevin": "55a682c7f7fd7892f98cd89de2222a7034c8350da1da2cc2bc809596c978f89d",
+    "gbm": "4acc06469b38246a7f2b8d7066910d4fa5a154fae7f2c5111a08d8c2adf7427e",
+    "nonlinear_sigma": "a8c8ac490ae995dffa48514c3533bee43a6fc814ab2f5204ad1f635a33cb86b2",
+}
+
+
+def cut_calls_digest(model_name: str, calls=CUT_CALLS) -> str:
     model = builtin_model(model_name, {})
     path = simulate_observations("p", model, 2, 7, seed=3)
     h = hashlib.sha256()
-    for l, n, seed in CUT_CALLS:
+    for l, n, seed in calls:
         for policy in RESAMPLE_POLICIES:
             runs = [pf_run(model, path, l, n, ["x", "x2"], resample_policy=policy, seed=seed)]
             runs += [cpf_run(model, path, l, n, ["x", "x2"], resample_policy=policy, seed=seed,
@@ -87,3 +99,8 @@ def cut_calls_digest(model_name: str) -> str:
 @pytest.mark.parametrize("model", BUILTIN_NAMES)
 def test_cut_filter_calls_are_pinned(model):
     assert cut_calls_digest(model) == CUT_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", BUILTIN_NAMES)
+def test_multi_tile_filter_calls_are_pinned(model):
+    assert cut_calls_digest(model, MULTI_TILE_CALLS) == MULTI_TILE_DIGESTS[model]
