@@ -4,7 +4,8 @@
 For each level l and each cap on a noise tile, runs one gbm replicate whose
 noise block per unit interval is ``--block-mib`` MiB (N = block / 2**l
 particles), so every block is cut into tiles drawn ahead on the helper
-thread.  It prints the median ns per particle-step of k timed runs and the
+thread.  A call's rows are cut by ``filters._cuts`` alone, whatever its
+replicate count, so R replicates of N / R particles give the same tiles.  It prints the median ns per particle-step of k timed runs and the
 tracemalloc peak of one more run.  The caps are run in turn within each
 round, so a drift in the host's speed falls on all of them alike.
 

@@ -6,7 +6,6 @@ from .euler import propagate_unit, propagate_unit_coupled
 from .resampling import (
     ess,
     maximal_coupling_indices,
-    maximal_coupling_pmf,
     multinomial_indices,
     normalize_log_weights,
     sorted_coupling_indices,

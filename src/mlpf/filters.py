@@ -12,23 +12,22 @@ States are scalar: N particles are an (N,) array, which a functional maps
 to an (N,) array of values, and one interval's noise is an (N, 2**l) block.
 
 Both filters take ``seed`` as an int or as a tuple of ints, one independent
-replicate per seed.  Replicates on the same path and level are stacked along
-the particle axis, R replicates of N particles as R*N rows, and stepped by
-one Euler sweep per interval; each keeps its own Philox noise block and
-resampling stream.  A group's log-weights and ESS are reduced in one pass
-over an (R, N) view, one row per replicate, which gives each replicate the
-same bytes as a reduction of its own rows; estimates and resampling are
-computed per replicate, on its own rows.  Replicates are stacked in groups
-of at most ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per interval, so a
-replicate that alone exceeds it runs by itself.  Every replicate's output is
-bit-identical to the single-seed run; an int seed is the one-replicate case.
+replicate per seed.  A call stacks its R replicates along the particle axis,
+R replicates of N particles as R*N rows, and steps them by one Euler sweep
+per interval and tile; each keeps its own Philox noise block and resampling
+stream.  The call's log-weights and ESS are reduced in one pass over an
+(R, N) view, one row per replicate, which gives each replicate the same
+bytes as a reduction of its own rows; estimates and resampling are computed
+per replicate, on its own rows.  Every replicate's output is bit-identical
+to the single-seed run; an int seed is the one-replicate case.
 
 A call draws its noise into a ring of at most two slots and steps it from
 there, one row tile at a time, so it never holds more than two tiles of
-noise, whatever N and l.  A (group, interval) block of more than
-``CUT_ROWS`` rows and at least ``CUT_PARTICLE_STEPS`` particle-steps is cut
-for drawing ahead: into its two row halves, or, when a half would exceed
-``MAX_TILE_PARTICLE_STEPS`` (4 MiB of float64), into the fewest near-equal
+noise, whatever R, N and l.  Every interval's (R*N, 2**l) block is cut by
+the one rule of ``_cuts``.  A block of more than ``CUT_ROWS`` rows and at
+least ``CUT_PARTICLE_STEPS`` particle-steps is cut for drawing ahead: into
+its two row halves, or, when a half would exceed
+``MAX_TILE_PARTICLE_STEPS`` (2 MiB of float64), into the fewest near-equal
 row tiles of at most max(``MAX_TILE_PARTICLE_STEPS``, ``AHEAD_TILE_ROWS``
 rows).  Any other block larger than ``MAX_TILE_PARTICLE_STEPS`` is cut into
 near-equal tiles within it, and drawn on the main thread; every other block
@@ -39,12 +38,12 @@ tiling changes no output byte.
 
 A block never depends on the particle states, so while the main thread
 steps tile j from slot j mod 2, a helper thread draws and scales tile j+1
-into the other slot whenever tile j+1 belongs to a block cut for drawing
-ahead.  A call that draws nothing ahead allocates one slot.  A coupled call
+into the other slot whenever the call's blocks are cut for drawing ahead.
+A call that draws nothing ahead allocates one slot.  A coupled call
 also holds one tile of the coarse chain's pair sums, into which
 ``propagate_unit_coupled`` writes every tile's sums; only the main thread
 writes it, so it needs no second slot.  The helper is a one-thread pool
-owned by the call: it is started only if some tile is drawn ahead, and it
+owned by the call: it is started only if the call draws ahead, and it
 is shut down, after its last draw ends, before the call returns or raises.
 No thread outlives a call and none is shared between calls, so a forked
 worker process never inherits one.
@@ -52,7 +51,6 @@ worker process never inherits one.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -77,33 +75,28 @@ __all__ = [
     "resolve_functionals",
     "pf_run",
     "cpf_run",
-    "MAX_GROUP_PARTICLE_STEPS",
     "MAX_TILE_PARTICLE_STEPS",
-    "check_count",
     "seed_tuple",
 ]
 
 RESAMPLE_POLICIES = ("always", "ess_below_half")
 COUPLINGS = ("maximal", "sorted")
 
-# replicates are stacked while a group's noise block (replicates x particles x
-# steps per unit interval) stays within this many particle-steps (2 MB of
-# float64): the Euler sweep's cost per particle-step stops falling by this
-# size, and larger blocks only hold more memory
-MAX_GROUP_PARTICLE_STEPS = 1 << 18
 # a block of more than CUT_ROWS rows and at least CUT_PARTICLE_STEPS
 # particle-steps is cut into row tiles, each drawn while the one before it is
 # stepped, and a smaller block is stepped too fast to repay a thread's
-# hand-off.  Every such tile has more than 500 rows: numpy holds the GIL
-# through loops over 500 elements or fewer (NPY_BEGIN_THREADS_THRESHOLDED),
-# so a step on fewer rows would starve the helper
-CUT_ROWS = 1000
+# hand-off.  Every such tile has more than 500 rows, as the halves of 1002
+# rows do: numpy holds the GIL through loops over 500 elements or fewer
+# (NPY_BEGIN_THREADS_THRESHOLDED), so a step on fewer rows would starve the
+# helper
+CUT_ROWS = 1001
 CUT_PARTICLE_STEPS = 1 << 17
-# a noise tile holds at most MAX_TILE_PARTICLE_STEPS particle-steps (4 MiB
-# of float64; see the curve of scripts/tile_curve.py), but a tile drawn
-# ahead may hold up to AHEAD_TILE_ROWS rows at any level, so that the
-# near-equal tiles of a cut block keep more than 512 rows each
-MAX_TILE_PARTICLE_STEPS = 1 << 19
+# a noise tile holds at most MAX_TILE_PARTICLE_STEPS particle-steps (2 MiB
+# of float64; the Euler sweep's cost per particle-step is flat from 1 to
+# 8 MiB in the curve of scripts/tile_curve.py), but a tile drawn ahead may
+# hold up to AHEAD_TILE_ROWS rows at any level, so that the near-equal tiles
+# of a cut block keep more than 512 rows each
+MAX_TILE_PARTICLE_STEPS = 1 << 18
 AHEAD_TILE_ROWS = 1024
 
 DEFAULT_FUNCTIONALS = {
@@ -161,23 +154,11 @@ class FilterOutput:
     final_same_ancestor_fraction: float | None = None
 
 
-def _is_count(value, least: int) -> bool:
-    """An integer, not a bool, of at least ``least``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
-def check_count(value, name: str, least: int) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
-    not a bool, of at least ``least``."""
-    if not _is_count(value, least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def seed_tuple(seed) -> tuple:
     """``seed`` as a non-empty tuple of replicate seeds; an int is the
     one-replicate case.  Each seed is a non-negative integer, not a bool."""
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    if not seeds or not all(_is_count(s, 0) for s in seeds):
+    if not seeds or not all(streams.is_count(s, 0) for s in seeds):
         raise ValueError("seed must be a non-negative integer or a non-empty tuple of them, "
                          f"got {seed!r}")
     return seeds
@@ -189,7 +170,7 @@ def _check_common(path, l, n, report_times, resample_policy, seed):
         raise ValueError(f"level must be >= 0, got {l}")
     if l > path.L_data:
         raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
-    check_count(n, "n", 1)
+    streams.check_count(n, "n", 1)
     if resample_policy not in RESAMPLE_POLICIES:
         raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
     if report_times is None:
@@ -210,17 +191,9 @@ def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, i
         into[(float(t), fid)] = float((w @ vals) / (w @ np.ones_like(vals)))
 
 
-def _replicate_groups(seeds: tuple, n: int, l: int) -> list:
-    """Split replicate seeds into stacked groups of at most
-    ``MAX_GROUP_PARTICLE_STEPS`` particle-steps per unit interval (one each
-    when a single replicate is larger)."""
-    size = max(1, MAX_GROUP_PARTICLE_STEPS // (n << l))
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
-
-
 def _cuts(rows: int, l: int) -> tuple:
-    """Row slices of one (group, interval) block, near-equal and in order,
-    and whether they are drawn ahead (see the module docstring)."""
+    """Row slices of one interval's (rows, 2**l) noise block, near-equal and
+    in order, and whether they are drawn ahead (see the module docstring)."""
     ahead = rows > CUT_ROWS and rows << l >= CUT_PARTICLE_STEPS
     most = max(MAX_TILE_PARTICLE_STEPS >> l, AHEAD_TILE_ROWS if ahead else 1)
     k = max(2 if ahead else 1, -(-rows // most))
@@ -231,37 +204,31 @@ def _cuts(rows: int, l: int) -> tuple:
 class _NoiseTiles:
     """A call's Brownian increments, drawn tile by tile in stepping order.
 
-    Tile j covers some rows of one (group, interval) block, replicate ``r``
-    owning the block's rows ``r*n .. (r+1)*n - 1``, and is drawn into the
-    first rows of slot j mod 2 of a ring of two slots, or of one slot when
-    nothing is drawn ahead.  A slot holds the largest tile, and the
-    pair-sum buffer of a coupled call that tile's pair sums.  ``block()``
-    hands out the next
-    (group, interval) block's tiles.  Used as a context manager, it owns
-    the helper thread that draws ahead (see the module docstring).
+    Every interval's block has the same row tiles, replicate ``r`` owning
+    its rows ``r*n .. (r+1)*n - 1``.  Tile j, of interval j // k for k
+    tiles per interval, is drawn into the first rows of slot j mod 2 of a
+    ring of two slots, or of one slot when nothing is drawn ahead.  A slot
+    holds the largest tile, and the pair-sum buffer of a coupled call that
+    tile's pair sums.  ``interval()`` hands out the next interval's tiles.
+    Used as a context manager, it owns the helper thread that draws ahead
+    (see the module docstring).
     """
 
-    def __init__(self, groups: list, n: int, l: int, T: int, coupled: bool = False):
-        self._n, self._l = n, l
+    def __init__(self, seeds: tuple, n: int, l: int, T: int, coupled: bool = False):
+        self._seeds, self._n, self._l = seeds, n, l
         self._scale = np.sqrt(2.0 ** (-l))
-        self._tiles, self._sizes, ahead = [], [], []
-        for group in groups:
-            cuts, drawn_ahead = _cuts(len(group) * n, l)
-            for p in range(T):
-                self._tiles += [(group, p, rows) for rows in cuts]
-                self._sizes.append(len(cuts))
-                ahead += [drawn_ahead] * len(cuts)
-        self._ahead = ahead[1:] + [False]  # tile j+1 is drawn while tile j is stepped
-        most = max(rows.stop - rows.start for _, _, rows in self._tiles)
-        self._slots = [np.empty((most, 1 << l)) for _ in range(1 + any(self._ahead))]
+        self._cuts, self._ahead = _cuts(len(seeds) * n, l)
+        self._count = T * len(self._cuts)
+        most = max(rows.stop - rows.start for rows in self._cuts)
+        self._slots = [np.empty((most, 1 << l)) for _ in range(1 + self._ahead)]
         self._pairs = np.empty((most, 1 << (l - 1))) if coupled else None
-        self._block = self._next = 0
+        self._next = 0
         self._pending = None  # the draw of the next tile, when it runs ahead
         self._stream = None  # the noise stream of the replicate drawn last
         self._pool = None
 
     def __enter__(self):
-        if any(self._ahead):
+        if self._ahead:
             self._pool = ThreadPoolExecutor(1, thread_name_prefix="mlpf-noise")
         return self
 
@@ -270,12 +237,10 @@ class _NoiseTiles:
             self._pool.shutdown()  # waits for a draw that is still running
             self._pool = None
 
-    def block(self):
-        """The next (group, interval) block's tiles, lazily, as (rows, noise,
-        pair-sum buffer); a tile is drawn by the time it is handed out."""
-        size = self._sizes[self._block]
-        self._block += 1
-        return (self._take() for _ in range(size))
+    def interval(self):
+        """The next interval's tiles, lazily, as (rows, noise, pair-sum
+        buffer); a tile is drawn by the time it is handed out."""
+        return (self._take() for _ in self._cuts)
 
     def _take(self):
         j = self._next
@@ -285,22 +250,28 @@ class _NoiseTiles:
         else:
             self._pending.result()
             self._pending = None
-        if self._ahead[j]:  # into the slot of tile j-1, which has been stepped
+        if self._ahead and j + 1 < self._count:
+            # into the slot of tile j-1, which has been stepped
             self._pending = self._pool.submit(self._draw, j + 1)
-        rows, noise = self._tiles[j][2], self._slot(j)
-        return rows, noise, None if self._pairs is None else self._pairs[:len(noise)]
+        noise = self._slot(j)
+        return self._tile(j)[1], noise, None if self._pairs is None else self._pairs[:len(noise)]
+
+    def _tile(self, j: int) -> tuple:
+        """Tile ``j``'s interval and rows."""
+        p, i = divmod(j, len(self._cuts))
+        return p, self._cuts[i]
 
     def _slot(self, j: int) -> np.ndarray:
         """The rows of tile ``j``'s slot that hold it."""
-        rows = self._tiles[j][2]
+        rows = self._tile(j)[1]
         return self._slots[j % len(self._slots)][:rows.stop - rows.start]
 
     def _draw(self, j: int) -> None:
         """Tile ``j``'s increments: the rows of each replicate's noise block
         that it covers, scaled by sqrt(2**-l)."""
-        seeds, p, rows = self._tiles[j]
+        p, rows = self._tile(j)
         out = self._slot(j)
-        n, l = self._n, self._l
+        seeds, n, l = self._seeds, self._n, self._l
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
             if lo == r * n:  # a replicate's first rows; later tiles continue its stream
@@ -324,25 +295,14 @@ def pf_run(
 
     ``seed`` is an int, giving one ``FilterOutput``, or a tuple of ints,
     giving a tuple with one output per seed, each equal to the single-seed
-    run.  The replicates are stacked in groups (see ``_replicate_groups``)
-    and each group takes one Euler sweep per interval and tile, with its
-    noise drawn into a ring of slots that all groups share (see
-    ``_NoiseTiles``).
+    run.  The replicates are stacked and take one Euler sweep per interval
+    and tile, with their noise drawn into a ring of slots (see
+    ``_NoiseTiles``).  Each interval's weights and ESS are reduced for all
+    replicates at once, one row per replicate; estimates and resampling are
+    per replicate.
     """
     phis = resolve_functionals(functionals)
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
-    groups = _replicate_groups(seeds, n, l)
-    outs = []
-    with _NoiseTiles(groups, n, l, path.T) as tiles:
-        for group in groups:
-            outs += _pf_group(model, path, l, n, phis, report_times, resample_policy, group, tiles)
-    return tuple(outs) if isinstance(seed, tuple) else outs[0]
-
-
-def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, tiles) -> list:
-    """One stacked group of replicates.  Each interval's weights and ESS are
-    reduced for the whole group at once, one row per replicate; estimates and
-    resampling are per replicate."""
     n_rep = len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     x = np.full(n_rep * n, model.x_star)
@@ -351,27 +311,28 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, til
     estimates = [{} for _ in seeds]
     resample_times = [[] for _ in seeds]
     ess_trace = [[] for _ in seeds]
-    for p in range(path.T):
-        obs = increments_at_level(path, l, p)
-        for tile, noise, _ in tiles.block():
-            prop = propagate_unit(model, l, x[tile], obs, noise)
-            x[tile] = prop.endpoint
-            cum[tile] += prop.log_g_total
-        t = p + 1
-        wv = normalize_log_weights(cum.reshape(n_rep, n))
-        group_ess = ess(wv).tolist()
-        for r, sl in enumerate(rows):
-            if t in report_times:
-                _weighted(cum[sl], x[sl], phis, t, estimates[r])
-            e = group_ess[r]
-            ess_trace[r].append(e)
-            if resample_policy == "always" or e < n / 2.0:
-                log_norm[r] += log_mean_weight(cum[sl])
-                idx = multinomial_indices(wv.row(r), n, streams.resample_rng(seeds[r], l, p))
-                x[sl] = x[sl][idx]
-                cum[sl] = 0.0
-                resample_times[r].append(float(t))
-    return [
+    with _NoiseTiles(seeds, n, l, path.T) as tiles:
+        for p in range(path.T):
+            obs = increments_at_level(path, l, p)
+            for tile, noise, _ in tiles.interval():
+                prop = propagate_unit(model, l, x[tile], obs, noise)
+                x[tile] = prop.endpoint
+                cum[tile] += prop.log_g_total
+            t = p + 1
+            wv = normalize_log_weights(cum.reshape(n_rep, n))
+            all_ess = ess(wv).tolist()
+            for r, sl in enumerate(rows):
+                if t in report_times:
+                    _weighted(cum[sl], x[sl], phis, t, estimates[r])
+                e = all_ess[r]
+                ess_trace[r].append(e)
+                if resample_policy == "always" or e < n / 2.0:
+                    log_norm[r] += log_mean_weight(cum[sl])
+                    idx = multinomial_indices(wv.row(r), n, streams.resample_rng(seeds[r], l, p))
+                    x[sl] = x[sl][idx]
+                    cum[sl] = 0.0
+                    resample_times[r].append(float(t))
+    outs = tuple(
         FilterOutput(
             level=l,
             n_particles=n,
@@ -382,7 +343,8 @@ def _pf_group(model, path, l, n, phis, report_times, resample_policy, seeds, til
             cost_units=n * (1 << l) * path.T,
         )
         for r, sl in enumerate(rows)
-    ]
+    )
+    return outs if isinstance(seed, tuple) else outs[0]
 
 
 def cpf_run(
@@ -403,7 +365,8 @@ def cpf_run(
     evaluated on the coarse-side ESS.  ``coupling`` is "maximal" (the
     maximal coupling of the two weight vectors) or "sorted" (comonotone
     draws over the state-sorted weights).  ``seed`` is an int or a tuple of
-    ints, with replicates stacked as in ``pf_run``.
+    ints, with replicates stacked, and weights and ESS reduced, as in
+    ``pf_run``; estimates and resampling are per replicate.
     """
     if l < 1:
         raise ValueError("coupled filter needs l >= 1")
@@ -411,19 +374,6 @@ def cpf_run(
         raise ValueError(f"coupling must be one of {COUPLINGS}")
     phis = resolve_functionals(functionals)
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
-    groups = _replicate_groups(seeds, n, l)
-    outs = []
-    with _NoiseTiles(groups, n, l, path.T, coupled=True) as tiles:
-        for group in groups:
-            outs += _cpf_group(model, path, l, n, phis, report_times, resample_policy, group,
-                               coupling, tiles)
-    return tuple(outs) if isinstance(seed, tuple) else outs[0]
-
-
-def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, coupling,
-               tiles) -> list:
-    """One stacked group of coupled replicates; weights and ESS are reduced
-    per group as in ``_pf_group``, estimates and resampling per replicate."""
     n_rep = len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     xf = np.full(n_rep * n, model.x_star)
@@ -440,47 +390,48 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
     ess_trace = [[] for _ in seeds]
     coupling_fraction = [[] for _ in seeds]
     same_trace = [[] for _ in seeds]
-    for p in range(path.T):
-        obs_f = increments_at_level(path, l, p)
-        obs_c = increments_at_level(path, l - 1, p)
-        for tile, noise, sums in tiles.block():
-            step = propagate_unit_coupled(model, l, xf[tile], xc[tile], obs_f, obs_c, noise,
-                                          coarse_noise=sums)
-            xf[tile] = step.fine.endpoint
-            xc[tile] = step.coarse.endpoint
-            cum_f[tile] += step.fine.log_g_total
-            cum_c[tile] += step.coarse.log_g_total
-        t = p + 1
-        group_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
-        group_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))
-        group_ess = ess(group_wv_c).tolist()
-        for r, sl in enumerate(rows):
-            if t in report_times:
-                _weighted(cum_f[sl], xf[sl], phis, t, fine_est[r])
-                _weighted(cum_c[sl], xc[sl], phis, t, coarse_est[r])
-                for fid in phis:
-                    key = (float(t), fid)
-                    diffs[r][key] = fine_est[r][key] - coarse_est[r][key]
-            e_c = group_ess[r]
-            ess_trace[r].append(e_c)
-            if resample_policy == "always" or e_c < n / 2.0:
-                log_norm_f[r] += log_mean_weight(cum_f[sl])
-                log_norm_c[r] += log_mean_weight(cum_c[sl])
-                rng = streams.resample_rng(seeds[r], l, p)
-                wv_f, wv_c = group_wv_f.row(r), group_wv_c.row(r)
-                if coupling == "maximal":
-                    pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
-                else:
-                    pairs = sorted_coupling_indices(wv_f, wv_c, xf[sl], xc[sl], n, rng)
-                xf[sl] = xf[sl][pairs.fine]
-                xc[sl] = xc[sl][pairs.coarse]
-                same[sl] = pairs.coupled & same[sl][pairs.fine]
-                cum_f[sl] = 0.0
-                cum_c[sl] = 0.0
-                resample_times[r].append(float(t))
-                coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
-                same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
-    return [
+    with _NoiseTiles(seeds, n, l, path.T, coupled=True) as tiles:
+        for p in range(path.T):
+            obs_f = increments_at_level(path, l, p)
+            obs_c = increments_at_level(path, l - 1, p)
+            for tile, noise, sums in tiles.interval():
+                step = propagate_unit_coupled(model, l, xf[tile], xc[tile], obs_f, obs_c, noise,
+                                              coarse_noise=sums)
+                xf[tile] = step.fine.endpoint
+                xc[tile] = step.coarse.endpoint
+                cum_f[tile] += step.fine.log_g_total
+                cum_c[tile] += step.coarse.log_g_total
+            t = p + 1
+            all_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
+            all_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))
+            all_ess = ess(all_wv_c).tolist()
+            for r, sl in enumerate(rows):
+                if t in report_times:
+                    _weighted(cum_f[sl], xf[sl], phis, t, fine_est[r])
+                    _weighted(cum_c[sl], xc[sl], phis, t, coarse_est[r])
+                    for fid in phis:
+                        key = (float(t), fid)
+                        diffs[r][key] = fine_est[r][key] - coarse_est[r][key]
+                e_c = all_ess[r]
+                ess_trace[r].append(e_c)
+                if resample_policy == "always" or e_c < n / 2.0:
+                    log_norm_f[r] += log_mean_weight(cum_f[sl])
+                    log_norm_c[r] += log_mean_weight(cum_c[sl])
+                    rng = streams.resample_rng(seeds[r], l, p)
+                    wv_f, wv_c = all_wv_f.row(r), all_wv_c.row(r)
+                    if coupling == "maximal":
+                        pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
+                    else:
+                        pairs = sorted_coupling_indices(wv_f, wv_c, xf[sl], xc[sl], n, rng)
+                    xf[sl] = xf[sl][pairs.fine]
+                    xc[sl] = xc[sl][pairs.coarse]
+                    same[sl] = pairs.coupled & same[sl][pairs.fine]
+                    cum_f[sl] = 0.0
+                    cum_c[sl] = 0.0
+                    resample_times[r].append(float(t))
+                    coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
+                    same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
+    outs = tuple(
         FilterOutput(
             level=l,
             n_particles=n,
@@ -495,4 +446,5 @@ def _cpf_group(model, path, l, n, phis, report_times, resample_policy, seeds, co
             final_same_ancestor_fraction=float(np.count_nonzero(same[sl]) / n),
         )
         for r, sl in enumerate(rows)
-    ]
+    )
+    return outs if isinstance(seed, tuple) else outs[0]

@@ -39,11 +39,6 @@ class LevelAllocation:
         """The lowest rung, where the plain PF runs: L for "single_pf", else 0."""
         return self.L if self.rule == "single_pf" else 0
 
-    @property
-    def epsilon(self) -> float:
-        """Implied accuracy target: bias matched via epsilon^2 = 2**-L."""
-        return 2.0 ** (-self.L / 2.0)
-
 
 def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) -> LevelAllocation:
     """Per-level particle counts for a target highest level.

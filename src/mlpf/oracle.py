@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .filters import check_count, pf_run
+from .filters import pf_run
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 
@@ -21,7 +21,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 @dataclass(frozen=True)
 class KalmanResult:
     level: int
-    times: np.ndarray  # all level-l grid times 0..T
     means: np.ndarray
     variances: np.ndarray
     log_evidence: float  # sum of Gaussian predictive log-densities of the increments
@@ -73,8 +72,7 @@ def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: fl
             P = (1.0 - theta * delta) ** 2 * P + sigma ** 2 * delta
             k += 1
             means[k], variances[k] = m, P
-    times = np.arange(n + 1) * delta
-    return KalmanResult(l, times, means, variances, log_ev, log_ev_bm)
+    return KalmanResult(l, means, variances, log_ev, log_ev_bm)
 
 
 def kalman_log_normalizer(result: KalmanResult) -> float:
@@ -107,8 +105,8 @@ def reference_truth(
     standard errors.  ``seed`` is the master seed of the replicates' seeds.
     """
     _check_level(path, ref_level)
-    check_count(seed, "seed", 0)
-    check_count(replicates, "replicates", 1)
+    streams.check_count(seed, "seed", 0)
+    streams.check_count(replicates, "replicates", 1)
     if report_times is None:
         report_times = list(range(1, path.T + 1))
     if model.is_linear_gaussian:

@@ -20,7 +20,6 @@ __all__ = [
     "log_mean_weight",
     "multinomial_indices",
     "maximal_coupling_indices",
-    "maximal_coupling_pmf",
     "sorted_coupling_indices",
     "DegenerateWeightsError",
 ]
@@ -151,19 +150,6 @@ def maximal_coupling_indices(w_fine: WeightVector, w_coarse: WeightVector, n_dra
         fine[rest] = _inverse_cdf(res_f, u_fine[rest])
         coarse[rest] = _inverse_cdf(res_c, u_coarse[rest])
     return IndexPairs(fine, coarse, coupled)
-
-
-def maximal_coupling_pmf(w_fine: WeightVector, w_coarse: WeightVector) -> np.ndarray:
-    """Exact N x N joint law of one maximal-coupling index pair (test oracle)."""
-    wf, wc = w_fine.normalized, w_coarse.normalized
-    overlap = np.minimum(wf, wc)
-    alpha = float(overlap.sum())
-    joint = np.diag(overlap)
-    if 1.0 - alpha >= FULL_COUPLING_EPS:
-        res_f = (wf - overlap) / (1.0 - alpha)
-        res_c = (wc - overlap) / (1.0 - alpha)
-        joint = joint + (1.0 - alpha) * np.outer(res_f, res_c)
-    return joint
 
 
 def sorted_coupling_indices(

@@ -8,10 +8,13 @@ order, worker count, or how many other levels are being run.  A noise block
 can be drawn into a caller's buffer (``noise_block(..., out=...)``), which
 is how the filters reuse one buffer for every interval of a call, and in
 successive row ranges from one ``noise_stream`` (``noise_block(...,
-stream=...)``), which is how they cut a block into tiles.
+stream=...)``), which is how they cut a block into tiles.  ``check_count``
+is the one check of an integer seed or count at the API boundary.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -23,6 +26,18 @@ TAG_LATENT = 3
 TAG_LEVEL = 4
 TAG_REPLICATE = 5
 TAG_TRUTH = 6
+
+
+def is_count(value, least: int) -> bool:
+    """An integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``least``."""
+    if not is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:

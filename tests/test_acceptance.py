@@ -19,9 +19,9 @@ from mlpf.filters import cpf_run, pf_run
 from mlpf.models import builtin_model
 from mlpf.observations import increments_at_level, simulate_observations
 from mlpf.oracle import kalman_run
-from mlpf.resampling import maximal_coupling_pmf, normalize_log_weights
+from mlpf.resampling import normalize_log_weights
 
-from test_resampling import enumerate_sampler_law
+from test_resampling import enumerate_sampler_law, maximal_coupling_pmf
 
 pytestmark = pytest.mark.acceptance
 

@@ -4,9 +4,9 @@ import copy
 
 import pytest
 
-from mlpf import filters, streams
+from mlpf import streams
 from mlpf.bench import parse_config, run_benchmark
-from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, cpf_run, pf_run
+from mlpf.filters import MAX_TILE_PARTICLE_STEPS, cpf_run, pf_run
 from mlpf.models import BUILTIN_NAMES, builtin_model
 from mlpf.multilevel import allocate, mlpf_run
 from mlpf.observations import simulate_observations
@@ -64,22 +64,19 @@ def test_mlpf_batch_equals_single(model_path, policy, rule, coupling, report_tim
 
 
 def test_batch_spans_several_groups():
+    """Six replicates of a quarter tile each, stacked in one block of 3072
+    rows per interval, which is cut into two tiles drawn ahead."""
     model = builtin_model("ou", {})
     path = simulate_observations("pbar", model, 2, 7, seed=3)
     l = 7
-    n = MAX_GROUP_PARTICLE_STEPS >> (l + 2)  # four replicates fill a group
+    n = MAX_TILE_PARTICLE_STEPS >> (l + 2)
     seeds = tuple(range(100, 106))
-    assert [len(g) for g in filters._replicate_groups(seeds, n, l)] == [4, 2]
     batch = cpf_run(model, path, l, n, ["x"], seed=seeds, resample_policy="always")
     for s, out in zip(seeds, batch):
         assert out == cpf_run(model, path, l, n, ["x"], seed=s, resample_policy="always")
     batch = pf_run(model, path, l, n, ["x"], seed=seeds)
     for s, out in zip(seeds, batch):
         assert out == pf_run(model, path, l, n, ["x"], seed=s)
-
-
-def test_oversized_replicates_run_alone():
-    assert filters._replicate_groups((1, 2, 3), MAX_GROUP_PARTICLE_STEPS, 1) == [(1,), (2,), (3,)]
 
 
 def test_benchmark_records_equal_single_seed_runs():

@@ -47,6 +47,13 @@ class TestSimulateData:
                    "--T", "1", "--L-data", "3", "--out", str(tmp_path / "x.bin")])
         assert rc == EXIT_CONFIG
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.bin"
+        assert main(["simulate-data", "--model", "ou", "--T", "1", "--L-data", "2",
+                     "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommands:
     def test_run_pf(self, path_file, capsys):

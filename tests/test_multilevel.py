@@ -56,9 +56,6 @@ class TestAllocate:
         assert alloc.counts == (3,)
         assert alloc.lowest == 0
 
-    def test_epsilon(self):
-        assert allocate("single_pf", 4, 1.0).epsilon == pytest.approx(0.25)
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             allocate("bogus", 3, 1.0)

@@ -11,7 +11,7 @@ import pytest
 from mlpf import filters, streams
 from mlpf.bench import parse_config, records_csv, run_benchmark
 from mlpf.euler import NonFiniteStateError
-from mlpf.filters import MAX_GROUP_PARTICLE_STEPS, MAX_TILE_PARTICLE_STEPS, cpf_run, pf_run
+from mlpf.filters import AHEAD_TILE_ROWS, MAX_TILE_PARTICLE_STEPS, cpf_run, pf_run
 from mlpf.models import builtin_model
 from mlpf.observations import simulate_observations
 
@@ -67,25 +67,50 @@ PATH = simulate_observations("p", GBM, 3, 7, seed=5)
 L = 7
 
 
+def tile_bytes(l: int) -> int:
+    """The most bytes of noise a tile can hold at level ``l``."""
+    return 8 * max(MAX_TILE_PARTICLE_STEPS, AHEAD_TILE_ROWS << l)
+
+
+# the case ids are kept stable so that recorded test names still match
 @pytest.mark.parametrize("seeds,n,slots", [
-    ((1, 2), MAX_GROUP_PARTICLE_STEPS >> (L - 1), 2),  # each replicate alone exceeds a group
-    ((1, 2, 3, 4), MAX_GROUP_PARTICLE_STEPS >> (L + 2), 2),  # four replicates fill one group
+    ((1, 2), MAX_TILE_PARTICLE_STEPS >> (L - 1), 2),  # two replicates of two tiles each
+    ((1, 2, 3, 4), MAX_TILE_PARTICLE_STEPS >> (L + 2), 2),  # four replicates, one tile's worth
     ((1, 2), 500, 1),  # a block of 1000 rows, drawn on the main thread
 ], ids=["oversize", "group-of-4", "nothing-ahead"])
 def test_filters_hold_one_noise_block(seeds, n, slots):
-    """A call that draws ahead holds two slots of half a block each, and one
-    that draws nothing ahead one slot of a whole block: one block either way."""
-    rows = n * min(len(seeds), max(1, MAX_GROUP_PARTICLE_STEPS // (n << L)))
-    block = 8 * rows << L
-    tile = block // slots
+    """A call that draws ahead holds two slots of one tile each, at most half
+    a block, and one that draws nothing ahead one slot of a whole block."""
+    block = 8 * len(seeds) * n << L
+    tile = min(block // slots, tile_bytes(L))
+    held = slots * tile
     # a coupled step also holds one tile of the coarse chain's pair sums, half a tile
-    coupled_block = block + tile // 2
+    coupled_held = held + tile // 2
     pf_peak = traced_peak(lambda: pf_run(GBM, PATH, L, n, ["x"], seed=seeds,
                                          resample_policy="always"))
     cpf_peak = traced_peak(lambda: cpf_run(GBM, PATH, L, n, ["x"], seed=seeds,
                                            resample_policy="always"))
-    assert pf_peak < 1.25 * block, (pf_peak, block)
-    assert cpf_peak < 1.25 * coupled_block, (cpf_peak, coupled_block)
+    assert pf_peak < 1.25 * held, (pf_peak, held)
+    assert cpf_peak < 1.25 * coupled_held, (cpf_peak, coupled_held)
+
+
+@pytest.mark.parametrize("cap", [MAX_TILE_PARTICLE_STEPS, 2 * MAX_TILE_PARTICLE_STEPS])
+@pytest.mark.parametrize("l", [7, 8, 9, 10])
+def test_cuts_bound_every_tile(monkeypatch, cap, l):
+    """The tiles of a block cover its rows in order; a tile drawn ahead has
+    more than 500 rows, since numpy holds the GIL through loops of 500
+    elements or fewer; and no tile exceeds max(cap, AHEAD_TILE_ROWS * 2**l)
+    particle-steps."""
+    monkeypatch.setattr(filters, "MAX_TILE_PARTICLE_STEPS", cap)
+    edges = [filters.CUT_PARTICLE_STEPS >> l, AHEAD_TILE_ROWS, cap >> l]
+    rows = set(range(990, 1012)) | {k * e + d for e in edges for k in (1, 2, 3)
+                                     for d in (-1, 0, 1)}
+    for r in sorted(rows | {10 ** 5}):
+        cuts, ahead = filters._cuts(r, l)
+        sizes = [c.stop - c.start for c in cuts]
+        assert [c.start for c in cuts] == [0] + [c.stop for c in cuts[:-1]] and cuts[-1].stop == r
+        assert max(sizes) << l <= max(cap, AHEAD_TILE_ROWS << l), (r, sizes)
+        assert not ahead or min(sizes) > 500, (r, sizes)
 
 
 # (N,) float64 arrays a call holds at its peak besides its noise, with room
@@ -99,21 +124,23 @@ CPF_STATE_ARRAYS = 24
                          ids=["pf_run", "cpf_run"])
 def test_a_large_block_is_held_as_two_tiles(run, arrays):
     """A 100 MiB block (gbm, l 9, N 25600) is stepped through a ring of two
-    4 MiB tiles; a coupled call adds one tile of pair sums, half as large."""
+    tiles of 1024 rows, 4 MiB; a coupled call adds one tile of pair sums,
+    half as large."""
     l, n = 9, 25600
     path = simulate_observations("p", GBM, 1, l, seed=5)
-    tile = 8 * MAX_TILE_PARTICLE_STEPS
+    tile = tile_bytes(l)
     held = 2 * tile + (tile // 2 if run is cpf_run else 0) + arrays * 8 * n
     peak = traced_peak(lambda: run(GBM, path, l, n, ["x"], seed=(3,), resample_policy="always"))
     assert peak < held < (8 * n << l) // 4, (peak, held)
 
 
-# calls whose noise blocks are cut into row tiles drawn ahead: (level, particles, seeds)
+# calls whose noise blocks are cut into row tiles drawn ahead: (level, particles,
+# seeds), under ids kept stable so that recorded test names still match
 CUT_CALLS = {
     "oversize": (7, 2560, 11),
     "straddle": (5, 1400, (21, 22, 23)),
-    "uncut-last-group": (5, 1400, tuple(range(31, 38))),
-    "multi-tile": (7, 10240, 41),  # 10 MiB blocks, cut into three tiles
+    "uncut-last-group": (5, 1400, tuple(range(31, 38))),  # seven replicates, cut in halves
+    "multi-tile": (7, 10240, 41),  # 10 MiB blocks, cut into five tiles
 }
 
 

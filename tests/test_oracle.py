@@ -22,7 +22,7 @@ class TestKalman:
         delta = 2.0 ** -l
         a = 1.0 - theta * delta
         m, P = 2.0, 0.0
-        for k in range(1, len(res.times)):
+        for k in range(1, len(res.means)):
             m = a * m
             P = a * a * P + sigma * sigma * delta
             assert res.means[k] == pytest.approx(m, rel=1e-12)

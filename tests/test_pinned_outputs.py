@@ -59,8 +59,8 @@ def test_benchmark_csvs_are_pinned(model, mode):
 # so a cut must leave every output byte unchanged.
 CUT_CALLS = (
     (7, 2560, 11),  # one oversize replicate, cut inside its own rows
-    (5, 1400, (21, 22, 23)),  # an odd stacked group: the middle replicate straddles the cut
-    (5, 1400, tuple(range(31, 38))),  # groups of 5 and 2 replicates; the smaller is not cut
+    (5, 1400, (21, 22, 23)),  # three stacked replicates: the middle one straddles the cut
+    (5, 1400, tuple(range(31, 38))),  # seven stacked replicates: the fourth straddles the cut
 )
 CUT_DIGESTS = {
     "ou": "57f42d3ce58d8b260e25d27a0e3a2d1fcf16894deca3e281c71fa0d29f165dc3",
@@ -70,8 +70,8 @@ CUT_DIGESTS = {
 }
 
 
-# One replicate whose 10 MiB noise blocks are cut into three row tiles, so
-# its stream crosses two tile boundaries per interval.  Recorded before
+# One replicate whose 10 MiB noise blocks are cut into five row tiles, so
+# its stream crosses four tile boundaries per interval.  Recorded before
 # blocks were cut into more than two tiles.
 MULTI_TILE_CALLS = ((7, 10240, 41),)
 MULTI_TILE_DIGESTS = {

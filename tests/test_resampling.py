@@ -7,13 +7,13 @@ from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from mlpf.resampling import (
+    FULL_COUPLING_EPS,
     DegenerateWeightsError,
     IndexPairs,
     WeightVector,
     ess,
     log_mean_weight,
     maximal_coupling_indices,
-    maximal_coupling_pmf,
     multinomial_indices,
     normalize_log_weights,
     sorted_coupling_indices,
@@ -178,6 +178,19 @@ class TestMaximalCouplingSampler:
         mask = pmf.flatten() > 0
         stat, pval = chisquare(counts.flatten()[mask], draws * pmf.flatten()[mask])
         assert pval > 1e-3
+
+
+def maximal_coupling_pmf(w_fine: WeightVector, w_coarse: WeightVector) -> np.ndarray:
+    """Exact N x N joint law of one maximal-coupling index pair."""
+    wf, wc = w_fine.normalized, w_coarse.normalized
+    overlap = np.minimum(wf, wc)
+    alpha = float(overlap.sum())
+    joint = np.diag(overlap)
+    if 1.0 - alpha >= FULL_COUPLING_EPS:
+        res_f = (wf - overlap) / (1.0 - alpha)
+        res_c = (wc - overlap) / (1.0 - alpha)
+        joint = joint + (1.0 - alpha) * np.outer(res_f, res_c)
+    return joint
 
 
 def enumerate_sampler_law(wf: WeightVector, wc: WeightVector) -> np.ndarray:
