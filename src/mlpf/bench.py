@@ -20,7 +20,8 @@ and ``records.csv`` writes 0 in its place, so the CSVs are deterministic.
 The config schema is the fields of ``BenchmarkConfig`` and
 ``EstimatorConfig``: those without a default are required, the others take
 their defaults when absent.  Name fields take the vocabularies of the
-modules that use them, and integer fields their least values from ``_INT_LEAST``.
+modules that use them, and integer fields their least values from ``_INT_LEAST``;
+the seeds in ``_SEEDS`` are also less than 2**64.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
 # the least value of each integer field; two replicates give a variance estimate
 _INT_LEAST = {"T": 1, "L_data": 1, "data_seed": 0, "repeats": 2, "paths": 1, "master_seed": 0,
               "truth_level": 0, "truth_n": 1, "workers": 1, "L_min": 0, "L_max": 0}
+# the integer fields that are seeds, and so also less than 2**64
+_SEEDS = ("master_seed", "data_seed")
 # the names each name field takes, as defined by the module that uses the field
 _NAMES = {"data_mode": MODES, "rule": ALLOCATION_RULES, "coupling": COUPLINGS,
           "resample_policy": RESAMPLE_POLICIES}
@@ -172,6 +175,8 @@ def _present(raw, cls, where: str) -> dict:
                 raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
             if value < _INT_LEAST[key]:
                 raise ConfigError(f"{where}.{key}: must be >= {_INT_LEAST[key]}, got {value}")
+            if key in _SEEDS and not streams.is_seed(value):
+                raise ConfigError(f"{where}.{key}: must be < 2**64, got {value}")
         if key in _NAMES and value not in _NAMES[key]:
             raise ConfigError(f"{where}.{key}: {value!r} not in {_NAMES[key]}")
     return kw
@@ -244,13 +249,15 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
     slices = _seed_slices(config.repeats, config.workers)
     jobs, meta, planned = [], [], []
     n_seeds = 0
+    # every replicate seed of the sweep, in one pass
+    total = sum(e.L_max - e.L_min + 1 for e in config.estimators) * config.paths * config.repeats
+    all_seeds = streams.replicate_seed(config.master_seed, np.arange(total)).tolist()
     for est in config.estimators:
         for L in range(est.L_min, est.L_max + 1):
             allocation = allocate(est.rule, L, est.base,
                                   constant_diffusion=model.sigma is not None)
             for pi, (path, truth_val) in enumerate(path_data):
-                seeds = tuple(streams.replicate_seed(config.master_seed, n_seeds + r)
-                              for r in range(config.repeats))
+                seeds = tuple(all_seeds[n_seeds:n_seeds + config.repeats])
                 n_seeds += config.repeats
                 for a, b in slices:
                     jobs.append((

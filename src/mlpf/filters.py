@@ -32,9 +32,14 @@ row tiles of at most max(``MAX_TILE_PARTICLE_STEPS``, ``AHEAD_TILE_ROWS``
 rows).  Any other block larger than ``MAX_TILE_PARTICLE_STEPS`` is cut into
 near-equal tiles within it, and drawn on the main thread; every other block
 is one tile.  A slot holds the call's largest tile.  A replicate whose rows
-span several tiles continues its draws from the same
-``streams.noise_stream``, which gives the values of one whole draw, so the
-tiling changes no output byte.
+span several tiles continues its draws from the same stream, which gives
+the values of one whole draw, so the tiling changes no output byte.
+
+A call derives the keys of all its noise and resampling streams, one per
+replicate and interval, in one ``streams.stream_keys`` pass at its start,
+and opens each stream by resetting one of two generators it owns
+(``streams.open_stream``): one draws every noise tile, the other every
+resampling step, on the main thread.
 
 A block never depends on the particle states, so while the main thread
 steps tile j from slot j mod 2, a helper thread draws and scales tile j+1
@@ -98,6 +103,8 @@ CUT_PARTICLE_STEPS = 1 << 17
 # of a cut block keep more than 512 rows each
 MAX_TILE_PARTICLE_STEPS = 1 << 18
 AHEAD_TILE_ROWS = 1024
+# the stream purposes a filter call draws from, as a column to broadcast
+_PURPOSES = np.array([[streams.TAG_NOISE], [streams.TAG_RESAMPLE]])
 
 DEFAULT_FUNCTIONALS = {
     "x": lambda x: x,
@@ -156,10 +163,10 @@ class FilterOutput:
 
 def seed_tuple(seed) -> tuple:
     """``seed`` as a non-empty tuple of replicate seeds; an int is the
-    one-replicate case.  Each seed is a non-negative integer, not a bool."""
+    one-replicate case.  Each seed is an integer in [0, 2**64), not a bool."""
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    if not seeds or not all(streams.is_count(s, 0) for s in seeds):
-        raise ValueError("seed must be a non-negative integer or a non-empty tuple of them, "
+    if not seeds or not all(streams.is_seed(s) for s in seeds):
+        raise ValueError("seed must be an integer in [0, 2**64) or a non-empty tuple of them, "
                          f"got {seed!r}")
     return seeds
 
@@ -191,6 +198,14 @@ def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, i
         into[(float(t), fid)] = float((w @ vals) / (w @ np.ones_like(vals)))
 
 
+def _call_keys(seeds: tuple, l: int, T: int) -> tuple:
+    """The keys of a call's noise and resampling streams, in one pass: two
+    nested lists whose [r][p] is replicate r's key for interval p."""
+    keys = streams.stream_keys(np.array(seeds, dtype=np.uint64)[:, None, None], _PURPOSES, l,
+                               np.arange(T))
+    return keys[:, 0].tolist(), keys[:, 1].tolist()
+
+
 def _cuts(rows: int, l: int) -> tuple:
     """Row slices of one interval's (rows, 2**l) noise block, near-equal and
     in order, and whether they are drawn ahead (see the module docstring)."""
@@ -209,13 +224,15 @@ class _NoiseTiles:
     tiles per interval, is drawn into the first rows of slot j mod 2 of a
     ring of two slots, or of one slot when nothing is drawn ahead.  A slot
     holds the largest tile, and the pair-sum buffer of a coupled call that
-    tile's pair sums.  ``interval()`` hands out the next interval's tiles.
+    tile's pair sums.  ``keys[r][p]`` is the key of replicate ``r``'s noise
+    stream for interval ``p``.  ``interval()`` hands out the next interval's
+    tiles.
     Used as a context manager, it owns the helper thread that draws ahead
     (see the module docstring).
     """
 
-    def __init__(self, seeds: tuple, n: int, l: int, T: int, coupled: bool = False):
-        self._seeds, self._n, self._l = seeds, n, l
+    def __init__(self, seeds: tuple, keys: list, n: int, l: int, T: int, coupled: bool = False):
+        self._seeds, self._keys, self._n, self._l = seeds, keys, n, l
         self._scale = np.sqrt(2.0 ** (-l))
         self._cuts, self._ahead = _cuts(len(seeds) * n, l)
         self._count = T * len(self._cuts)
@@ -224,7 +241,7 @@ class _NoiseTiles:
         self._pairs = np.empty((most, 1 << (l - 1))) if coupled else None
         self._next = 0
         self._pending = None  # the draw of the next tile, when it runs ahead
-        self._stream = None  # the noise stream of the replicate drawn last
+        self._stream = None  # the one generator of every tile's draws
         self._pool = None
 
     def __enter__(self):
@@ -268,14 +285,18 @@ class _NoiseTiles:
 
     def _draw(self, j: int) -> None:
         """Tile ``j``'s increments: the rows of each replicate's noise block
-        that it covers, scaled by sqrt(2**-l)."""
+        that it covers, scaled by sqrt(2**-l).
+
+        Every tile is drawn from one generator, on the main thread or the
+        helper: tile j+1 is submitted only after tile j's draw has returned,
+        so no two draws overlap."""
         p, rows = self._tile(j)
         out = self._slot(j)
         seeds, n, l = self._seeds, self._n, self._l
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
             if lo == r * n:  # a replicate's first rows; later tiles continue its stream
-                self._stream = streams.noise_stream(seeds[r], l, p)
+                self._stream = streams.open_stream(self._keys[r][p], self._stream)
             streams.noise_block(seeds[r], l, p, hi - lo, out=out[lo - rows.start:hi - rows.start],
                                 stream=self._stream)
         out *= self._scale
@@ -311,7 +332,9 @@ def pf_run(
     estimates = [{} for _ in seeds]
     resample_times = [[] for _ in seeds]
     ess_trace = [[] for _ in seeds]
-    with _NoiseTiles(seeds, n, l, path.T) as tiles:
+    noise_keys, resample_keys = _call_keys(seeds, l, path.T)
+    resample = None  # the one generator of every resampling step's draws
+    with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
         for p in range(path.T):
             obs = increments_at_level(path, l, p)
             for tile, noise, _ in tiles.interval():
@@ -328,7 +351,8 @@ def pf_run(
                 ess_trace[r].append(e)
                 if resample_policy == "always" or e < n / 2.0:
                     log_norm[r] += log_mean_weight(cum[sl])
-                    idx = multinomial_indices(wv.row(r), n, streams.resample_rng(seeds[r], l, p))
+                    resample = streams.open_stream(resample_keys[r][p], resample)
+                    idx = multinomial_indices(wv.row(r), n, resample)
                     x[sl] = x[sl][idx]
                     cum[sl] = 0.0
                     resample_times[r].append(float(t))
@@ -390,7 +414,9 @@ def cpf_run(
     ess_trace = [[] for _ in seeds]
     coupling_fraction = [[] for _ in seeds]
     same_trace = [[] for _ in seeds]
-    with _NoiseTiles(seeds, n, l, path.T, coupled=True) as tiles:
+    noise_keys, resample_keys = _call_keys(seeds, l, path.T)
+    rng = None  # the one generator of every resampling step's draws
+    with _NoiseTiles(seeds, noise_keys, n, l, path.T, coupled=True) as tiles:
         for p in range(path.T):
             obs_f = increments_at_level(path, l, p)
             obs_c = increments_at_level(path, l - 1, p)
@@ -417,7 +443,7 @@ def cpf_run(
                 if resample_policy == "always" or e_c < n / 2.0:
                     log_norm_f[r] += log_mean_weight(cum_f[sl])
                     log_norm_c[r] += log_mean_weight(cum_c[sl])
-                    rng = streams.resample_rng(seeds[r], l, p)
+                    rng = streams.open_stream(resample_keys[r][p], rng)
                     wv_f, wv_c = all_wv_f.row(r), all_wv_c.row(r)
                     if coupling == "maximal":
                         pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)

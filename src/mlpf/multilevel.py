@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import streams
 from .filters import cpf_run, pf_run, seed_tuple
 from .models import ModelSpec
@@ -115,20 +117,20 @@ def mlpf_run(
     if allocation.L > path.L_data:
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
     seeds = seed_tuple(seed)
-
-    def level_seeds(l):
-        return tuple(streams.level_seed(s, l) for s in seeds)
-
     lowest = allocation.lowest
+    # every rung's seeds in one pass: row i holds rung lowest + i's seed of each replicate
+    level_seeds = streams.level_seed(
+        np.array(seeds, dtype=np.uint64),
+        np.arange(lowest, lowest + len(allocation.counts))[:, None]).tolist()
     levels = [pf_run(
         model, path, lowest, allocation.counts[0], functionals,
-        report_times=report_times, resample_policy=resample_policy, seed=level_seeds(lowest),
+        report_times=report_times, resample_policy=resample_policy, seed=tuple(level_seeds[0]),
     )]
     for l, n in enumerate(allocation.counts[1:], lowest + 1):
         levels.append(cpf_run(
             model, path, l, n, functionals,
             report_times=report_times, resample_policy=resample_policy,
-            seed=level_seeds(l), coupling=coupling,
+            seed=tuple(level_seeds[l - lowest]), coupling=coupling,
         ))
     results = tuple(_combine(allocation, outputs) for outputs in zip(*levels))
     return results if isinstance(seed, tuple) else results[0]

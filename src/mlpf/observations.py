@@ -107,7 +107,7 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     """
     if T < 1 or L_data < 1:
         raise ValueError("need T >= 1 and L_data >= 1")
-    streams.check_count(seed, "seed", 0)
+    streams.check_seed(seed)
     n = _increment_count(T, L_data)
     delta = 2.0 ** (-L_data)
     g_obs = streams.generator(seed, streams.TAG_OBS)

@@ -105,7 +105,7 @@ def reference_truth(
     standard errors.  ``seed`` is the master seed of the replicates' seeds.
     """
     _check_level(path, ref_level)
-    streams.check_count(seed, "seed", 0)
+    streams.check_seed(seed)
     streams.check_count(replicates, "replicates", 1)
     if report_times is None:
         report_times = list(range(1, path.T + 1))

@@ -121,6 +121,10 @@ class TestParseConfig:
                      id="master_seed-negative"),
         pytest.param(lambda r: r.update(data_seed=-1), "config.data_seed",
                      id="data_seed-negative"),
+        pytest.param(lambda r: r.update(master_seed=2 ** 64), "config.master_seed: must be < 2**64",
+                     id="master_seed-2**64"),
+        pytest.param(lambda r: r.update(data_seed=2 ** 64), "config.data_seed: must be < 2**64",
+                     id="data_seed-2**64"),
         pytest.param(lambda r: r.update(workers=0), "config.workers", id="workers-zero"),
         pytest.param(lambda r: r.update(workers=-3), "config.workers", id="workers-negative"),
         pytest.param(lambda r: r.update(truth_n=0), "config.truth_n", id="truth_n-zero"),

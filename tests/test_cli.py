@@ -54,6 +54,14 @@ class TestSimulateData:
         assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_of_2_64_is_config_error(self, tmp_path, capsys):
+        """A path file stores its seed in 64 bits."""
+        out = tmp_path / "x.bin"
+        assert main(["simulate-data", "--model", "ou", "--T", "1", "--L-data", "2",
+                     "--seed", str(2 ** 64), "--out", str(out)]) == EXIT_CONFIG
+        assert f"error: seed must be less than 2**64, got {2 ** 64}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommands:
     def test_run_pf(self, path_file, capsys):

@@ -202,6 +202,14 @@ def test_bad_seed_is_rejected_naming_it(path, run, seed):
         run(OU, path, 2, 10, ["x"], seed=seed)
 
 
+@pytest.mark.parametrize("run", [pf_run, cpf_run, _mlpf_run], ids=["pf", "cpf", "mlpf"])
+def test_a_seed_of_2_64_is_rejected_naming_it(path, run):
+    for seed in (2 ** 64, (1, 2 ** 64)):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            run(OU, path, 2, 10, ["x"], seed=seed)
+    run(OU, path, 2, 10, ["x"], seed=(0, 2 ** 64 - 1))
+
+
 @pytest.mark.parametrize("run", [pf_run, cpf_run])
 @pytest.mark.parametrize("n", [0, -3, 1.5, True, "10", None], ids=repr)
 def test_bad_particle_count_is_rejected_naming_it(path, run, n):

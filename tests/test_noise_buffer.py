@@ -38,7 +38,7 @@ class TestNoiseBlockOut:
     def test_row_ranges_from_one_stream_equal_the_block(self, cuts):
         ref = streams.noise_block(7, 3, 1, 5)
         out = np.empty_like(ref)
-        stream = streams.noise_stream(7, 3, 1)
+        stream = streams.open_stream(streams.stream_keys(7, streams.TAG_NOISE, 3, 1))
         for lo, hi in zip(cuts, cuts[1:]):
             streams.noise_block(7, 3, 1, hi - lo, out=out[lo:hi], stream=stream)
         assert np.array_equal(out, ref)
@@ -146,15 +146,15 @@ CUT_CALLS = {
 
 @pytest.fixture()
 def draw_threads(monkeypatch):
-    """The thread of every ``streams.generator`` call, noise and resampling alike."""
+    """The thread of every ``streams.open_stream`` call, noise and resampling alike."""
     threads = []
-    generator = streams.generator
+    open_stream = streams.open_stream
 
     def recording(*args):
         threads.append(threading.current_thread())
-        return generator(*args)
+        return open_stream(*args)
 
-    monkeypatch.setattr(streams, "generator", recording)
+    monkeypatch.setattr(streams, "open_stream", recording)
     return threads
 
 

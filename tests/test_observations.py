@@ -216,6 +216,15 @@ def test_csv_export(tmp_path):
     assert float(lines[1].split(",")[2]) == path.increments[0]
 
 
+def test_seed_is_bounded_by_the_path_header(tmp_path):
+    """The largest seed round-trips through a path file; one more is rejected."""
+    with pytest.raises(ValueError, match=r"^seed must be less than 2\*\*64"):
+        simulate_observations("pbar", OU, 1, 2, seed=2 ** 64)
+    path = simulate_observations("pbar", OU, 1, 2, seed=2 ** 64 - 1)
+    write_path(path, tmp_path / "x.bin")
+    assert read_path(tmp_path / "x.bin").seed == 2 ** 64 - 1
+
+
 def test_invalid_dimensions():
     with pytest.raises(ValueError):
         simulate_observations("pbar", OU, 0, 3, seed=0)

@@ -117,3 +117,9 @@ def test_bad_seed_or_replicates_is_rejected_naming_it(path, model, field, value)
     m = builtin_model(model, {})
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
         reference_truth(m, path, 3, 10, ["x"], **{field: value})
+
+
+@pytest.mark.parametrize("model", ["ou", "gbm"], ids=["kalman", "pf"])
+def test_a_seed_of_2_64_is_rejected_naming_it(path, model):
+    with pytest.raises(ValueError, match=r"^seed must be less than 2\*\*64"):
+        reference_truth(builtin_model(model, {}), path, 3, 10, ["x"], seed=2 ** 64)
