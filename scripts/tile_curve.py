@@ -3,11 +3,15 @@
 
 For each level l and each cap on a noise tile, runs one gbm replicate whose
 noise block per unit interval is ``--block-mib`` MiB (N = block / 2**l
-particles), so every block is cut into tiles drawn ahead on the helper
-thread.  A call's rows are cut by ``filters._cuts`` alone, whatever its
-replicate count, so R replicates of N / R particles give the same tiles.  It prints the median ns per particle-step of k timed runs and the
-tracemalloc peak of one more run.  The caps are run in turn within each
-round, so a drift in the host's speed falls on all of them alike.
+particles).  ``filters._cuts`` draws a block ahead, in tiles, on the helper
+thread when it has at least ``AHEAD_TILE_ROWS`` rows and at least half a
+tile (half the cap) of particle-steps, so every block is drawn ahead when
+the cap is at most twice the block and N is at least ``AHEAD_TILE_ROWS``.
+A call's rows are cut by ``filters._cuts`` alone, whatever its replicate
+count, so R replicates of N / R particles give the same tiles.  It prints
+the median ns per particle-step of k timed runs and the tracemalloc peak of
+one more run.  The caps are run in turn within each round, so a drift in
+the host's speed falls on all of them alike.
 
 The cap is set through ``mlpf.filters.MAX_TILE_PARTICLE_STEPS``, as the
 filters read it on every call.  A tile drawn ahead keeps at least

@@ -141,7 +141,7 @@ def parse_config(raw: dict) -> BenchmarkConfig:
         raise ConfigError(f"config.output_dir: expected a string, got {kw['output_dir']!r}")
     cfg = BenchmarkConfig(**kw)
     try:  # build the model once, so a bad name or parameter is a config error
-        builtin_model(cfg.model, cfg.model_params)
+        model = builtin_model(cfg.model, cfg.model_params)
     except ModelParameterError as exc:
         where = "config.model_params" if exc.key is None else f"config.model_params.{exc.key}"
         raise ConfigError(f"{where}: {exc}") from None
@@ -153,6 +153,13 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     tl = cfg.truth_level if cfg.truth_level is not None else cfg.L_data
     if tl > cfg.L_data:
         raise ConfigError(f"config.truth_level: {tl} exceeds L_data {cfg.L_data}")
+    for i, e in enumerate(cfg.estimators):
+        # an estimator's counts are largest at L_max; at L 0 a count is ceil(base)
+        if e.L_max > 0:
+            try:
+                allocate(e.rule, e.L_max, e.base, constant_diffusion=model.sigma is not None)
+            except ValueError as exc:
+                raise ConfigError(f"config.estimators[{i}]: {exc}") from None
     return cfg
 
 

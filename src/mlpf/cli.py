@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     except bench.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteStateError, DegenerateWeightsError, OSError) as exc:  # faults at run time
+    except (NonFiniteStateError, DegenerateWeightsError, OSError, MemoryError) as exc:  # run time
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -8,6 +8,12 @@ CPF runs a fine/coarse pair on common Brownian increments with jointly
 resampled ancestor indices, and tracks the set of pairs that have always
 drawn a common ancestor.
 
+Both filters are one loop, ``_run``, over one chain (the PF) or two (the
+CPF's fine chain at level l and coarse chain at level l-1).  Only the
+Euler step of a tile, the ancestor draw and the output fields depend on the
+chain count; the states and log-weights are (chains, R*N) arrays, and the
+last chain's ESS gates resampling.
+
 States are scalar: N particles are an (N,) array, which a functional maps
 to an (N,) array of values, and one interval's noise is an (N, 2**l) block.
 
@@ -15,18 +21,19 @@ Both filters take ``seed`` as an int or as a tuple of ints, one independent
 replicate per seed.  A call stacks its R replicates along the particle axis,
 R replicates of N particles as R*N rows, and steps them by one Euler sweep
 per interval and tile; each keeps its own Philox noise block and resampling
-stream.  The call's log-weights and ESS are reduced in one pass over an
-(R, N) view, one row per replicate, which gives each replicate the same
-bytes as a reduction of its own rows; estimates and resampling are computed
-per replicate, on its own rows.  Every replicate's output is bit-identical
-to the single-seed run; an int seed is the one-replicate case.
+stream.  The call's log-weights and ESS are reduced in one pass over a
+(chains*R, N) view, one row per chain and replicate, which gives each
+replicate the same bytes as a reduction of its own rows; estimates and
+resampling are computed per replicate, on its own rows.  Every replicate's
+output is bit-identical to the single-seed run; an int seed is the
+one-replicate case.
 
 A call draws its noise into a ring of at most two slots and steps it from
 there, one row tile at a time, so it never holds more than two tiles of
 noise, whatever R, N and l.  Every interval's (R*N, 2**l) block is cut by
-the one rule of ``_cuts``.  A block of more than ``CUT_ROWS`` rows and at
-least ``CUT_PARTICLE_STEPS`` particle-steps is cut for drawing ahead: into
-its two row halves, or, when a half would exceed
+the one rule of ``_cuts``.  A block of at least ``AHEAD_TILE_ROWS`` rows and
+at least half of ``MAX_TILE_PARTICLE_STEPS`` particle-steps is cut for
+drawing ahead: into its two row halves, or, when a half would exceed
 ``MAX_TILE_PARTICLE_STEPS`` (2 MiB of float64), into the fewest near-equal
 row tiles of at most max(``MAX_TILE_PARTICLE_STEPS``, ``AHEAD_TILE_ROWS``
 rows).  Any other block larger than ``MAX_TILE_PARTICLE_STEPS`` is cut into
@@ -87,20 +94,16 @@ __all__ = [
 RESAMPLE_POLICIES = ("always", "ess_below_half")
 COUPLINGS = ("maximal", "sorted")
 
-# a block of more than CUT_ROWS rows and at least CUT_PARTICLE_STEPS
-# particle-steps is cut into row tiles, each drawn while the one before it is
-# stepped, and a smaller block is stepped too fast to repay a thread's
-# hand-off.  Every such tile has more than 500 rows, as the halves of 1002
-# rows do: numpy holds the GIL through loops over 500 elements or fewer
-# (NPY_BEGIN_THREADS_THRESHOLDED), so a step on fewer rows would starve the
-# helper
-CUT_ROWS = 1001
-CUT_PARTICLE_STEPS = 1 << 17
 # a noise tile holds at most MAX_TILE_PARTICLE_STEPS particle-steps (2 MiB
 # of float64; the Euler sweep's cost per particle-step is flat from 1 to
 # 8 MiB in the curve of scripts/tile_curve.py), but a tile drawn ahead may
-# hold up to AHEAD_TILE_ROWS rows at any level, so that the near-equal tiles
-# of a cut block keep more than 512 rows each
+# hold up to AHEAD_TILE_ROWS rows at any level.  A block of at least
+# AHEAD_TILE_ROWS rows and half a tile of particle-steps is cut into row
+# tiles, each drawn while the one before it is stepped, and a smaller block
+# is stepped too fast to repay a thread's hand-off.  Every such tile has at
+# least 512 rows: numpy holds the GIL through loops over 500 elements or
+# fewer (NPY_BEGIN_THREADS_THRESHOLDED), so a step on fewer rows would
+# starve the helper
 MAX_TILE_PARTICLE_STEPS = 1 << 18
 AHEAD_TILE_ROWS = 1024
 # the stream purposes a filter call draws from, as a column to broadcast
@@ -209,7 +212,7 @@ def _call_keys(seeds: tuple, l: int, T: int) -> tuple:
 def _cuts(rows: int, l: int) -> tuple:
     """Row slices of one interval's (rows, 2**l) noise block, near-equal and
     in order, and whether they are drawn ahead (see the module docstring)."""
-    ahead = rows > CUT_ROWS and rows << l >= CUT_PARTICLE_STEPS
+    ahead = rows >= AHEAD_TILE_ROWS and rows << l >= MAX_TILE_PARTICLE_STEPS >> 1
     most = max(MAX_TILE_PARTICLE_STEPS >> l, AHEAD_TILE_ROWS if ahead else 1)
     k = max(2 if ahead else 1, -(-rows // most))
     bounds = [i * rows // k for i in range(k + 1)]
@@ -322,53 +325,7 @@ def pf_run(
     replicates at once, one row per replicate; estimates and resampling are
     per replicate.
     """
-    phis = resolve_functionals(functionals)
-    report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
-    n_rep = len(seeds)
-    rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
-    x = np.full(n_rep * n, model.x_star)
-    cum = np.zeros(n_rep * n)
-    log_norm = [0.0] * n_rep
-    estimates = [{} for _ in seeds]
-    resample_times = [[] for _ in seeds]
-    ess_trace = [[] for _ in seeds]
-    noise_keys, resample_keys = _call_keys(seeds, l, path.T)
-    resample = None  # the one generator of every resampling step's draws
-    with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
-        for p in range(path.T):
-            obs = increments_at_level(path, l, p)
-            for tile, noise, _ in tiles.interval():
-                prop = propagate_unit(model, l, x[tile], obs, noise)
-                x[tile] = prop.endpoint
-                cum[tile] += prop.log_g_total
-            t = p + 1
-            wv = normalize_log_weights(cum.reshape(n_rep, n))
-            all_ess = ess(wv).tolist()
-            for r, sl in enumerate(rows):
-                if t in report_times:
-                    _weighted(cum[sl], x[sl], phis, t, estimates[r])
-                e = all_ess[r]
-                ess_trace[r].append(e)
-                if resample_policy == "always" or e < n / 2.0:
-                    log_norm[r] += log_mean_weight(cum[sl])
-                    resample = streams.open_stream(resample_keys[r][p], resample)
-                    idx = multinomial_indices(wv.row(r), n, resample)
-                    x[sl] = x[sl][idx]
-                    cum[sl] = 0.0
-                    resample_times[r].append(float(t))
-    outs = tuple(
-        FilterOutput(
-            level=l,
-            n_particles=n,
-            estimates=estimates[r],
-            # the last term is zero when the last event was a resample
-            log_normalizer=log_norm[r] + log_mean_weight(cum[sl]),
-            diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r]),
-            cost_units=n * (1 << l) * path.T,
-        )
-        for r, sl in enumerate(rows)
-    )
-    return outs if isinstance(seed, tuple) else outs[0]
+    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, None)
 
 
 def cpf_run(
@@ -396,81 +353,94 @@ def cpf_run(
         raise ValueError("coupled filter needs l >= 1")
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
+    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling)
+
+
+def _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling):
+    """The interval loop of both filters: a PF when ``coupling`` is None,
+    else a CPF whose ancestors are drawn by ``coupling``.  Row c of the
+    (chains, R*N) states and log-weights is the chain at level l - c."""
     phis = resolve_functionals(functionals)
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
-    n_rep = len(seeds)
+    levels = [l] if coupling is None else [l, l - 1]
+    chains, n_rep = len(levels), len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
-    xf = np.full(n_rep * n, model.x_star)
-    xc = xf.copy()
-    cum_f = np.zeros(n_rep * n)
-    cum_c = np.zeros(n_rep * n)
-    same = np.ones(n_rep * n, dtype=bool)
-    log_norm_f = [0.0] * n_rep
-    log_norm_c = [0.0] * n_rep
-    diffs = [{} for _ in seeds]
-    fine_est = [{} for _ in seeds]
-    coarse_est = [{} for _ in seeds]
+    x = np.full((chains, n_rep * n), model.x_star)
+    cum = np.zeros((chains, n_rep * n))
+    xs, cums = list(x), list(cum)  # each chain's (R*N,) row, as a view
+    same = None if coupling is None else np.ones(n_rep * n, dtype=bool)
+    log_norm = [[0.0] * n_rep for _ in levels]
+    estimates = [[{} for _ in seeds] for _ in levels]
     resample_times = [[] for _ in seeds]
     ess_trace = [[] for _ in seeds]
     coupling_fraction = [[] for _ in seeds]
     same_trace = [[] for _ in seeds]
     noise_keys, resample_keys = _call_keys(seeds, l, path.T)
-    rng = None  # the one generator of every resampling step's draws
-    with _NoiseTiles(seeds, noise_keys, n, l, path.T, coupled=True) as tiles:
+    resample = None  # the one generator of every resampling step's draws
+    with _NoiseTiles(seeds, noise_keys, n, l, path.T, coupled=chains == 2) as tiles:
         for p in range(path.T):
-            obs_f = increments_at_level(path, l, p)
-            obs_c = increments_at_level(path, l - 1, p)
+            obs = [increments_at_level(path, level, p) for level in levels]
             for tile, noise, sums in tiles.interval():
-                step = propagate_unit_coupled(model, l, xf[tile], xc[tile], obs_f, obs_c, noise,
-                                              coarse_noise=sums)
-                xf[tile] = step.fine.endpoint
-                xc[tile] = step.coarse.endpoint
-                cum_f[tile] += step.fine.log_g_total
-                cum_c[tile] += step.coarse.log_g_total
+                if coupling is None:
+                    props = (propagate_unit(model, l, xs[0][tile], obs[0], noise),)
+                else:
+                    step = propagate_unit_coupled(model, l, xs[0][tile], xs[1][tile], *obs, noise,
+                                                  coarse_noise=sums)
+                    props = (step.fine, step.coarse)
+                for c, prop in enumerate(props):
+                    xs[c][tile] = prop.endpoint
+                    cums[c][tile] += prop.log_g_total
             t = p + 1
-            all_wv_f = normalize_log_weights(cum_f.reshape(n_rep, n))
-            all_wv_c = normalize_log_weights(cum_c.reshape(n_rep, n))
-            all_ess = ess(all_wv_c).tolist()
+            wv = normalize_log_weights(cum.reshape(chains * n_rep, n))
+            gate_ess = ess(wv).tolist()[-n_rep:]
             for r, sl in enumerate(rows):
                 if t in report_times:
-                    _weighted(cum_f[sl], xf[sl], phis, t, fine_est[r])
-                    _weighted(cum_c[sl], xc[sl], phis, t, coarse_est[r])
-                    for fid in phis:
-                        key = (float(t), fid)
-                        diffs[r][key] = fine_est[r][key] - coarse_est[r][key]
-                e_c = all_ess[r]
-                ess_trace[r].append(e_c)
-                if resample_policy == "always" or e_c < n / 2.0:
-                    log_norm_f[r] += log_mean_weight(cum_f[sl])
-                    log_norm_c[r] += log_mean_weight(cum_c[sl])
-                    rng = streams.open_stream(resample_keys[r][p], rng)
-                    wv_f, wv_c = all_wv_f.row(r), all_wv_c.row(r)
-                    if coupling == "maximal":
-                        pairs = maximal_coupling_indices(wv_f, wv_c, n, rng)
+                    for c in range(chains):
+                        _weighted(cums[c][sl], xs[c][sl], phis, t, estimates[c][r])
+                e = gate_ess[r]
+                ess_trace[r].append(e)
+                if resample_policy == "always" or e < n / 2.0:
+                    for c in range(chains):
+                        log_norm[c][r] += log_mean_weight(cums[c][sl])
+                    resample = streams.open_stream(resample_keys[r][p], resample)
+                    if coupling is None:
+                        ancestors = (multinomial_indices(wv.row(r), n, resample),)
                     else:
-                        pairs = sorted_coupling_indices(wv_f, wv_c, xf[sl], xc[sl], n, rng)
-                    xf[sl] = xf[sl][pairs.fine]
-                    xc[sl] = xc[sl][pairs.coarse]
-                    same[sl] = pairs.coupled & same[sl][pairs.fine]
-                    cum_f[sl] = 0.0
-                    cum_c[sl] = 0.0
+                        wv_f, wv_c = wv.row(r), wv.row(n_rep + r)
+                        if coupling == "maximal":
+                            pairs = maximal_coupling_indices(wv_f, wv_c, n, resample)
+                        else:
+                            pairs = sorted_coupling_indices(wv_f, wv_c, xs[0][sl], xs[1][sl], n,
+                                                            resample)
+                        ancestors = (pairs.fine, pairs.coarse)
+                        same[sl] = pairs.coupled & same[sl][pairs.fine]
+                        coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
+                        same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
+                    for c, idx in enumerate(ancestors):
+                        xs[c][sl] = xs[c][sl][idx]
+                        cums[c][sl] = 0.0
                     resample_times[r].append(float(t))
-                    coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
-                    same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
-    outs = tuple(
-        FilterOutput(
-            level=l,
-            n_particles=n,
-            estimates=diffs[r],
-            log_normalizer=log_norm_f[r] + log_mean_weight(cum_f[sl]),
+
+    def output(r, sl):
+        # the last term is zero when the last event was a resample
+        log_normalizer = [log_norm[c][r] + log_mean_weight(cums[c][sl]) for c in range(chains)]
+        common = dict(level=l, n_particles=n, log_normalizer=log_normalizer[0],
+                      cost_units=n * sum(1 << level for level in levels) * path.T)
+        if coupling is None:
+            return FilterOutput(estimates=estimates[0][r],
+                                diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r]),
+                                **common)
+        fine, coarse = estimates[0][r], estimates[1][r]
+        return FilterOutput(
+            estimates={key: fine[key] - coarse[key] for key in fine},
             diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r], coupling_fraction[r],
                                           same_trace[r]),
-            cost_units=n * ((1 << l) + (1 << (l - 1))) * path.T,
-            fine_estimates=fine_est[r],
-            coarse_estimates=coarse_est[r],
-            log_normalizer_coarse=log_norm_c[r] + log_mean_weight(cum_c[sl]),
+            fine_estimates=fine,
+            coarse_estimates=coarse,
+            log_normalizer_coarse=log_normalizer[1],
             final_same_ancestor_fraction=float(np.count_nonzero(same[sl]) / n),
+            **common,
         )
-        for r, sl in enumerate(rows)
-    )
+
+    outs = tuple(output(r, sl) for r, sl in enumerate(rows))
     return outs if isinstance(seed, tuple) else outs[0]

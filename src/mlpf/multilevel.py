@@ -57,11 +57,20 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
         raise ValueError(f"L must be >= 0, got {L}")
     if not 0 < base < math.inf:
         raise ValueError(f"base must be a finite number > 0, got {base}")
-    inv_eps2 = float(2 ** L)
+    try:
+        inv_eps2 = math.ldexp(1.0, L)  # 2**L, without building the integer
+    except OverflowError:
+        raise ValueError(f"L must be < 1024, where 2**L overflows a float, got {L}") from None
+
+    def count(raw: float) -> int:
+        if not math.isfinite(raw):
+            raise ValueError(f"base {base} gives a particle count at L={L} that overflows a float")
+        return max(2, math.ceil(raw))
+
     if rule == "single_pf" or L == 0:
         if rule != "single_pf":
             warnings.warn(f"L=0 with rule {rule!r}: degrading to single_pf")
-        return LevelAllocation(L, (max(2, math.ceil(base * inv_eps2)),), "single_pf", base)
+        return LevelAllocation(L, (count(base * inv_eps2),), "single_pf", base)
     counts = []
     for l in range(L + 1):
         if rule == "mlpf_nonconstant":
@@ -72,7 +81,7 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
             raw = base * inv_eps2 * 2.0 ** (-1.5 * l)
         else:
             raw = base * inv_eps2 * 2.0 ** (-l) * L
-        counts.append(max(2, math.ceil(raw - 1e-9)))
+        counts.append(count(raw - 1e-9))
     return LevelAllocation(L, tuple(counts), rule, base)
 
 

@@ -144,6 +144,21 @@ class TestRunCommands:
                      f"--base={base}"]) == EXIT_CONFIG
         assert "base must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--L", "5000", "--base", "1"], "error: L must be < 1024"),
+        (["--L", "3", "--base", "1e308"], "error: base 1e+308"),
+    ], ids=["L-overflow", "base-overflow"])
+    def test_overflowing_allocation_is_config_error(self, path_file, capsys, flags, fragment):
+        assert main(["run-mlpf", "--model", "ou", "--path", path_file, *flags]) == EXIT_CONFIG
+        assert fragment in capsys.readouterr().err
+
+    def test_out_of_memory_is_runtime_error(self, path_file, capsys):
+        # 10**14 particles need 728 TiB, beyond the address space, so numpy
+        # refuses the first array at once and allocates nothing
+        assert main(["run-pf", "--model", "ou", "--path", path_file, "--level", "3",
+                     "--n", "100000000000000"]) == EXIT_RUNTIME
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("params,fragment", [
         ('{"sigma": [1]}', "'sigma'"),
         ('{"theta": "fast"}', "'theta'"),
@@ -269,3 +284,24 @@ def test_coupling_study_smoke():
     for header in ("strong coupling", "same-ancestor fraction", "variance of the time-T"):
         assert header in done.stdout
     assert done.stdout.count("l=") == 3 + 3 + 3
+
+
+def test_tile_curve_smoke():
+    """One level and cap: a 1 MiB block of 4096 rows at level 5 under a
+    1 MiB cap is drawn ahead in its two halves."""
+    argv = [sys.executable, os.path.join(SCRIPTS, "tile_curve.py"), "--levels", "5",
+            "--caps-mib", "1", "--block-mib", "1", "--T", "1", "--k", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.strip().split("\n")
+    assert header.split()[:5] == ["l", "N", "cap", "MiB", "rows"]
+    assert row.split()[:5] == ["5", "4096", "1", "2048", "2"]
+
+
+def test_stream_cost_smoke():
+    argv = [sys.executable, os.path.join(SCRIPTS, "stream_cost.py"), "--keys", "12", "--k", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.strip().split("\n")
+    assert header.split()[:2] == ["keys", "seedseq"]
+    assert row.split()[0] == "12"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -5,7 +7,7 @@ from scipy.stats import ks_2samp
 from mlpf.euler import NonFiniteStateError, propagate_unit
 from mlpf.filters import cpf_run, pf_run, resolve_functionals
 from mlpf.multilevel import allocate, mlpf_run
-from mlpf.models import ModelSpec, builtin_model
+from mlpf.models import BUILTIN_NAMES, ModelSpec, builtin_model
 from mlpf.observations import simulate_observations
 from mlpf.oracle import kalman_log_normalizer, kalman_run
 
@@ -143,6 +145,24 @@ class TestCpf:
         out = cpf_run(OU, path, 5, 300, ["x"], resample_policy="always", seed=4)
         trace = out.diagnostics.same_ancestor_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("seed", [8, (8, 9)], ids=["int-seed", "tuple-seed"])
+    @pytest.mark.parametrize("l", [1, 3, 6])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_fine_chain_is_the_pf_when_nothing_resamples(self, path, name, l, seed):
+        """With a zero observation function every weight is equal, so nothing
+        resamples, and the fine chain steps the PF's particles on the PF's
+        noise: its estimates and log-normalizer are the PF's, exactly."""
+        model = dataclasses.replace(builtin_model(name, {}), observation=np.zeros_like)
+        pfs = pf_run(model, path, l, 64, ["x", "x2"], seed=seed)
+        cpfs = cpf_run(model, path, l, 64, ["x", "x2"], seed=seed)
+        if not isinstance(seed, tuple):
+            pfs, cpfs = (pfs,), (cpfs,)
+        assert len(pfs) == len(cpfs)
+        for pf, cpf in zip(pfs, cpfs):
+            assert cpf.diagnostics.resample_count == pf.diagnostics.resample_count == 0
+            assert cpf.fine_estimates == pf.estimates
+            assert cpf.log_normalizer == pf.log_normalizer
 
     def test_unknown_coupling_rejected(self, path):
         with pytest.raises(ValueError, match="coupling"):

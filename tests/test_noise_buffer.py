@@ -102,7 +102,7 @@ def test_cuts_bound_every_tile(monkeypatch, cap, l):
     elements or fewer; and no tile exceeds max(cap, AHEAD_TILE_ROWS * 2**l)
     particle-steps."""
     monkeypatch.setattr(filters, "MAX_TILE_PARTICLE_STEPS", cap)
-    edges = [filters.CUT_PARTICLE_STEPS >> l, AHEAD_TILE_ROWS, cap >> l]
+    edges = [cap >> (l + 1), AHEAD_TILE_ROWS, cap >> l]
     rows = set(range(990, 1012)) | {k * e + d for e in edges for k in (1, 2, 3)
                                      for d in (-1, 0, 1)}
     for r in sorted(rows | {10 ** 5}):
@@ -184,7 +184,7 @@ def test_ring_matches_drawing_on_the_main_thread_under_frequent_switches(monkeyp
         ahead = run(GBM, PATH, l, n, ["x"], seed=seed, resample_policy="always")
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(filters, "CUT_ROWS", 10 ** 9)  # nothing drawn ahead
+    monkeypatch.setattr(filters, "AHEAD_TILE_ROWS", 10 ** 9)  # nothing drawn ahead
     assert run(GBM, PATH, l, n, ["x"], seed=seed, resample_policy="always") == ahead
 
 
