@@ -24,7 +24,8 @@ is the model's constant ``sigma`` when it has one, so the diffusion is then
 never called, and sigma(x) otherwise; since s*xi == xi*s in IEEE
 arithmetic, both give the same bytes.  Only the model's own callables
 allocate per step.  Neither the caller's states nor its noise block is
-written.
+written, except for a coupled step's pair sums when the caller passes the
+noise's own even columns to hold them.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ def propagate_unit_coupled(
     The coarse chain consumes the pairwise sums of the fine noise, so both
     marginals coincide bit-for-bit with standalone propagations.  The sums
     are written into ``coarse_noise``, an (N, 2**(l-1)) buffer, when one is
-    given, and into a new array otherwise.
+    given, and into a new array otherwise.  The buffer may be the noise's
+    own even columns, ``noise[:, 0::2]``: the fine chain has stepped by the
+    time they are overwritten, and each sum reads only its own pair.
     """
     if l < 1:
         raise ValueError("coupled propagation needs l >= 1")

@@ -51,10 +51,11 @@ resampling step, on the main thread.
 A block never depends on the particle states, so while the main thread
 steps tile j from slot j mod 2, a helper thread draws and scales tile j+1
 into the other slot whenever the call's blocks are cut for drawing ahead.
-A call that draws nothing ahead allocates one slot.  A coupled call
-also holds one tile of the coarse chain's pair sums, into which
-``propagate_unit_coupled`` writes every tile's sums; only the main thread
-writes it, so it needs no second slot.  The helper is a one-thread pool
+A call that draws nothing ahead allocates one slot.  A coupled call writes
+the coarse chain's pair sums into the even columns of the tile the fine
+chain has just stepped: a slot is drawn into again only for the tile after
+next, which is submitted once this tile's step has returned (or, with one
+slot, drawn on the main thread).  The helper is a one-thread pool
 owned by the call: it is started only if the call draws ahead, and it
 is shut down, after its last draw ends, before the call returns or raises.
 No thread outlives a call and none is shared between calls, so a forked
@@ -63,6 +64,7 @@ worker process never inherits one.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -174,8 +176,9 @@ def seed_tuple(seed) -> tuple:
     return seeds
 
 
-def _check_common(path, l, n, report_times, resample_policy, seed):
-    """The checked report times and replicate seeds of a filter call."""
+def _check_common(path, l, n, report_times, resample_policy, seed, chains):
+    """The checked report times and replicate seeds of a filter call on
+    ``chains`` chains."""
     if l < 0:
         raise ValueError(f"level must be >= 0, got {l}")
     if l > path.L_data:
@@ -188,7 +191,11 @@ def _check_common(path, l, n, report_times, resample_policy, seed):
     report_times = [int(t) for t in report_times]
     if any(t < 1 or t > path.T for t in report_times):
         raise ValueError("report times must be integers in [1, T]")
-    return report_times, seed_tuple(seed)
+    seeds = seed_tuple(seed)
+    if 8 * chains * len(seeds) * n > sys.maxsize:
+        raise ValueError(f"n={n} particles in {chains} chain(s) of {len(seeds)} replicate(s) "
+                         "need a state array above sys.maxsize bytes")
+    return report_times, seeds
 
 
 def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: dict) -> None:
@@ -225,23 +232,22 @@ class _NoiseTiles:
     Every interval's block has the same row tiles, replicate ``r`` owning
     its rows ``r*n .. (r+1)*n - 1``.  Tile j, of interval j // k for k
     tiles per interval, is drawn into the first rows of slot j mod 2 of a
-    ring of two slots, or of one slot when nothing is drawn ahead.  A slot
-    holds the largest tile, and the pair-sum buffer of a coupled call that
-    tile's pair sums.  ``keys[r][p]`` is the key of replicate ``r``'s noise
-    stream for interval ``p``.  ``interval()`` hands out the next interval's
-    tiles.
+    ring of two slots, or of one slot when nothing is drawn ahead; a slot
+    holds the largest tile.  ``keys[r][p]`` is the key of replicate ``r``'s
+    noise stream for interval ``p``.  ``interval()`` hands out the next
+    interval's tiles.
     Used as a context manager, it owns the helper thread that draws ahead
     (see the module docstring).
     """
 
-    def __init__(self, seeds: tuple, keys: list, n: int, l: int, T: int, coupled: bool = False):
+    def __init__(self, seeds: tuple, keys: list, n: int, l: int, T: int):
         self._seeds, self._keys, self._n, self._l = seeds, keys, n, l
         self._scale = np.sqrt(2.0 ** (-l))
-        self._cuts, self._ahead = _cuts(len(seeds) * n, l)
-        self._count = T * len(self._cuts)
-        most = max(rows.stop - rows.start for rows in self._cuts)
+        cuts, self._ahead = _cuts(len(seeds) * n, l)
+        self._per_interval = len(cuts)
+        self._order = [(p, rows) for p in range(T) for rows in cuts]  # (interval, rows) of tile j
+        most = max(rows.stop - rows.start for rows in cuts)
         self._slots = [np.empty((most, 1 << l)) for _ in range(1 + self._ahead)]
-        self._pairs = np.empty((most, 1 << (l - 1))) if coupled else None
         self._next = 0
         self._pending = None  # the draw of the next tile, when it runs ahead
         self._stream = None  # the one generator of every tile's draws
@@ -258,43 +264,33 @@ class _NoiseTiles:
             self._pool = None
 
     def interval(self):
-        """The next interval's tiles, lazily, as (rows, noise, pair-sum
-        buffer); a tile is drawn by the time it is handed out."""
-        return (self._take() for _ in self._cuts)
+        """The next interval's tiles, lazily, as (rows, noise); a tile is
+        drawn by the time it is handed out."""
+        return (self._take() for _ in range(self._per_interval))
 
     def _take(self):
         j = self._next
         self._next += 1
         if self._pending is None:
-            self._draw(j)
+            noise = self._draw(j)
         else:
-            self._pending.result()
+            noise = self._pending.result()
             self._pending = None
-        if self._ahead and j + 1 < self._count:
+        if self._ahead and j + 1 < len(self._order):
             # into the slot of tile j-1, which has been stepped
             self._pending = self._pool.submit(self._draw, j + 1)
-        noise = self._slot(j)
-        return self._tile(j)[1], noise, None if self._pairs is None else self._pairs[:len(noise)]
+        return self._order[j][1], noise
 
-    def _tile(self, j: int) -> tuple:
-        """Tile ``j``'s interval and rows."""
-        p, i = divmod(j, len(self._cuts))
-        return p, self._cuts[i]
-
-    def _slot(self, j: int) -> np.ndarray:
-        """The rows of tile ``j``'s slot that hold it."""
-        rows = self._tile(j)[1]
-        return self._slots[j % len(self._slots)][:rows.stop - rows.start]
-
-    def _draw(self, j: int) -> None:
-        """Tile ``j``'s increments: the rows of each replicate's noise block
-        that it covers, scaled by sqrt(2**-l).
+    def _draw(self, j: int) -> np.ndarray:
+        """Tile ``j``'s increments, in the first rows of its slot: the rows
+        of each replicate's noise block that it covers, scaled by
+        sqrt(2**-l).
 
         Every tile is drawn from one generator, on the main thread or the
         helper: tile j+1 is submitted only after tile j's draw has returned,
         so no two draws overlap."""
-        p, rows = self._tile(j)
-        out = self._slot(j)
+        p, rows = self._order[j]
+        out = self._slots[j % len(self._slots)][:rows.stop - rows.start]
         seeds, n, l = self._seeds, self._n, self._l
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
@@ -303,6 +299,7 @@ class _NoiseTiles:
             streams.noise_block(seeds[r], l, p, hi - lo, out=out[lo - rows.start:hi - rows.start],
                                 stream=self._stream)
         out *= self._scale
+        return out
 
 
 def pf_run(
@@ -361,8 +358,9 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     else a CPF whose ancestors are drawn by ``coupling``.  Row c of the
     (chains, R*N) states and log-weights is the chain at level l - c."""
     phis = resolve_functionals(functionals)
-    report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed)
     levels = [l] if coupling is None else [l, l - 1]
+    report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed,
+                                        len(levels))
     chains, n_rep = len(levels), len(seeds)
     rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     x = np.full((chains, n_rep * n), model.x_star)
@@ -377,22 +375,22 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     same_trace = [[] for _ in seeds]
     noise_keys, resample_keys = _call_keys(seeds, l, path.T)
     resample = None  # the one generator of every resampling step's draws
-    with _NoiseTiles(seeds, noise_keys, n, l, path.T, coupled=chains == 2) as tiles:
+    with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
         for p in range(path.T):
             obs = [increments_at_level(path, level, p) for level in levels]
-            for tile, noise, sums in tiles.interval():
+            for tile, noise in tiles.interval():
                 if coupling is None:
                     props = (propagate_unit(model, l, xs[0][tile], obs[0], noise),)
                 else:
                     step = propagate_unit_coupled(model, l, xs[0][tile], xs[1][tile], *obs, noise,
-                                                  coarse_noise=sums)
+                                                  coarse_noise=noise[:, 0::2])
                     props = (step.fine, step.coarse)
                 for c, prop in enumerate(props):
                     xs[c][tile] = prop.endpoint
                     cums[c][tile] += prop.log_g_total
             t = p + 1
-            wv = normalize_log_weights(cum.reshape(chains * n_rep, n))
-            gate_ess = ess(wv).tolist()[-n_rep:]
+            w = normalize_log_weights(cum.reshape(chains * n_rep, n))
+            gate_ess = ess(w[-n_rep:]).tolist()
             for r, sl in enumerate(rows):
                 if t in report_times:
                     for c in range(chains):
@@ -404,14 +402,13 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
                         log_norm[c][r] += log_mean_weight(cums[c][sl])
                     resample = streams.open_stream(resample_keys[r][p], resample)
                     if coupling is None:
-                        ancestors = (multinomial_indices(wv.row(r), n, resample),)
+                        ancestors = (multinomial_indices(w[r], n, resample),)
                     else:
-                        wv_f, wv_c = wv.row(r), wv.row(n_rep + r)
                         if coupling == "maximal":
-                            pairs = maximal_coupling_indices(wv_f, wv_c, n, resample)
+                            pairs = maximal_coupling_indices(w[r], w[n_rep + r], n, resample)
                         else:
-                            pairs = sorted_coupling_indices(wv_f, wv_c, xs[0][sl], xs[1][sl], n,
-                                                            resample)
+                            pairs = sorted_coupling_indices(w[r], w[n_rep + r], xs[0][sl],
+                                                            xs[1][sl], n, resample)
                         ancestors = (pairs.fine, pairs.coarse)
                         same[sl] = pairs.coupled & same[sl][pairs.fine]
                         coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))

@@ -9,6 +9,7 @@ fine-minus-coarse CPF on each rung above, up to L, whose estimates sum
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +50,9 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
     "mlpf_constant" uses N_l ~ eps^-2 * 2^-l * L; "wasserstein_new" uses
     eps^-2 * 2^(-3l/2) when the signal diffusion is constant and the
     "mlpf_constant" counts otherwise; "single_pf" puts ceil(base * eps^-2)
-    particles at level L.  All counts are floored at 2.
+    particles at level L.  All counts are floored at 2, and a count above
+    sys.maxsize // 16, too many particles for a coupled filter's (2, N)
+    float64 state array, is a ``ValueError`` naming ``base``.
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"rule must be one of {ALLOCATION_RULES}")
@@ -63,8 +66,9 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
         raise ValueError(f"L must be < 1024, where 2**L overflows a float, got {L}") from None
 
     def count(raw: float) -> int:
-        if not math.isfinite(raw):
-            raise ValueError(f"base {base} gives a particle count at L={L} that overflows a float")
+        if not raw <= sys.maxsize // 16:  # also a count that overflows a float
+            raise ValueError(f"base {base} gives a particle count at L={L} above "
+                             "sys.maxsize // 16, too many for a coupled filter's state array")
         return max(2, math.ceil(raw))
 
     if rule == "single_pf" or L == 0:

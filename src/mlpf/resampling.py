@@ -1,9 +1,9 @@
 """Weight handling and (coupled) resampling schemes.
 
 Includes the joint index resampler that maximizes the probability of fine
-and coarse filters selecting a common ancestor, an exact small-N oracle for
-its law, and an optional comonotone (sorted inverse-CDF) coupling for
-scalar states.
+and coarse filters selecting a common ancestor, and an optional comonotone
+(sorted inverse-CDF) coupling for scalar states.  Weights pass between
+these functions as plain normalized arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "WeightVector",
     "IndexPairs",
     "normalize_log_weights",
     "ess",
@@ -33,20 +32,6 @@ class DegenerateWeightsError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    log_weights: np.ndarray
-    normalized: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.normalized.shape[-1]
-
-    def row(self, r: int) -> WeightVector:
-        """Weight vector ``r`` of an (R, N) stack, as views."""
-        return WeightVector(self.log_weights[r], self.normalized[r])
-
-
-@dataclass(frozen=True)
 class IndexPairs:
     """Jointly resampled ancestor indices for a coupled particle system."""
 
@@ -59,8 +44,8 @@ class IndexPairs:
             raise ValueError("coupled pairs must have equal fine and coarse indices")
 
 
-def normalize_log_weights(log_weights) -> WeightVector:
-    """Shift-stable normalization exp(lw - max) / sum.
+def normalize_log_weights(log_weights) -> np.ndarray:
+    """Shift-stable normalization exp(lw - max) / sum, as a new array.
 
     ``log_weights`` is one (N,) vector or an (R, N) stack of R vectors, each
     row reduced on its own; a row's weights are bit-equal to normalizing it
@@ -76,13 +61,12 @@ def normalize_log_weights(log_weights) -> WeightVector:
     w = lw - m
     np.exp(w, out=w)
     w /= np.sum(w, axis=-1, keepdims=True)
-    return WeightVector(lw, w)
+    return w
 
 
-def ess(weights: WeightVector):
-    """Effective sample size 1 / sum(w_i^2), in [1, N]: a float for one
-    weight vector, an (R,) array for an (R, N) stack."""
-    w = weights.normalized
+def ess(w: np.ndarray):
+    """Effective sample size 1 / sum(w_i^2), in [1, N], of normalized
+    weights: a float for one (N,) vector, an (R,) array for an (R, N) stack."""
     s = np.sum(w * w, axis=-1)
     return 1.0 / float(s) if s.ndim == 0 else 1.0 / s
 
@@ -109,14 +93,16 @@ def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)  # never below 0
 
 
-def multinomial_indices(weights: WeightVector, n_draws: int, rng) -> np.ndarray:
-    """i.i.d. categorical draws via inverse CDF on uniforms from ``rng``."""
+def multinomial_indices(w: np.ndarray, n_draws: int, rng) -> np.ndarray:
+    """i.i.d. categorical draws from the normalized weights ``w`` via
+    inverse CDF on uniforms from ``rng``."""
     u = rng.random(n_draws)
-    return _inverse_cdf(weights.normalized, u)
+    return _inverse_cdf(w, u)
 
 
-def maximal_coupling_indices(w_fine: WeightVector, w_coarse: WeightVector, n_draws: int, rng) -> IndexPairs:
-    """Draw ``n_draws`` index pairs from the maximal coupling of two weight vectors.
+def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, n_draws: int, rng) -> IndexPairs:
+    """Draw ``n_draws`` index pairs from the maximal coupling of two
+    normalized weight vectors.
 
     Per pair: with probability alpha = sum_i min(wf_i, wc_i) a common index
     is drawn from min(wf, wc)/alpha; otherwise fine and coarse are drawn
@@ -124,9 +110,8 @@ def maximal_coupling_indices(w_fine: WeightVector, w_coarse: WeightVector, n_dra
     consumed in fixed order (branch, common, fine-residual, coarse-residual),
     so the draw is a pure function of the rng state.
     """
-    if w_fine.n != w_coarse.n:
+    if wf.shape != wc.shape:
         raise ValueError("weight vectors must share the ancestor count")
-    wf, wc = w_fine.normalized, w_coarse.normalized
     overlap = np.minimum(wf, wc)
     alpha = float(overlap.sum())
     u_branch = rng.random(n_draws)
@@ -153,8 +138,8 @@ def maximal_coupling_indices(w_fine: WeightVector, w_coarse: WeightVector, n_dra
 
 
 def sorted_coupling_indices(
-    w_fine: WeightVector,
-    w_coarse: WeightVector,
+    wf: np.ndarray,
+    wc: np.ndarray,
     fine_states: np.ndarray,
     coarse_states: np.ndarray,
     n_draws: int,
@@ -164,11 +149,11 @@ def sorted_coupling_indices(
     inverse CDF over the state-sorted weight order.  No theoretical guarantee
     is claimed for this scheme; it is provided as an empirical alternative.
     """
-    if np.shape(fine_states) != (w_fine.n,) or np.shape(coarse_states) != (w_coarse.n,):
+    if np.shape(fine_states) != wf.shape or np.shape(coarse_states) != wc.shape:
         raise ValueError("sorted coupling needs (N,) scalar states, one per weight")
     order_f = np.argsort(fine_states, kind="stable")
     order_c = np.argsort(coarse_states, kind="stable")
     u = rng.random(n_draws)
-    fine = order_f[_inverse_cdf(w_fine.normalized[order_f], u)]
-    coarse = order_c[_inverse_cdf(w_coarse.normalized[order_c], u)]
+    fine = order_f[_inverse_cdf(wf[order_f], u)]
+    coarse = order_c[_inverse_cdf(wc[order_c], u)]
     return IndexPairs(fine, coarse, fine == coarse)

@@ -117,6 +117,10 @@ class TestParseConfig:
                      "config.estimators[0].base", id="base-huge-int"),
         pytest.param(lambda r: r["estimators"][1].update(base=1e308),
                      "config.estimators[1]: base 1e+308", id="base-count-overflow"),
+        pytest.param(lambda r: r["estimators"][0].update(base=1e300),
+                     "config.estimators[0]: base 1e+300", id="base-count-above-any-array"),
+        pytest.param(lambda r: r["estimators"][1].update(base=1e17),
+                     "config.estimators[1]: base 1e+17", id="base-count-1e17"),
         pytest.param(lambda r: r.update(truth_level=-1), "config.truth_level",
                      id="truth_level-negative"),
         pytest.param(lambda r: r.update(master_seed=-1), "config.master_seed",

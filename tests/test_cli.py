@@ -144,12 +144,19 @@ class TestRunCommands:
                      f"--base={base}"]) == EXIT_CONFIG
         assert "base must be a finite number > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags,fragment", [
-        (["--L", "5000", "--base", "1"], "error: L must be < 1024"),
-        (["--L", "3", "--base", "1e308"], "error: base 1e+308"),
-    ], ids=["L-overflow", "base-overflow"])
-    def test_overflowing_allocation_is_config_error(self, path_file, capsys, flags, fragment):
-        assert main(["run-mlpf", "--model", "ou", "--path", path_file, *flags]) == EXIT_CONFIG
+    @pytest.mark.parametrize("args,fragment", [
+        (["run-mlpf", "--model", "ou", "--L", "5000", "--base", "1"], "error: L must be < 1024"),
+        (["run-mlpf", "--model", "ou", "--L", "3", "--base", "1e308"], "error: base 1e+308"),
+        # counts too large for any array, which numpy would reject without naming a field
+        (["run-mlpf", "--model", "ou", "--L", "3", "--base", "1e300"], "error: base 1e+300"),
+        (["run-mlpf", "--model", "ou", "--L", "3", "--base", "1e17"], "error: base 1e+17"),
+        (["run-cpf", "--model", "ou", "--level", "3", "--n", str(2 * 10 ** 18)],
+         f"error: n={2 * 10 ** 18} particles"),
+        (["truth", "--model", "gbm", "--level", "3", "--n", str(10 ** 18)],
+         f"error: n={10 ** 18} particles"),
+    ], ids=["L-overflow", "base-overflow", "base-array-limit", "base-1e17", "cpf-n", "truth-n"])
+    def test_overflowing_allocation_is_config_error(self, path_file, capsys, args, fragment):
+        assert main([*args, "--path", path_file]) == EXIT_CONFIG
         assert fragment in capsys.readouterr().err
 
     def test_out_of_memory_is_runtime_error(self, path_file, capsys):

@@ -269,7 +269,8 @@ class TestKernelBitIdentity:
         assert np.array_equal(x0, x0_copy) and np.array_equal(noise, noise_copy)
         assert not np.shares_memory(prop.endpoint, x0)
 
-    @pytest.mark.parametrize("buffered", [False, True])
+    # False: no buffer; True: a separate buffer; "aliased": the noise's own even columns
+    @pytest.mark.parametrize("buffered", [False, True, "aliased"])
     @pytest.mark.parametrize("sigma_withheld", [False, True])
     @pytest.mark.parametrize("l", [1, 4])
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
@@ -279,16 +280,23 @@ class TestKernelBitIdentity:
         obs_c = obs_f[0::2] + obs_f[1::2]
         xc = x0[::-1].copy()
         x0_copy, xc_copy, noise_copy = x0.copy(), xc.copy(), noise.copy()
-        pair_buf = np.full((x0.shape[0], 1 << (l - 1)), np.nan) if buffered else None
+        pair_buf = {False: None, True: np.full((x0.shape[0], 1 << (l - 1)), np.nan),
+                    "aliased": noise[:, 0::2]}[buffered]
         cp = propagate_unit_coupled(m, l, x0, xc, obs_f, obs_c, noise, coarse_noise=pair_buf)
         pair_sums = noise_copy[:, 0::2] + noise_copy[:, 1::2]
+        unbuffered = propagate_unit_coupled(m, l, x0_copy, xc_copy, obs_f, obs_c, noise_copy)
+        for got, want in ((cp.fine, unbuffered.fine), (cp.coarse, unbuffered.coarse)):
+            assert_same_propagation(got, (want.endpoint, want.log_g_total))
         assert_same_propagation(cp.fine, reference_propagate(m, l, x0_copy, obs_f, noise_copy))
         assert_same_propagation(cp.coarse, reference_propagate(m, l - 1, xc_copy, obs_c,
                                                                pair_sums))
         if buffered:
             assert np.array_equal(pair_buf, pair_sums)
         assert np.array_equal(x0, x0_copy) and np.array_equal(xc, xc_copy)
-        assert np.array_equal(noise, noise_copy)
+        if buffered != "aliased":
+            assert np.array_equal(noise, noise_copy)
+        else:  # only the even columns are written
+            assert np.array_equal(noise[:, 1::2], noise_copy[:, 1::2])
 
     def test_pair_sum_buffer_shape_is_checked(self):
         with pytest.raises(ValueError):

@@ -84,8 +84,8 @@ def test_filters_hold_one_noise_block(seeds, n, slots):
     block = 8 * len(seeds) * n << L
     tile = min(block // slots, tile_bytes(L))
     held = slots * tile
-    # a coupled step also holds one tile of the coarse chain's pair sums, half a tile
-    coupled_held = held + tile // 2
+    # a coupled step writes the coarse chain's pair sums into the tile it has stepped
+    coupled_held = held
     pf_peak = traced_peak(lambda: pf_run(GBM, PATH, L, n, ["x"], seed=seeds,
                                          resample_policy="always"))
     cpf_peak = traced_peak(lambda: cpf_run(GBM, PATH, L, n, ["x"], seed=seeds,
@@ -124,12 +124,11 @@ CPF_STATE_ARRAYS = 24
                          ids=["pf_run", "cpf_run"])
 def test_a_large_block_is_held_as_two_tiles(run, arrays):
     """A 100 MiB block (gbm, l 9, N 25600) is stepped through a ring of two
-    tiles of 1024 rows, 4 MiB; a coupled call adds one tile of pair sums,
-    half as large."""
+    tiles of 1024 rows, 4 MiB, by a PF and a coupled PF alike."""
     l, n = 9, 25600
     path = simulate_observations("p", GBM, 1, l, seed=5)
     tile = tile_bytes(l)
-    held = 2 * tile + (tile // 2 if run is cpf_run else 0) + arrays * 8 * n
+    held = 2 * tile + arrays * 8 * n
     peak = traced_peak(lambda: run(GBM, path, l, n, ["x"], seed=(3,), resample_policy="always"))
     assert peak < held < (8 * n << l) // 4, (peak, held)
 

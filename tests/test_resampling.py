@@ -10,7 +10,6 @@ from mlpf.resampling import (
     FULL_COUPLING_EPS,
     DegenerateWeightsError,
     IndexPairs,
-    WeightVector,
     ess,
     log_mean_weight,
     maximal_coupling_indices,
@@ -41,15 +40,15 @@ def wv(weights):
 class TestNormalize:
     def test_uniform(self):
         v = normalize_log_weights(np.full(7, -3.2))
-        assert np.allclose(v.normalized, 1 / 7, atol=1e-15)
+        assert np.allclose(v, 1 / 7, atol=1e-15)
 
     def test_support_collapse(self):
         v = normalize_log_weights(np.array([0.0, -np.inf]))
-        assert np.array_equal(v.normalized, [1.0, 0.0])
+        assert np.array_equal(v, [1.0, 0.0])
 
     def test_direct_arithmetic(self):
         v = normalize_log_weights(np.log([2.0, 1.0, 1.0]))
-        assert np.allclose(v.normalized, [0.5, 0.25, 0.25], atol=1e-15)
+        assert np.allclose(v, [0.5, 0.25, 0.25], atol=1e-15)
 
     def test_all_neg_inf_raises(self):
         with pytest.raises(DegenerateWeightsError):
@@ -59,8 +58,8 @@ class TestNormalize:
     def test_shift_invariance(self, lws, c):
         a = normalize_log_weights(np.array(lws))
         b = normalize_log_weights(np.array(lws) + c)
-        assert np.allclose(a.normalized, b.normalized, atol=1e-12)
-        assert abs(a.normalized.sum() - 1.0) < 1e-12
+        assert np.allclose(a, b, atol=1e-12)
+        assert abs(a.sum() - 1.0) < 1e-12
 
 
 class TestLogMeanWeight:
@@ -135,9 +134,9 @@ class TestMaximalCouplingPmf:
         n = min(len(a), len(b))
         wf, wc = wv(a[:n]), wv(b[:n])
         pmf = maximal_coupling_pmf(wf, wc)
-        assert np.allclose(pmf.sum(axis=1), wf.normalized, atol=1e-12)
-        assert np.allclose(pmf.sum(axis=0), wc.normalized, atol=1e-12)
-        coupled_mass = np.trace(np.diag(np.minimum(wf.normalized, wc.normalized)))
+        assert np.allclose(pmf.sum(axis=1), wf, atol=1e-12)
+        assert np.allclose(pmf.sum(axis=0), wc, atol=1e-12)
+        coupled_mass = np.trace(np.diag(np.minimum(wf, wc)))
         assert pmf.trace() >= coupled_mass - 1e-12
 
 
@@ -180,9 +179,8 @@ class TestMaximalCouplingSampler:
         assert pval > 1e-3
 
 
-def maximal_coupling_pmf(w_fine: WeightVector, w_coarse: WeightVector) -> np.ndarray:
+def maximal_coupling_pmf(wf: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """Exact N x N joint law of one maximal-coupling index pair."""
-    wf, wc = w_fine.normalized, w_coarse.normalized
     overlap = np.minimum(wf, wc)
     alpha = float(overlap.sum())
     joint = np.diag(overlap)
@@ -193,11 +191,11 @@ def maximal_coupling_pmf(w_fine: WeightVector, w_coarse: WeightVector) -> np.nda
     return joint
 
 
-def enumerate_sampler_law(wf: WeightVector, wc: WeightVector) -> np.ndarray:
+def enumerate_sampler_law(wf: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """Drive the sampler through every branch/index cell of its uniform input
     space and accumulate each outcome weighted by the cell probability."""
-    n = wf.n
-    overlap = np.minimum(wf.normalized, wc.normalized)
+    n = wf.size
+    overlap = np.minimum(wf, wc)
     alpha = overlap.sum()
     law = np.zeros((n, n))
 
@@ -212,8 +210,8 @@ def enumerate_sampler_law(wf: WeightVector, wc: WeightVector) -> np.ndarray:
             pairs = maximal_coupling_indices(wf, wc, 1, StubRng([0.0, u, 0.5, 0.5]))
             law[pairs.fine[0], pairs.coarse[0]] += pr
         return law
-    res_f = (wf.normalized - overlap) / (1 - alpha)
-    res_c = (wc.normalized - overlap) / (1 - alpha)
+    res_f = (wf - overlap) / (1 - alpha)
+    res_c = (wc - overlap) / (1 - alpha)
     if alpha > 0:
         for i, u, pr in cells(overlap / alpha):
             pairs = maximal_coupling_indices(wf, wc, 1, StubRng([alpha / 2, u, 0.5, 0.5]))
@@ -249,7 +247,7 @@ class TestSortedCoupling:
         sc = np.array([2.0, 0.0, 1.0])
         draws = 100_000
         pairs = sorted_coupling_indices(wf, wc, sf, sc, draws, rng)
-        for target, idx in ((wf.normalized, pairs.fine), (wc.normalized, pairs.coarse)):
+        for target, idx in ((wf, pairs.fine), (wc, pairs.coarse)):
             freq = np.bincount(idx, minlength=3) / draws
             se = np.sqrt(target * (1 - target) / draws)
             assert np.all(np.abs(freq - target) < 5 * np.maximum(se, 1e-4))
@@ -274,12 +272,11 @@ class TestGroupReduction:
         lw[:, 1] = 0.0  # and a finite maximum in every row
         group = normalize_log_weights(lw)
         group_ess = ess(group)
-        assert group.normalized.shape == (r, n) and group.n == n
+        assert group.shape == (r, n)
         assert group_ess.shape == (r,)
         for i in range(r):
             alone = normalize_log_weights(lw[i].copy())
-            assert np.array_equal(group.normalized[i], alone.normalized)
-            assert np.array_equal(group.row(i).normalized, alone.normalized)
+            assert np.array_equal(group[i], alone)
             assert group_ess[i] == ess(alone)
         assert type(ess(normalize_log_weights(lw[0]))) is float
 
@@ -300,5 +297,5 @@ class TestGroupReduction:
         group = normalize_log_weights(lw)
         for i in range(4):
             alone = normalize_log_weights(lw[i])
-            assert np.array_equal(multinomial_indices(group.row(i), 30, np.random.default_rng(i)),
+            assert np.array_equal(multinomial_indices(group[i], 30, np.random.default_rng(i)),
                                   multinomial_indices(alone, 30, np.random.default_rng(i)))
