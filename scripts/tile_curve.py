@@ -18,8 +18,14 @@ filters read it on every call.  A tile drawn ahead keeps at least
 ``AHEAD_TILE_ROWS`` rows, so at fine levels small caps give the same tiles;
 the ``rows`` column shows the tile each cap gives.
 
-Example:
+With ``--rows``, each level instead runs one replicate of each given row
+count under the default cap, which prints the small-N curve: the fixed
+cost of an Euler step shows in the us/step column at tens of rows, and the
+per-particle cost in ns/step at thousands.
+
+Examples:
     python3 scripts/tile_curve.py --k 5
+    python3 scripts/tile_curve.py --levels 7 9 --rows 16 46 276 1024 2560 --k 9
 """
 
 import os
@@ -45,6 +51,9 @@ def main():
     ap.add_argument("--levels", type=int, nargs="+", default=[5, 6, 7, 8, 9])
     ap.add_argument("--caps-mib", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     ap.add_argument("--block-mib", type=int, default=32, help="noise block per unit interval")
+    ap.add_argument("--rows", type=int, nargs="+",
+                    help="row counts to run at every level, under the default cap, "
+                         "in place of --caps-mib and --block-mib")
     ap.add_argument("--T", type=int, default=2)
     ap.add_argument("--k", type=int, default=5, help="timed runs per level and cap")
     args = ap.parse_args()
@@ -52,34 +61,39 @@ def main():
     model = builtin_model("gbm", {})
     path = simulate_observations("p", model, args.T, max(args.levels), seed=700)
     default_cap = filters.MAX_TILE_PARTICLE_STEPS
-    print(f"{'l':>2} {'N':>7} {'cap MiB':>7} {'rows':>6} {'tiles':>5} "
+    print(f"{'l':>2} {'N':>7} {'cap MiB':>7} {'rows':>6} {'tiles':>5} {'us/step':>8} "
           f"{'ns/step':>8} {'IQR':>11} {'peak MiB':>8}")
     try:
         for l in args.levels:
-            n = (args.block_mib << 17) >> l
+            # (cap in particle-steps, particles) of each run at this level
+            if args.rows:
+                runs = [(default_cap, rows) for rows in args.rows]
+            else:
+                runs = [(cap << 17, (args.block_mib << 17) >> l) for cap in args.caps_mib]
 
-            def run():
+            def run(n):
                 filters.pf_run(model, path, l, n, ["x"], seed=(11,))
 
-            times = {cap: [] for cap in args.caps_mib}
+            times = [[] for _ in runs]
             for _ in range(args.k + 1):  # the first round warms up
-                for cap in args.caps_mib:
-                    filters.MAX_TILE_PARTICLE_STEPS = cap << 17
+                for (cap, n), ts in zip(runs, times):
+                    filters.MAX_TILE_PARTICLE_STEPS = cap
                     t0 = time.perf_counter()
-                    run()
-                    times[cap].append(time.perf_counter() - t0)
-            for cap in args.caps_mib:
-                filters.MAX_TILE_PARTICLE_STEPS = cap << 17
+                    run(n)
+                    ts.append(time.perf_counter() - t0)
+            for (cap, n), ts in zip(runs, times):
+                filters.MAX_TILE_PARTICLE_STEPS = cap
                 cuts, _ = filters._cuts(n, l)
                 tracemalloc.start()
-                run()
+                run(n)
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-                ns = [t * 1e9 / (n << l) / args.T for t in times[cap][1:]]
+                steps = [t / ((1 << l) * args.T) for t in ts[1:]]
+                ns = [t * 1e9 / n for t in steps]
                 q = statistics.quantiles(ns, n=4) if len(ns) > 1 else (ns[0], ns[0], ns[0])
-                print(f"{l:2d} {n:7d} {cap:7d} {cuts[0].stop:6d} {len(cuts):5d} "
-                      f"{statistics.median(ns):8.1f} {q[0]:5.1f}-{q[2]:5.1f} "
-                      f"{peak / 2 ** 20:8.1f}", flush=True)
+                print(f"{l:2d} {n:7d} {cap >> 17:7d} {cuts[0].stop:6d} {len(cuts):5d} "
+                      f"{statistics.median(steps) * 1e6:8.2f} {statistics.median(ns):8.1f} "
+                      f"{q[0]:5.1f}-{q[2]:5.1f} {peak / 2 ** 20:8.1f}", flush=True)
     finally:
         filters.MAX_TILE_PARTICLE_STEPS = default_cap
 

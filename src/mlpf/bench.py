@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -153,14 +154,34 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     tl = cfg.truth_level if cfg.truth_level is not None else cfg.L_data
     if tl > cfg.L_data:
         raise ConfigError(f"config.truth_level: {tl} exceeds L_data {cfg.L_data}")
+    memory = _physical_memory()
+    start, stop = _seed_slices(cfg.repeats, cfg.workers)[0]  # the longest slice of a job
     for i, e in enumerate(cfg.estimators):
         # an estimator's counts are largest at L_max; at L 0 a count is ceil(base)
+        counts = (max(2, math.ceil(e.base)),)
         if e.L_max > 0:
             try:
-                allocate(e.rule, e.L_max, e.base, constant_diffusion=model.sigma is not None)
+                counts = allocate(e.rule, e.L_max, e.base,
+                                  constant_diffusion=model.sigma is not None).counts
             except ValueError as exc:
                 raise ConfigError(f"config.estimators[{i}]: {exc}") from None
+        # its largest filter call holds float64 states and log-weights for
+        # each particle of each chain (one on the lowest rung, two above)
+        need = 16 * (stop - start) * max([counts[0]] + [2 * c for c in counts[1:]])
+        if memory is not None and need > memory:
+            raise ConfigError(f"config.estimators[{i}]: base {e.base:g} gives a filter call at "
+                              f"L={e.L_max} whose states and log-weights need {need} bytes, "
+                              f"more than the {memory} bytes of physical memory")
     return cfg
+
+
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where the platform
+    does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _present(raw, cls, where: str) -> dict:

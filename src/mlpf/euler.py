@@ -2,10 +2,11 @@
 
 States are scalar, so the shapes are (N,) states, (2**l,) observation
 increments and (N, 2**l) noise, one row per particle.  The per-step loop
-does only arithmetic, with its input checks at the interval boundary.  The
-coupled propagation drives the coarse chain with pairwise sums of the fine
-Brownian increments, so its fine half is bit-identical to a standalone fine
-propagation given the same noise block.  A propagation returns each
+does only arithmetic, with its input checks at the interval boundary; a
+``NonFiniteStateError`` names the first particle whose state is not
+finite.  The coupled propagation drives the coarse chain with pairwise sums
+of the fine Brownian increments, so its fine half is bit-identical to a
+standalone fine propagation given the same noise block.  A propagation returns each
 particle's endpoint and summed log-potential, which is all the filters'
 estimates at integer report times need; no state inside the interval is
 kept.
@@ -16,16 +17,26 @@ R replicates of N particles as R*N rows and step them all in one Python
 iteration per Euler step, and each replicate's rows come out exactly as if
 it had been propagated alone.
 
-The step itself allocates nothing: the log-potential and the update run
-into (N,) buffers made once per call, in the fixed operation order
-h*dy - (delta/2)*(h*h) and (x + b(x)*delta) + s*xi, and the first step's
-new states go into the one array that later steps update in place.  Here s
-is the model's constant ``sigma`` when it has one, so the diffusion is then
-never called, and sigma(x) otherwise; since s*xi == xi*s in IEEE
-arithmetic, both give the same bytes.  Only the model's own callables
-allocate per step.  Neither the caller's states nor its noise block is
-written, except for a coupled step's pair sums when the caller passes the
-noise's own even columns to hold them.
+Steps run in blocks of K, where K*N is at most ``BLOCK_PARTICLE_STEPS``
+(at least one step, at most the interval's 2**l).  A step writes its new
+states into row j+1 of a (K, N) buffer, as (x + b(x)*delta) + s*xi, where
+s is the model's constant ``sigma`` when it has one (multiplied into the
+block's noise in one call, so the diffusion is never called) and sigma(x)
+otherwise; since s*xi == xi*s in IEEE arithmetic, both give the same bytes.
+Once per block, before its last step writes the endpoint over row 0, the
+observation is evaluated on the flat (K*N,) view of the block's pre-step
+states, and the log-potentials h*dy - (delta/2)*(h*h) of all its steps in
+a few calls; they are added to the running sum in step order, by one
+``np.add.accumulate`` down the steps below ``ACCUMULATE_ROWS`` particles
+and one ``np.add`` per step above, both sequential.  So a step makes about
+six numpy calls where it made eleven, every output byte is that of the
+step-by-step loop, and the fixed cost of a step falls where N is small.
+The buffers, three (K, N) blocks and one row, are made once per call; a
+step's drift term and the block's (delta/2)*(h*h) reuse rows that are free
+by then, so with K 1 a call holds no more arrays than the step-by-step
+loop did.  Only the model's own callables allocate per step.  Neither the caller's states nor its noise block is written, except
+for a coupled step's pair sums when the caller passes the noise's own even
+columns to hold them.
 """
 
 from __future__ import annotations
@@ -61,17 +72,32 @@ class CoupledUnitPropagation:
 
 
 class NonFiniteStateError(ValueError):
-    """A state, or an observation increment, is not finite: a runtime fault."""
+    """A state, or an observation increment, is not finite: a runtime fault.
+
+    ``row`` is the first particle whose state is not finite, or None when
+    an observation increment is at fault."""
+
+    def __init__(self, message: str = "non-finite state or observation increment",
+                 row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
-_NON_FINITE = "non-finite state or observation increment"
+# a block of Euler steps holds at most BLOCK_PARTICLE_STEPS particle-steps
+# (16 KiB of float64 per buffer), and at least one step: enough steps at
+# tens of rows to spread a block's fixed cost, and few enough rows that its
+# buffers add little to a filter call's peak memory
+BLOCK_PARTICLE_STEPS = 1 << 11
+# below this many particles a block sums its log-potentials in one
+# np.add.accumulate; its inner loop runs along the steps, once per particle,
+# so above it one np.add per step costs less
+ACCUMULATE_ROWS = 256
 
 
-def _log_g(h, dy: float, delta: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Per-step log-potential h * dy - delta/2 * h^2 for observed values h,
-    written into ``out`` with ``work`` as scratch."""
-    hh = np.multiply(np.multiply(h, h, out=work), 0.5 * delta, out=work)
-    return np.subtract(np.multiply(h, dy, out=out), hh, out=out)
+def _check_finite(x: np.ndarray) -> None:
+    finite = np.isfinite(x)
+    if not np.all(finite):
+        raise NonFiniteStateError(row=int(np.argmin(finite)))
 
 
 def propagate_unit(
@@ -88,15 +114,16 @@ def propagate_unit(
     each with variance 2**-l).  The potential at each step is evaluated at the
     pre-step state; the endpoint's potential belongs to the next interval.
 
-    Inputs are checked once: x0 and ``obs`` on entry, and the endpoint
-    after the loop.  A non-finite state stays non-finite through
+    The steps run in blocks of K (see the module docstring).  Inputs are
+    checked once: x0 and ``obs`` on entry, and the endpoint after the loop.
+    A non-finite state stays non-finite through
     x + b(x) * delta + sigma(x) * xi, so a finite endpoint implies finite
     pre-step states, and a state that overflows on any step, the last one
-    included, raises ``NonFiniteStateError``.  The loop runs with numpy's
-    overflow and invalid-value warnings off, since this check reports them.
+    included, raises ``NonFiniteStateError`` naming its row.  The loop runs
+    with numpy's overflow and invalid-value warnings off, since this check
+    reports them.
     """
     steps = 1 << l
-    delta = 2.0 ** (-l)
     x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -107,27 +134,63 @@ def propagate_unit(
         raise ValueError(f"expected observation increments of shape ({steps},), got {obs.shape}")
     if noise.shape != (n, steps):
         raise ValueError(f"noise shape {noise.shape} incompatible with ({n}, {steps})")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(obs))):
-        raise NonFiniteStateError(_NON_FINITE)
-    dys = obs.tolist()
+    if not np.all(np.isfinite(obs)):
+        raise NonFiniteStateError()
+    _check_finite(x0)
+    k_most = max(1, min(steps, BLOCK_PARTICLE_STEPS // max(n, 1)))
+    delta = np.array(2.0 ** (-l))
+    half_delta = np.array(0.5 * 2.0 ** (-l))
+    dys = obs[:, None]  # row k: the step-k increment, against a row of states
     xi = noise.T  # row k: the step-k increments of every particle
-    drift, diffusion, observation, sigma = model.drift, model.diffusion, model.observation, model.sigma
-    x = x0  # the first step writes a new array, the private state that later steps update
-    log_g = np.zeros(n)
-    a = np.empty(n)
-    b = np.empty(n)
+    drift, diffusion, observation = model.drift, model.diffusion, model.observation
+    sigma = None if model.sigma is None else np.array(model.sigma)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    x = np.empty((k_most, n))  # row j: the block's state before its step j
+    # row 0: the summed log-potential; rows 1..k: the block's log-potentials,
+    # row 1 also a step's drift term, before and after they are summed
+    g = np.empty((k_most + 1, n))
+    b = np.empty((k_most, n))  # a step's s*xi; (delta/2)*(h*h) of the block's states
+    a, total = g[1], g[0]
+    x[0] = x0
+    total[...] = 0.0
+    k_views = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            np.add(log_g, _log_g(observation(x), dys[k], delta, a, b), out=log_g)
-            np.add(x, np.multiply(drift(x), delta, out=a), out=a)
-            if sigma is None:
-                np.multiply(diffusion(x), xi[k], out=b)
-            else:
-                np.multiply(xi[k], sigma, out=b)
-            x = np.add(a, b, out=None if x is x0 else x)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteStateError(_NON_FINITE)
-    return UnitPropagation(l, x, log_g)
+        for k0 in range(0, steps, k_most):
+            k = min(k_most, steps - k0)
+            if k != k_views:  # the views of a block of k steps: the first, and a shorter last
+                k_views = k
+                states, scaled, sums = x[:k], b[:k], g[:k + 1]
+                terms = sums[1:]
+                flat, term_rows = states.reshape(-1), list(terms)
+                # step j reads row j and writes row j+1; the last step writes the endpoint
+                # over row 0, after the block's log-potentials have read it
+                plan = list(zip(states, scaled, [*states[1:], states[0]]))
+            if sigma is not None and k > 1:
+                mul(xi[k0:k0 + k - 1], sigma, scaled[:-1])
+            for j, (xj, bj, out) in enumerate(plan):
+                last = j == k - 1
+                if last:
+                    # every pre-step state of the block is in place: their
+                    # log-potentials h*dy - (delta/2)*(h*h)
+                    h = observation(flat).reshape(k, n)
+                    mul(h, dys[k0:k0 + k], terms)
+                    mul(mul(h, h, scaled), half_delta, scaled)
+                    sub(terms, scaled, terms)
+                    if n < ACCUMULATE_ROWS:  # a sequential sum, as the adds below
+                        add.accumulate(sums, 0, None, sums)
+                        total[...] = sums[k]
+                    else:
+                        for term in term_rows:
+                            add(total, term, total)
+                add(xj, mul(drift(xj), delta, a), a)
+                if sigma is None:
+                    mul(diffusion(xj), xi[k0 + j], bj)
+                elif last:
+                    mul(xi[k0 + j], sigma, bj)
+                add(a, bj, out)
+    endpoint = x[0]  # a view: the buffer holds at most max(n, BLOCK_PARTICLE_STEPS) states
+    _check_finite(endpoint)
+    return UnitPropagation(l, endpoint, total.copy())
 
 
 def propagate_unit_coupled(

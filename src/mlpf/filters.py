@@ -21,12 +21,22 @@ Both filters take ``seed`` as an int or as a tuple of ints, one independent
 replicate per seed.  A call stacks its R replicates along the particle axis,
 R replicates of N particles as R*N rows, and steps them by one Euler sweep
 per interval and tile; each keeps its own Philox noise block and resampling
-stream.  The call's log-weights and ESS are reduced in one pass over a
-(chains*R, N) view, one row per chain and replicate, which gives each
-replicate the same bytes as a reduction of its own rows; estimates and
-resampling are computed per replicate, on its own rows.  Every replicate's
-output is bit-identical to the single-seed run; an int seed is the
-one-replicate case.
+stream.  An interval's bookkeeping runs in one pass over a (chains*R, N)
+view, one row per chain and replicate: the log-weights and ESS of every
+row, the weighted estimates (a functional maps the flattened states), and,
+for the replicates that resample, their log mean weights, the coupling's
+overlaps, residuals and CDFs, the sorted coupling's orders, and one gather
+of each chain's ancestors.  Those replicates resample together, in chunks
+of at most ``RESAMPLE_CHUNK_ROWS`` particles per chain; each draws its
+uniforms from its own stream, with one ``random(out=)`` call into a row of
+one buffer.  Only the inverse CDF's ``searchsorted`` and the estimates'
+dot products run per row, since numpy has no row-batched searchsorted and
+BLAS adds a matrix product in another order than a dot product.  A sum or
+cumsum along a contiguous row adds in the order of the 1-D one, so every
+replicate's output is bit-identical to the single-seed run; an int seed is
+the one-replicate case.  A non-finite state raises a
+``NonFiniteStateError`` naming the index and seed of the first replicate
+whose rows are not finite.
 
 A call draws its noise into a ring of at most two slots and steps it from
 there, one row tile at a time, so it never holds more than two tiles of
@@ -43,9 +53,10 @@ span several tiles continues its draws from the same stream, which gives
 the values of one whole draw, so the tiling changes no output byte.
 
 A call derives the keys of all its noise and resampling streams, one per
-replicate and interval, in one ``streams.stream_keys`` pass at its start,
-and opens each stream by resetting one of two generators it owns
-(``streams.open_stream``): one draws every noise tile, the other every
+replicate and interval, in one ``streams.stream_keys`` pass at its start
+(``mlpf_run`` derives those of all its rungs in one pass and hands each
+call its own), and opens each stream by resetting one of two generators it
+owns (``streams.open_stream``): one draws every noise tile, the other every
 resampling step, on the main thread.
 
 A block never depends on the particle states, so while the main thread
@@ -71,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .euler import propagate_unit, propagate_unit_coupled
+from .euler import NonFiniteStateError, propagate_unit, propagate_unit_coupled
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 from .resampling import (
@@ -108,6 +119,13 @@ COUPLINGS = ("maximal", "sorted")
 # starve the helper
 MAX_TILE_PARTICLE_STEPS = 1 << 18
 AHEAD_TILE_ROWS = 1024
+# the replicates that resample at a report time do so together, in chunks
+# of at most RESAMPLE_CHUNK_ROWS particles per chain (and at least one
+# replicate), and the estimates and final weights of a call's rows are
+# reduced in chunks of as many rows; this bounds the temporaries of a pass
+# as the per-replicate loop did, where a large call would otherwise grow
+# its process's peak memory
+RESAMPLE_CHUNK_ROWS = 1 << 12
 # the stream purposes a filter call draws from, as a column to broadcast
 _PURPOSES = np.array([[streams.TAG_NOISE], [streams.TAG_RESAMPLE]])
 
@@ -198,22 +216,30 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
     return report_times, seeds
 
 
-def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: dict) -> None:
-    """Weighted mean of every functional at report time ``t``, into ``into``."""
-    w = np.exp(log_weights - np.max(log_weights))
+def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: list) -> None:
+    """Weighted mean of every functional at report time ``t``: row i of the
+    (rows, N) log-weights and states into the dict ``into[i]``.  Each
+    functional maps the flattened states elementwise; the weights are
+    reduced along each row, and each row's dot products are its own."""
+    w = np.exp(log_weights - np.max(log_weights, axis=-1, keepdims=True))
     for fid, phi in phis.items():
-        vals = phi(states)
-        # ratio of two identical dot-product expressions, so a constant functional
-        # yields exactly 1 and difference estimators cancel exactly
-        into[(float(t), fid)] = float((w @ vals) / (w @ np.ones_like(vals)))
+        vals = np.reshape(phi(states.reshape(-1)), w.shape)
+        ones = np.ones_like(vals[0])
+        for wi, vi, estimates in zip(w, vals, into):
+            # ratio of two identical dot-product expressions, so a constant functional
+            # yields exactly 1 and difference estimators cancel exactly
+            estimates[(float(t), fid)] = float((wi @ vi) / (wi @ ones))
 
 
-def _call_keys(seeds: tuple, l: int, T: int) -> tuple:
-    """The keys of a call's noise and resampling streams, in one pass: two
+def _call_keys(seeds, levels, T: int) -> list:
+    """The keys of the noise and resampling streams of filter calls, in one
+    pass: ``seeds`` is a (calls, R) array of replicate seeds, ``levels`` the
+    (calls,) levels, and entry i is call i's (noise, resampling) keys, two
     nested lists whose [r][p] is replicate r's key for interval p."""
-    keys = streams.stream_keys(np.array(seeds, dtype=np.uint64)[:, None, None], _PURPOSES, l,
-                               np.arange(T))
-    return keys[:, 0].tolist(), keys[:, 1].tolist()
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    keys = streams.stream_keys(seeds[:, :, None, None], _PURPOSES,
+                               np.asarray(levels)[:, None, None, None], np.arange(T))
+    return [(k[:, 0].tolist(), k[:, 1].tolist()) for k in keys]
 
 
 def _cuts(rows: int, l: int) -> tuple:
@@ -311,6 +337,8 @@ def pf_run(
     report_times=None,
     resample_policy: str = "ess_below_half",
     seed: int | tuple = 0,
+    *,
+    _keys=None,
 ):
     """Run a particle filter at level ``l`` on one observation path.
 
@@ -318,11 +346,12 @@ def pf_run(
     giving a tuple with one output per seed, each equal to the single-seed
     run.  The replicates are stacked and take one Euler sweep per interval
     and tile, with their noise drawn into a ring of slots (see
-    ``_NoiseTiles``).  Each interval's weights and ESS are reduced for all
-    replicates at once, one row per replicate; estimates and resampling are
-    per replicate.
+    ``_NoiseTiles``).  Each interval's weights, estimates and resampling
+    are done for all replicates at once, one row per replicate.  ``_keys``
+    is for ``mlpf_run``, which derives every rung's stream keys in one pass
+    (see ``_call_keys``); a call without it derives its own.
     """
-    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, None)
+    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, None, _keys)
 
 
 def cpf_run(
@@ -335,6 +364,8 @@ def cpf_run(
     resample_policy: str = "ess_below_half",
     seed: int | tuple = 0,
     coupling: str = "maximal",
+    *,
+    _keys=None,
 ):
     """Run a coupled particle filter approximating levels ``l`` and ``l-1``.
 
@@ -343,91 +374,132 @@ def cpf_run(
     evaluated on the coarse-side ESS.  ``coupling`` is "maximal" (the
     maximal coupling of the two weight vectors) or "sorted" (comonotone
     draws over the state-sorted weights).  ``seed`` is an int or a tuple of
-    ints, with replicates stacked, and weights and ESS reduced, as in
-    ``pf_run``; estimates and resampling are per replicate.
+    ints, with replicates stacked and ``_keys`` as in ``pf_run``.
     """
     if l < 1:
         raise ValueError("coupled filter needs l >= 1")
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
-    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling)
+    return _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling,
+                _keys)
 
 
-def _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling):
+def _replicate_fault(exc: NonFiniteStateError, tile: slice, n: int, seeds: tuple):
+    """``exc`` from stepping the rows ``tile``, naming the replicate of its
+    first non-finite row."""
+    if exc.row is None:  # an observation increment, shared by every replicate
+        return exc
+    r = (tile.start + exc.row) // n
+    return NonFiniteStateError(f"replicate {r} (seed {seeds[r]}): {exc}", exc.row)
+
+
+def _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling, keys):
     """The interval loop of both filters: a PF when ``coupling`` is None,
     else a CPF whose ancestors are drawn by ``coupling``.  Row c of the
-    (chains, R*N) states and log-weights is the chain at level l - c."""
+    (chains, R*N) states and log-weights is the chain at level l - c, and
+    row c*R + r of their (chains*R, N) views is replicate r of chain c."""
     phis = resolve_functionals(functionals)
     levels = [l] if coupling is None else [l, l - 1]
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed,
                                         len(levels))
     chains, n_rep = len(levels), len(seeds)
-    rows = [slice(r * n, (r + 1) * n) for r in range(n_rep)]
     x = np.full((chains, n_rep * n), model.x_star)
     cum = np.zeros((chains, n_rep * n))
-    xs, cums = list(x), list(cum)  # each chain's (R*N,) row, as a view
+    xs = list(x)  # each chain's (R*N,) row, as a view
+    lw = cum.reshape(chains * n_rep, n)  # one row per chain and replicate, as a view
+    lw3, x3 = cum.reshape(chains, n_rep, n), x.reshape(chains, n_rep, n)
     same = None if coupling is None else np.ones(n_rep * n, dtype=bool)
     log_norm = [[0.0] * n_rep for _ in levels]
-    estimates = [[{} for _ in seeds] for _ in levels]
+    estimates = [{} for _ in range(chains * n_rep)]
     resample_times = [[] for _ in seeds]
     ess_trace = [[] for _ in seeds]
     coupling_fraction = [[] for _ in seeds]
     same_trace = [[] for _ in seeds]
-    noise_keys, resample_keys = _call_keys(seeds, l, path.T)
-    resample = None  # the one generator of every resampling step's draws
+    if keys is None:
+        keys = _call_keys([seeds], [l], path.T)[0]
+    noise_keys, resample_keys = keys
+    resample = streams.open_stream(resample_keys[0][0])  # reopened for every resampling step
+    chunk = max(1, RESAMPLE_CHUNK_ROWS // n)  # replicates, or rows, per pass
+    passes = [slice(i, i + chunk) for i in range(0, chains * n_rep, chunk)]
+    xr = x.reshape(chains * n_rep, n)
     with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
         for p in range(path.T):
             obs = [increments_at_level(path, level, p) for level in levels]
             for tile, noise in tiles.interval():
-                if coupling is None:
-                    props = (propagate_unit(model, l, xs[0][tile], obs[0], noise),)
-                else:
-                    step = propagate_unit_coupled(model, l, xs[0][tile], xs[1][tile], *obs, noise,
-                                                  coarse_noise=noise[:, 0::2])
-                    props = (step.fine, step.coarse)
+                try:
+                    if coupling is None:
+                        props = (propagate_unit(model, l, xs[0][tile], obs[0], noise),)
+                    else:
+                        step = propagate_unit_coupled(model, l, xs[0][tile], xs[1][tile], *obs,
+                                                      noise, coarse_noise=noise[:, 0::2])
+                        props = (step.fine, step.coarse)
+                except NonFiniteStateError as exc:
+                    raise _replicate_fault(exc, tile, n, seeds) from exc
                 for c, prop in enumerate(props):
                     xs[c][tile] = prop.endpoint
-                    cums[c][tile] += prop.log_g_total
+                    cum[c][tile] += prop.log_g_total
             t = p + 1
-            w = normalize_log_weights(cum.reshape(chains * n_rep, n))
+            w = normalize_log_weights(lw)
+            w3 = w.reshape(chains, n_rep, n)
             gate_ess = ess(w[-n_rep:]).tolist()
-            for r, sl in enumerate(rows):
-                if t in report_times:
-                    for c in range(chains):
-                        _weighted(cums[c][sl], xs[c][sl], phis, t, estimates[c][r])
-                e = gate_ess[r]
+            if t in report_times:
+                for rows in passes:
+                    _weighted(lw[rows], xr[rows], phis, t, estimates[rows])
+            for r, e in enumerate(gate_ess):
                 ess_trace[r].append(e)
-                if resample_policy == "always" or e < n / 2.0:
-                    for c in range(chains):
-                        log_norm[c][r] += log_mean_weight(cums[c][sl])
-                    resample = streams.open_stream(resample_keys[r][p], resample)
-                    if coupling is None:
-                        ancestors = (multinomial_indices(w[r], n, resample),)
+            due = [r for r, e in enumerate(gate_ess)
+                   if resample_policy == "always" or e < n / 2.0]
+            for i in range(0, len(due), chunk):
+                reps = due[i:i + chunk]
+                k, first = len(reps), reps[0]
+                if reps[-1] - first == k - 1:  # a run of replicates: one slice of rows
+                    sel, shift = slice(first, first + k), first * n
+                    dst = slice(first * n, (first + k) * n)
+                else:
+                    sel = np.array(reps)
+                    shift = np.repeat((sel - np.arange(k)) * n, n)
+                    dst = np.arange(k * n) + shift
+                for c, values in enumerate(log_mean_weight(lw3[:, sel]).tolist()):
+                    for r, value in zip(reps, values):
+                        log_norm[c][r] += value
+                rngs = (streams.open_stream(resample_keys[r][p], resample) for r in reps)
+                if coupling is None:
+                    ancestors = (multinomial_indices(w3[0, sel], n, rngs),)
+                else:
+                    if coupling == "maximal":
+                        pairs = maximal_coupling_indices(w3[0, sel], w3[1, sel], n, rngs)
                     else:
-                        if coupling == "maximal":
-                            pairs = maximal_coupling_indices(w[r], w[n_rep + r], n, resample)
-                        else:
-                            pairs = sorted_coupling_indices(w[r], w[n_rep + r], xs[0][sl],
-                                                            xs[1][sl], n, resample)
-                        ancestors = (pairs.fine, pairs.coarse)
-                        same[sl] = pairs.coupled & same[sl][pairs.fine]
-                        coupling_fraction[r].append(float(np.count_nonzero(pairs.coupled) / n))
-                        same_trace[r].append(float(np.count_nonzero(same[sl]) / n))
-                    for c, idx in enumerate(ancestors):
-                        xs[c][sl] = xs[c][sl][idx]
-                        cums[c][sl] = 0.0
+                        pairs = sorted_coupling_indices(w3[0, sel], w3[1, sel], x3[0, sel],
+                                                        x3[1, sel], n, rngs)
+                    ancestors = (pairs.fine, pairs.coarse)
+                # row i of the stack resampled is replicate reps[i]: its
+                # indices, and its rows in each chain, move by (reps[i] - i)*n
+                for c, idx in enumerate(ancestors):
+                    idx += shift
+                    xs[c][dst] = xs[c][idx]
+                cum[:, dst] = 0.0
+                if coupling is not None:
+                    same[dst] = pairs.coupled & same[ancestors[0]]
+                    coupled = np.count_nonzero(pairs.coupled.reshape(k, n), axis=1).tolist()
+                    kept = np.count_nonzero(same[dst].reshape(k, n), axis=1).tolist()
+                    for r, c_count, s_count in zip(reps, coupled, kept):
+                        coupling_fraction[r].append(c_count / n)
+                        same_trace[r].append(s_count / n)
+                for r in reps:
                     resample_times[r].append(float(t))
 
-    def output(r, sl):
-        # the last term is zero when the last event was a resample
-        log_normalizer = [log_norm[c][r] + log_mean_weight(cums[c][sl]) for c in range(chains)]
+    # zero for a replicate whose last event was a resample
+    final = [v for rows in passes for v in log_mean_weight(lw[rows]).tolist()]
+
+    def output(r):
+        log_normalizer = [log_norm[c][r] + final[c * n_rep + r] for c in range(chains)]
         common = dict(level=l, n_particles=n, log_normalizer=log_normalizer[0],
                       cost_units=n * sum(1 << level for level in levels) * path.T)
         if coupling is None:
-            return FilterOutput(estimates=estimates[0][r],
+            return FilterOutput(estimates=estimates[r],
                                 diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r]),
                                 **common)
-        fine, coarse = estimates[0][r], estimates[1][r]
+        fine, coarse = estimates[r], estimates[n_rep + r]
         return FilterOutput(
             estimates={key: fine[key] - coarse[key] for key in fine},
             diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r], coupling_fraction[r],
@@ -435,9 +507,9 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
             fine_estimates=fine,
             coarse_estimates=coarse,
             log_normalizer_coarse=log_normalizer[1],
-            final_same_ancestor_fraction=float(np.count_nonzero(same[sl]) / n),
+            final_same_ancestor_fraction=float(np.count_nonzero(same[r * n:(r + 1) * n]) / n),
             **common,
         )
 
-    outs = tuple(output(r, sl) for r, sl in enumerate(rows))
+    outs = tuple(output(r) for r in range(n_rep))
     return outs if isinstance(seed, tuple) else outs[0]

@@ -2,8 +2,11 @@
 
 Models are scalar: one state and one observation channel.  The built-ins
 observe through the identity.  Drift, diffusion and observation callables
-act elementwise: each maps an (N,) array of states to an (N,) array, the
-diffusion giving sigma(x).  A model whose diffusion is a constant also
+act elementwise on a 1-D array of any length: each maps an (M,) array of
+states to an (M,) array, the diffusion giving sigma(x).  The Euler kernel
+calls the drift and diffusion on the N states of one step and the
+observation on the K*N states of a block of K steps, so a callable whose
+value at one state depends on the others is not a model.  A model whose diffusion is a constant also
 carries it as the float ``sigma`` (ou and langevin), so the Euler loops
 multiply it into the noise without calling the diffusion; ``sigma`` is
 None for a state-dependent diffusion (gbm and nonlinear_sigma).

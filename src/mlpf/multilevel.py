@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .filters import cpf_run, pf_run, seed_tuple
+from .filters import _call_keys, cpf_run, pf_run, seed_tuple
 from .models import ModelSpec
 from .observations import ObservationPath
 
@@ -121,8 +121,10 @@ def mlpf_run(
     rung above it, combined by the telescoping sum.
 
     Per-level seeds derive from ``(seed, level)`` so levels are independent
-    and insensitive to execution order.  Combined estimates sum the lowest
-    rung's value and the difference estimators in ascending level order.
+    and insensitive to execution order; the stream keys of every level's
+    filter call are derived from them in one pass.  Combined estimates sum
+    the lowest rung's value and the difference estimators in ascending level
+    order.
     ``seed`` may be a tuple of ints: every level then runs all replicates at once
     (stacked by ``pf_run`` and ``cpf_run``) and one ``MLPFOutput`` per seed
     is returned, each equal to the single-seed run.
@@ -131,19 +133,22 @@ def mlpf_run(
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
     seeds = seed_tuple(seed)
     lowest = allocation.lowest
-    # every rung's seeds in one pass: row i holds rung lowest + i's seed of each replicate
-    level_seeds = streams.level_seed(
-        np.array(seeds, dtype=np.uint64),
-        np.arange(lowest, lowest + len(allocation.counts))[:, None]).tolist()
+    rungs = np.arange(lowest, lowest + len(allocation.counts))
+    # every rung's seeds in one pass, row i holding rung lowest + i's seed of
+    # each replicate; then every rung's stream keys in one more
+    level_seeds = streams.level_seed(np.array(seeds, dtype=np.uint64), rungs[:, None])
+    keys = _call_keys(level_seeds, rungs, path.T)
+    rung_seeds = [tuple(row) for row in level_seeds.tolist()]
     levels = [pf_run(
         model, path, lowest, allocation.counts[0], functionals,
-        report_times=report_times, resample_policy=resample_policy, seed=tuple(level_seeds[0]),
+        report_times=report_times, resample_policy=resample_policy, seed=rung_seeds[0],
+        _keys=keys[0],
     )]
     for l, n in enumerate(allocation.counts[1:], lowest + 1):
         levels.append(cpf_run(
             model, path, l, n, functionals,
             report_times=report_times, resample_policy=resample_policy,
-            seed=tuple(level_seeds[l - lowest]), coupling=coupling,
+            seed=rung_seeds[l - lowest], coupling=coupling, _keys=keys[l - lowest],
         ))
     results = tuple(_combine(allocation, outputs) for outputs in zip(*levels))
     return results if isinstance(seed, tuple) else results[0]

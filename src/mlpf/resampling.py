@@ -4,6 +4,13 @@ Includes the joint index resampler that maximizes the probability of fine
 and coarse filters selecting a common ancestor, and an optional comonotone
 (sorted inverse-CDF) coupling for scalar states.  Weights pass between
 these functions as plain normalized arrays.
+
+Every function also takes a stack of rows, one per replicate of a filter
+call, and reduces, sorts, draws and searches each row as it would the row
+alone: a sum or cumsum along a contiguous row adds in the order of the 1-D
+one, each row's uniforms come from its own generator, and only the inverse
+CDF's ``searchsorted`` runs once per row.  So a filter resamples all its
+due replicates in one call, with the bytes of one call per replicate.
 """
 
 from __future__ import annotations
@@ -71,33 +78,91 @@ def ess(w: np.ndarray):
     return 1.0 / float(s) if s.ndim == 0 else 1.0 / s
 
 
-def log_mean_weight(log_weights) -> float:
+def log_mean_weight(log_weights):
     """log of the arithmetic mean of exp(log_weights); stable.
 
     As in ``scipy.special.logsumexp``, the largest term is taken out of the
-    sum and the rest enters through log1p.
+    sum and the rest enters through log1p.  ``log_weights`` is one (N,)
+    vector, giving a float, or a (..., N) stack of rows, giving a (...)
+    array whose entries are bit-equal to the float of each row alone.  A
+    row whose largest entry is not finite (its first nan, an inf, or -inf
+    for a row of zero weights) gives that entry.
     """
     lw = np.asarray(log_weights, dtype=float)
-    i = int(np.argmax(lw))  # the first nan, if there is one
-    top = lw[i]
-    if not np.isfinite(top):
-        return float(top)
-    rest = np.exp(lw - top)
-    rest[i] = 0.0
-    return float(np.log1p(rest.sum()) + top - np.log(lw.size))
+    rows = lw.reshape(-1, lw.shape[-1])
+    i = np.argmax(rows, axis=-1)  # the first nan, if there is one
+    at = np.arange(len(rows)), i
+    top = rows[at]
+    finite = np.isfinite(top)[:, None]
+    # rows without a finite top stay -inf, so exp gives 0 and nothing warns
+    rest = np.subtract(rows, top[:, None], out=np.full(rows.shape, -np.inf), where=finite)
+    np.exp(rest, out=rest)
+    rest[at] = 0.0
+    out = np.log1p(rest.sum(axis=-1)) + top - np.log(rows.shape[1])
+    return float(out[0]) if lw.ndim == 1 else out.reshape(lw.shape[:-1])
 
 
-def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)  # never below 0
+def _stack(w: np.ndarray, rng) -> tuple:
+    """Weights as a (k, N) stack and the generators of its rows: one (N,)
+    vector is the one-row stack of ``rng``."""
+    return (w[None], (rng,)) if w.ndim == 1 else (w, rng)
+
+
+def _uniforms(rngs, k: int, shape: tuple) -> np.ndarray:
+    """(k, *shape) uniforms, row i drawn by one ``random(out=)`` call from
+    the i-th generator of ``rngs``, which is taken only after row i-1 is
+    drawn; so the generators may be one object, reopened on each step."""
+    u = np.empty((k,) + shape)
+    rngs = iter(rngs)
+    for row in u:
+        next(rngs).random(out=row)
+    return u
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Row i of the (k, m) uniforms ``u`` mapped through row i of the
+    (k, N) running sums ``cdf``, as indices into that row: a (k, m) array,
+    or with a (k, m) boolean ``mask``, the 1-D array of the entries it
+    selects, in row order.  The last column of ``cdf`` is set to 1.  A
+    cumsum along a row adds in the order of the 1-D cumsum, so each row's
+    CDF is the one of its probabilities alone."""
+    cdf[:, -1] = 1.0
+    if mask is None:
+        idx = np.empty(u.shape, dtype=np.intp)
+        for i, row in enumerate(cdf):  # numpy has no row-batched searchsorted
+            idx[i] = np.searchsorted(row, u[i], side="right")
+    else:
+        queries = u[mask]
+        idx = np.empty(queries.shape, dtype=np.intp)
+        ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+        for row, a, b in zip(cdf, [0] + ends, ends):
+            if a < b:
+                idx[a:b] = np.searchsorted(row, queries[a:b], side="right")
+    return np.minimum(idx, cdf.shape[1] - 1, out=idx)  # never below 0
+
+
+def _flat(idx: np.ndarray, n: int, one_row: bool) -> np.ndarray:
+    """(k, m) row indices into a (k, N) stack as flat indices into its k*N
+    rows; for a one-row stack given as an (N,) vector, the (m,) row."""
+    if one_row:
+        return idx[0]
+    idx += np.arange(0, idx.shape[0] * n, n)[:, None]
+    return idx.reshape(-1)
 
 
 def multinomial_indices(w: np.ndarray, n_draws: int, rng) -> np.ndarray:
     """i.i.d. categorical draws from the normalized weights ``w`` via
-    inverse CDF on uniforms from ``rng``."""
-    u = rng.random(n_draws)
-    return _inverse_cdf(w, u)
+    inverse CDF on uniforms.
+
+    ``w`` is one (N,) vector with its generator ``rng``, giving (n_draws,)
+    indices, or a (k, N) stack with an iterable ``rng`` of one generator per
+    row (see ``_uniforms``), giving (k*n_draws,) indices into the stack's
+    flattened k*N rows, row i's draws first; each row's draws equal those
+    of its vector alone.
+    """
+    stack, rngs = _stack(w, rng)
+    u = _uniforms(rngs, len(stack), (n_draws,))
+    return _flat(_inverse_cdf(np.cumsum(stack, axis=-1), u), stack.shape[1], w.ndim == 1)
 
 
 def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, n_draws: int, rng) -> IndexPairs:
@@ -108,33 +173,35 @@ def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, n_draws: int, rng) 
     is drawn from min(wf, wc)/alpha; otherwise fine and coarse are drawn
     independently from the normalized residuals.  The uniform stream is
     consumed in fixed order (branch, common, fine-residual, coarse-residual),
-    so the draw is a pure function of the rng state.
+    so the draw is a pure function of the rng state.  ``wf`` and ``wc`` may
+    be (k, N) stacks, with ``rng`` and the indices as in
+    ``multinomial_indices``.  A row's overlap, alpha, residuals and CDFs
+    are reduced along the row, as for its vectors alone, and each CDF maps
+    the uniforms of the draws of its branch.
     """
     if wf.shape != wc.shape:
         raise ValueError("weight vectors must share the ancestor count")
-    overlap = np.minimum(wf, wc)
-    alpha = float(overlap.sum())
-    u_branch = rng.random(n_draws)
-    u_common = rng.random(n_draws)
-    u_fine = rng.random(n_draws)
-    u_coarse = rng.random(n_draws)
-    if 1.0 - alpha < FULL_COUPLING_EPS:
-        idx = _inverse_cdf(overlap / alpha, u_common)
-        return IndexPairs(idx, idx.copy(), np.ones(n_draws, dtype=bool))
-    coupled = u_branch < alpha
-    fine = np.empty(n_draws, dtype=np.int64)
-    coarse = np.empty(n_draws, dtype=np.int64)
-    if np.any(coupled):
-        common = _inverse_cdf(overlap / alpha, u_common[coupled])
-        fine[coupled] = common
-        coarse[coupled] = common
+    (sf, rngs), (sc, _) = _stack(wf, rng), _stack(wc, None)
+    overlap = np.minimum(sf, sc)
+    alpha = overlap.sum(axis=-1, keepdims=True)
+    u = _uniforms(rngs, len(sf), (4, n_draws))
+    full = 1.0 - alpha < FULL_COUPLING_EPS
+    coupled = (u[:, 0] < alpha) | full
+    # a row of alpha 0 has no common draw, and a fully coupled row no
+    # residual draw: neither is divided by 0, and each CDF is searched for
+    # the draws of its branch only.  One buffer holds each CDF in turn
+    probs = np.divide(overlap, alpha, out=np.zeros_like(overlap), where=alpha > 0)
+    fine = np.empty(coupled.shape, dtype=np.intp)
+    fine[coupled] = _inverse_cdf(np.cumsum(probs, axis=-1, out=probs), u[:, 1], coupled)
+    coarse = fine.copy()
     rest = ~coupled
-    if np.any(rest):
-        res_f = (wf - overlap) / (1.0 - alpha)
-        res_c = (wc - overlap) / (1.0 - alpha)
-        fine[rest] = _inverse_cdf(res_f, u_fine[rest])
-        coarse[rest] = _inverse_cdf(res_c, u_coarse[rest])
-    return IndexPairs(fine, coarse, coupled)
+    for idx, side, uniforms in ((fine, sf, u[:, 2]), (coarse, sc, u[:, 3])):
+        np.subtract(side, overlap, out=probs)
+        np.divide(probs, 1.0 - alpha, out=probs, where=~full)
+        idx[rest] = _inverse_cdf(np.cumsum(probs, axis=-1, out=probs), uniforms, rest)
+    one_row, n = wf.ndim == 1, sf.shape[1]
+    return IndexPairs(_flat(fine, n, one_row), _flat(coarse, n, one_row),
+                      coupled[0] if one_row else coupled.reshape(-1))
 
 
 def sorted_coupling_indices(
@@ -148,12 +215,18 @@ def sorted_coupling_indices(
     """Comonotone coupling for (N,) scalar states: shared uniform, per-side
     inverse CDF over the state-sorted weight order.  No theoretical guarantee
     is claimed for this scheme; it is provided as an empirical alternative.
+    The weights and states may be (k, N) stacks, with ``rng`` and the
+    indices as in ``multinomial_indices``; each row is sorted on its own.
     """
     if np.shape(fine_states) != wf.shape or np.shape(coarse_states) != wc.shape:
         raise ValueError("sorted coupling needs (N,) scalar states, one per weight")
-    order_f = np.argsort(fine_states, kind="stable")
-    order_c = np.argsort(coarse_states, kind="stable")
-    u = rng.random(n_draws)
-    fine = order_f[_inverse_cdf(wf[order_f], u)]
-    coarse = order_c[_inverse_cdf(wc[order_c], u)]
-    return IndexPairs(fine, coarse, fine == coarse)
+    (sf, rngs), (sc, _) = _stack(wf, rng), _stack(wc, None)
+    order_f = np.argsort(np.reshape(fine_states, sf.shape), axis=-1, kind="stable")
+    order_c = np.argsort(np.reshape(coarse_states, sc.shape), axis=-1, kind="stable")
+    u = _uniforms(rngs, len(sf), (n_draws,))
+    pairs = []
+    for side, order in ((sf, order_f), (sc, order_c)):
+        cdf = np.cumsum(np.take_along_axis(side, order, -1), axis=-1)
+        pairs.append(_flat(np.take_along_axis(order, _inverse_cdf(cdf, u), -1), sf.shape[1],
+                           wf.ndim == 1))
+    return IndexPairs(*pairs, pairs[0] == pairs[1])

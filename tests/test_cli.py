@@ -305,6 +305,19 @@ def test_tile_curve_smoke():
     assert row.split()[:5] == ["5", "4096", "1", "2048", "2"]
 
 
+def test_tile_curve_rows_smoke():
+    """With --rows, each level runs one replicate of each row count, in one
+    tile under the default 2 MiB cap."""
+    argv = [sys.executable, os.path.join(SCRIPTS, "tile_curve.py"), "--levels", "3", "6",
+            "--rows", "16", "300", "--T", "1", "--k", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.strip().split("\n")
+    assert header.split()[6:8] == ["us/step", "ns/step"]
+    assert [row.split()[:5] for row in rows] == [
+        [l, n, "2", n, "1"] for l in ("3", "6") for n in ("16", "300")]
+
+
 def test_stream_cost_smoke():
     argv = [sys.executable, os.path.join(SCRIPTS, "stream_cost.py"), "--keys", "12", "--k", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)

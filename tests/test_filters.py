@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mlpf import streams
 from mlpf.euler import NonFiniteStateError, propagate_unit
 from mlpf.filters import cpf_run, pf_run, resolve_functionals
 from mlpf.multilevel import allocate, mlpf_run
@@ -240,3 +241,35 @@ def test_bad_particle_count_is_rejected_naming_it(path, run, n):
 def test_numpy_integer_seeds_and_counts_are_accepted(path):
     out = pf_run(OU, path, 2, np.int64(10), ["x"], seed=(np.uint64(3),))
     assert out == (pf_run(OU, path, 2, 10, ["x"], seed=3),)
+
+
+def threshold_crossed_by_one(l, n, seeds):
+    """A level between the highest and second-highest pre-step state that
+    any replicate's particles reach in the first interval of a driftless,
+    unit-diffusion model started at 0, and the replicate that reaches it."""
+    peaks = []
+    for s in seeds:
+        states = np.cumsum(streams.noise_block(s, l, 0, n) * np.sqrt(2.0 ** -l), axis=1)
+        peaks.append(states[:, :-1].max())  # the endpoint is no step's pre-step state
+    first, second = np.argsort(peaks)[::-1][:2]
+    return (peaks[first] + peaks[second]) / 2, int(first)
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+def test_a_fault_names_its_replicate_and_seed(run):
+    """The drift turns infinite above a threshold that only one replicate's
+    particles cross, and the error names that replicate and its seed."""
+    l, n, seeds = 3, 8, (6, 7, 5, 8)
+    path = simulate_observations("pbar", OU, 1, l, seed=314)
+    threshold, bad = threshold_crossed_by_one(l, n, seeds)
+    assert bad == 2  # neither the first nor the last replicate
+    model = ModelSpec(
+        name="blow_up", drift=lambda x: np.where(x > threshold, np.inf, 0.0),
+        diffusion=lambda x: np.ones(np.shape(x)), observation=lambda x: x, x_star=0.0,
+        sigma=1.0,
+    )
+    with pytest.raises(NonFiniteStateError, match=rf"^replicate {bad} \(seed {seeds[bad]}\): "
+                                                  "non-finite state"):
+        run(model, path, l, n, ["x"], seed=seeds)
+    good = seeds[:bad] + seeds[bad + 1:]
+    run(model, path, l, n, ["x"], seed=good)  # the others alone run through

@@ -20,12 +20,16 @@ from mlpf.resampling import (
 
 
 class StubRng:
-    """Replays a scripted uniform stream through .random(size)."""
+    """Replays a scripted uniform stream through .random(size) and
+    .random(out=array)."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = np.reshape([self.values.pop(0) for _ in range(out.size)], out.shape)
+            return out
         n = 1 if size is None else size
         out = np.array([self.values.pop(0) for _ in range(n)])
         return out if size is not None else out[0]
