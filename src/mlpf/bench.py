@@ -32,13 +32,14 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import streams
-from .filters import COUPLINGS, DEFAULT_FUNCTIONALS, RESAMPLE_POLICIES
+from .filters import COUPLINGS, DEFAULT_FUNCTIONALS, RESAMPLE_POLICIES, _call_bytes
 from .models import ModelParameterError, builtin_model
 from .multilevel import ALLOCATION_RULES, allocate, mlpf_run, total_cost
 from .observations import MODES, ObservationPath, simulate_observations
@@ -157,17 +158,15 @@ def parse_config(raw: dict) -> BenchmarkConfig:
     memory = _physical_memory()
     start, stop = _seed_slices(cfg.repeats, cfg.workers)[0]  # the longest slice of a job
     for i, e in enumerate(cfg.estimators):
-        # an estimator's counts are largest at L_max; at L 0 a count is ceil(base)
-        counts = (max(2, math.ceil(e.base)),)
-        if e.L_max > 0:
-            try:
+        try:  # an estimator's counts are largest at L_max
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a multilevel rule at L 0, run as single_pf
                 counts = allocate(e.rule, e.L_max, e.base,
                                   constant_diffusion=model.sigma is not None).counts
-            except ValueError as exc:
-                raise ConfigError(f"config.estimators[{i}]: {exc}") from None
-        # its largest filter call holds float64 states and log-weights for
-        # each particle of each chain (one on the lowest rung, two above)
-        need = 16 * (stop - start) * max([counts[0]] + [2 * c for c in counts[1:]])
+        except ValueError as exc:
+            raise ConfigError(f"config.estimators[{i}]: {exc}") from None
+        # its largest filter call: one chain on the lowest rung, two above
+        need = max(_call_bytes(c, stop - start, 1 if j == 0 else 2) for j, c in enumerate(counts))
         if memory is not None and need > memory:
             raise ConfigError(f"config.estimators[{i}]: base {e.base:g} gives a filter call at "
                               f"L={e.L_max} whose states and log-weights need {need} bytes, "

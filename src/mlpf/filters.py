@@ -22,21 +22,21 @@ replicate per seed.  A call stacks its R replicates along the particle axis,
 R replicates of N particles as R*N rows, and steps them by one Euler sweep
 per interval and tile; each keeps its own Philox noise block and resampling
 stream.  An interval's bookkeeping runs in one pass over a (chains*R, N)
-view, one row per chain and replicate: the log-weights and ESS of every
-row, the weighted estimates (a functional maps the flattened states), and,
-for the replicates that resample, their log mean weights, the coupling's
-overlaps, residuals and CDFs, the sorted coupling's orders, and one gather
-of each chain's ancestors.  Those replicates resample together, in chunks
-of at most ``RESAMPLE_CHUNK_ROWS`` particles per chain; each draws its
-uniforms from its own stream, with one ``random(out=)`` call into a row of
-one buffer.  Only the inverse CDF's ``searchsorted`` and the estimates'
-dot products run per row, since numpy has no row-batched searchsorted and
-BLAS adds a matrix product in another order than a dot product.  A sum or
-cumsum along a contiguous row adds in the order of the 1-D one, so every
-replicate's output is bit-identical to the single-seed run; an int seed is
-the one-replicate case.  A non-finite state raises a
-``NonFiniteStateError`` naming the index and seed of the first replicate
-whose rows are not finite.
+view, one row per chain and replicate: the log-weights and ESS of every row,
+the estimates' weights, and, for the replicates that resample, their log
+mean weights, the coupling's overlaps, residuals and CDFs, the sorted
+coupling's orders, and one gather of each chain's ancestors.  Those
+replicates resample together, in chunks of at most ``RESAMPLE_CHUNK_ROWS``
+particles per chain; each draws its uniforms from its own stream, with one
+``random(out=)`` call into a row of one buffer.  Only the inverse CDF's
+``searchsorted`` and the estimates' functionals and dot products run per row
+(a functional maps one row's (N,) states, so it need not be elementwise),
+since numpy has no row-batched searchsorted and BLAS adds a matrix product
+in another order than a dot product.  A sum or cumsum along a contiguous row
+adds in the order of the 1-D one, so every replicate's output is
+bit-identical to the single-seed run; an int seed is the one-replicate case.
+A non-finite state raises a ``NonFiniteStateError`` naming the index and
+seed of the first replicate whose rows are not finite.
 
 A call draws its noise into a ring of at most two slots and steps it from
 there, one row tile at a time, so it never holds more than two tiles of
@@ -210,36 +210,42 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
     if any(t < 1 or t > path.T for t in report_times):
         raise ValueError("report times must be integers in [1, T]")
     seeds = seed_tuple(seed)
-    if 8 * chains * len(seeds) * n > sys.maxsize:
+    if _call_bytes(n, len(seeds), chains) > sys.maxsize:
         raise ValueError(f"n={n} particles in {chains} chain(s) of {len(seeds)} replicate(s) "
-                         "need a state array above sys.maxsize bytes")
+                         "need states and log-weights above sys.maxsize bytes")
     return report_times, seeds
+
+
+def _call_bytes(n, replicates: int, chains: int):
+    """The bytes of the states and log-weights of a filter call on ``chains``
+    chains of ``replicates`` replicates of ``n`` particles: two (chains,
+    R*N) float64 arrays."""
+    return 16 * chains * replicates * n
 
 
 def _weighted(log_weights: np.ndarray, states: np.ndarray, phis: dict, t: int, into: list) -> None:
     """Weighted mean of every functional at report time ``t``: row i of the
-    (rows, N) log-weights and states into the dict ``into[i]``.  Each
-    functional maps the flattened states elementwise; the weights are
-    reduced along each row, and each row's dot products are its own."""
+    (rows, N) log-weights and states into the dict ``into[i]``.  The weights
+    of all rows are exponentiated at once; each functional maps one row's
+    (N,) states, and each row's dot products are its own."""
     w = np.exp(log_weights - np.max(log_weights, axis=-1, keepdims=True))
-    for fid, phi in phis.items():
-        vals = np.reshape(phi(states.reshape(-1)), w.shape)
-        ones = np.ones_like(vals[0])
-        for wi, vi, estimates in zip(w, vals, into):
+    ones = np.ones(w.shape[-1])
+    for wi, xi, estimates in zip(w, states, into):
+        for fid, phi in phis.items():
+            vals = phi(xi)
             # ratio of two identical dot-product expressions, so a constant functional
             # yields exactly 1 and difference estimators cancel exactly
-            estimates[(float(t), fid)] = float((wi @ vi) / (wi @ ones))
+            estimates[(float(t), fid)] = float((wi @ vals) / (wi @ ones))
 
 
-def _call_keys(seeds, levels, T: int) -> list:
+def _call_keys(seeds, levels, T: int) -> np.ndarray:
     """The keys of the noise and resampling streams of filter calls, in one
     pass: ``seeds`` is a (calls, R) array of replicate seeds, ``levels`` the
-    (calls,) levels, and entry i is call i's (noise, resampling) keys, two
-    nested lists whose [r][p] is replicate r's key for interval p."""
+    (calls,) levels, and entry [i, r, q, p] is call i's key of replicate r's
+    stream for interval p, of noise (q 0) or resampling (q 1)."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    keys = streams.stream_keys(seeds[:, :, None, None], _PURPOSES,
+    return streams.stream_keys(seeds[:, :, None, None], _PURPOSES,
                                np.asarray(levels)[:, None, None, None], np.arange(T))
-    return [(k[:, 0].tolist(), k[:, 1].tolist()) for k in keys]
 
 
 def _cuts(rows: int, l: int) -> tuple:
@@ -349,7 +355,8 @@ def pf_run(
     ``_NoiseTiles``).  Each interval's weights, estimates and resampling
     are done for all replicates at once, one row per replicate.  ``_keys``
     is for ``mlpf_run``, which derives every rung's stream keys in one pass
-    (see ``_call_keys``); a call without it derives its own.
+    (see ``_call_keys``); a call without it derives its own, and keys of
+    another shape are a ``ValueError``.
     """
     return _run(model, path, l, n, functionals, report_times, resample_policy, seed, None, _keys)
 
@@ -417,11 +424,55 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     same_trace = [[] for _ in seeds]
     if keys is None:
         keys = _call_keys([seeds], [l], path.T)[0]
-    noise_keys, resample_keys = keys
-    resample = streams.open_stream(resample_keys[0][0])  # reopened for every resampling step
+    elif np.shape(keys) != (n_rep, 2, path.T, 2):
+        raise ValueError(f"_keys must hold the noise and resampling keys of {n_rep} "
+                         f"replicate(s) over {path.T} interval(s), a ({n_rep}, 2, {path.T}, 2) "
+                         f"array, got shape {np.shape(keys)}")
+    # nested lists whose [r][p] is replicate r's key for interval p, made per
+    # call: as Python ints a key weighs about 150 bytes, and an mlpf_run
+    # holding every rung's keys that way grew its peak memory
+    noise_keys, resample_keys = keys[:, 0].tolist(), keys[:, 1].tolist()
+    rng = streams.open_stream(resample_keys[0][0])  # reopened for every resampling step
     chunk = max(1, RESAMPLE_CHUNK_ROWS // n)  # replicates, or rows, per pass
     passes = [slice(i, i + chunk) for i in range(0, chains * n_rep, chunk)]
     xr = x.reshape(chains * n_rep, n)
+
+    def resample(reps: list, p: int, w3: np.ndarray) -> None:
+        """Resample replicates ``reps`` at the end of interval ``p`` from the
+        (chains, R, N) weights ``w3``, in one pass over their rows; its
+        temporaries end with it, before the next interval's steps."""
+        k, sel = len(reps), np.array(reps)
+        # row i of the stack resampled is replicate reps[i]: its indices,
+        # and its rows in each chain, move by (reps[i] - i)*n
+        shift = np.repeat((sel - np.arange(k)) * n, n)
+        dst = np.arange(k * n) + shift
+        for c, values in enumerate(log_mean_weight(lw3[:, sel]).tolist()):
+            for r, value in zip(reps, values):
+                log_norm[c][r] += value
+        rngs = (streams.open_stream(resample_keys[r][p], rng) for r in reps)
+        if coupling is None:
+            ancestors = (multinomial_indices(w3[0, sel], n, rngs),)
+        else:
+            if coupling == "maximal":
+                pairs = maximal_coupling_indices(w3[0, sel], w3[1, sel], n, rngs)
+            else:
+                pairs = sorted_coupling_indices(w3[0, sel], w3[1, sel], x3[0, sel], x3[1, sel],
+                                                n, rngs)
+            ancestors = (pairs.fine, pairs.coarse)
+        for c, idx in enumerate(ancestors):
+            idx += shift
+            xs[c][dst] = xs[c][idx]
+        cum[:, dst] = 0.0
+        if coupling is not None:
+            same[dst] = pairs.coupled & same[ancestors[0]]
+            coupled = np.count_nonzero(pairs.coupled.reshape(k, n), axis=1).tolist()
+            kept = np.count_nonzero(same[dst].reshape(k, n), axis=1).tolist()
+            for r, c_count, s_count in zip(reps, coupled, kept):
+                coupling_fraction[r].append(c_count / n)
+                same_trace[r].append(s_count / n)
+        for r in reps:
+            resample_times[r].append(float(p + 1))
+
     with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
         for p in range(path.T):
             obs = [increments_at_level(path, level, p) for level in levels]
@@ -450,43 +501,7 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
             due = [r for r, e in enumerate(gate_ess)
                    if resample_policy == "always" or e < n / 2.0]
             for i in range(0, len(due), chunk):
-                reps = due[i:i + chunk]
-                k, first = len(reps), reps[0]
-                if reps[-1] - first == k - 1:  # a run of replicates: one slice of rows
-                    sel, shift = slice(first, first + k), first * n
-                    dst = slice(first * n, (first + k) * n)
-                else:
-                    sel = np.array(reps)
-                    shift = np.repeat((sel - np.arange(k)) * n, n)
-                    dst = np.arange(k * n) + shift
-                for c, values in enumerate(log_mean_weight(lw3[:, sel]).tolist()):
-                    for r, value in zip(reps, values):
-                        log_norm[c][r] += value
-                rngs = (streams.open_stream(resample_keys[r][p], resample) for r in reps)
-                if coupling is None:
-                    ancestors = (multinomial_indices(w3[0, sel], n, rngs),)
-                else:
-                    if coupling == "maximal":
-                        pairs = maximal_coupling_indices(w3[0, sel], w3[1, sel], n, rngs)
-                    else:
-                        pairs = sorted_coupling_indices(w3[0, sel], w3[1, sel], x3[0, sel],
-                                                        x3[1, sel], n, rngs)
-                    ancestors = (pairs.fine, pairs.coarse)
-                # row i of the stack resampled is replicate reps[i]: its
-                # indices, and its rows in each chain, move by (reps[i] - i)*n
-                for c, idx in enumerate(ancestors):
-                    idx += shift
-                    xs[c][dst] = xs[c][idx]
-                cum[:, dst] = 0.0
-                if coupling is not None:
-                    same[dst] = pairs.coupled & same[ancestors[0]]
-                    coupled = np.count_nonzero(pairs.coupled.reshape(k, n), axis=1).tolist()
-                    kept = np.count_nonzero(same[dst].reshape(k, n), axis=1).tolist()
-                    for r, c_count, s_count in zip(reps, coupled, kept):
-                        coupling_fraction[r].append(c_count / n)
-                        same_trace[r].append(s_count / n)
-                for r in reps:
-                    resample_times[r].append(float(t))
+                resample(due[i:i + chunk], p, w3)
 
     # zero for a replicate whose last event was a resample
     final = [v for rows in passes for v in log_mean_weight(lw[rows]).tolist()]

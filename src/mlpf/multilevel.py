@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .filters import _call_keys, cpf_run, pf_run, seed_tuple
+from .filters import _call_bytes, _call_keys, cpf_run, pf_run, seed_tuple
 from .models import ModelSpec
 from .observations import ObservationPath
 
@@ -50,9 +50,9 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
     "mlpf_constant" uses N_l ~ eps^-2 * 2^-l * L; "wasserstein_new" uses
     eps^-2 * 2^(-3l/2) when the signal diffusion is constant and the
     "mlpf_constant" counts otherwise; "single_pf" puts ceil(base * eps^-2)
-    particles at level L.  All counts are floored at 2, and a count above
-    sys.maxsize // 16, too many particles for a coupled filter's (2, N)
-    float64 state array, is a ``ValueError`` naming ``base``.
+    particles at level L.  All counts are floored at 2, and a count whose
+    coupled filter call's states and log-weights would need more than
+    sys.maxsize bytes is a ``ValueError`` naming ``base``.
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"rule must be one of {ALLOCATION_RULES}")
@@ -66,9 +66,9 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
         raise ValueError(f"L must be < 1024, where 2**L overflows a float, got {L}") from None
 
     def count(raw: float) -> int:
-        if not raw <= sys.maxsize // 16:  # also a count that overflows a float
-            raise ValueError(f"base {base} gives a particle count at L={L} above "
-                             "sys.maxsize // 16, too many for a coupled filter's state array")
+        if not _call_bytes(raw, 1, 2) <= sys.maxsize:  # also a count that overflows a float
+            raise ValueError(f"base {base} gives a particle count at L={L} too large for "
+                             "a coupled filter call's states and log-weights")
         return max(2, math.ceil(raw))
 
     if rule == "single_pf" or L == 0:

@@ -122,9 +122,11 @@ class TestParseConfig:
         pytest.param(lambda r: r["estimators"][1].update(base=1e17),
                      "config.estimators[1]: base 1e+17", id="base-count-1e17"),
         pytest.param(lambda r: r["estimators"][1].update(base=1e14),
-                     "config.estimators[1]: base 1e+14", id="base-beyond-physical-memory"),
-        pytest.param(lambda r: r["estimators"][0].update(L_max=0, L_min=0, base=1e18),
-                     "config.estimators[0]: base 1e+18", id="base-beyond-physical-memory-L0"),
+                     "config.estimators[1]: base 1e+14 gives a filter call at L=",
+                     id="base-beyond-physical-memory"),
+        pytest.param(lambda r: r["estimators"][0].update(L_max=0, L_min=0, base=1e14),
+                     "config.estimators[0]: base 1e+14 gives a filter call at L=0",
+                     id="base-beyond-physical-memory-L0"),
         pytest.param(lambda r: r.update(truth_level=-1), "config.truth_level",
                      id="truth_level-negative"),
         pytest.param(lambda r: r.update(master_seed=-1), "config.master_seed",

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,3 +303,22 @@ class TestKernelBitIdentity:
         with pytest.raises(ValueError):
             propagate_unit_coupled(OU, 2, np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(2),
                                    np.zeros((3, 4)), coarse_noise=np.empty((3, 4)))
+
+
+@pytest.mark.parametrize("name", ["ou", "gbm"])
+def test_a_one_step_call_holds_no_state_copy(name):
+    """At l 0 the step reads x0 where it lies and makes the endpoint, so a
+    call holds the log-potential rows, one s*xi row, the endpoint and one
+    model temporary: four arrays of N floats, as the step-by-step loop did,
+    besides numpy's fixed-size ufunc buffers."""
+    model, n = builtin_model(name, {}), 1 << 16
+    x0, obs = np.full(n, 0.5), np.array([0.01])
+    noise = streams.noise_block(3, 0, 0, n)
+    propagate_unit(model, 0, x0, obs, noise)
+    tracemalloc.start()
+    try:
+        propagate_unit(model, 0, x0, obs, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n + (128 << 10)

@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from mlpf import streams
 from mlpf.euler import NonFiniteStateError, propagate_unit
-from mlpf.filters import cpf_run, pf_run, resolve_functionals
+from mlpf.filters import _call_keys, cpf_run, pf_run, resolve_functionals
 from mlpf.multilevel import allocate, mlpf_run
 from mlpf.models import BUILTIN_NAMES, ModelSpec, builtin_model
 from mlpf.observations import simulate_observations
@@ -273,3 +273,30 @@ def test_a_fault_names_its_replicate_and_seed(run):
         run(model, path, l, n, ["x"], seed=seeds)
     good = seeds[:bad] + seeds[bad + 1:]
     run(model, path, l, n, ["x"], seed=good)  # the others alone run through
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+def test_a_functional_maps_one_replicate_at_a_time(path, run):
+    """A functional sees one replicate's (N,) states at a time, so one that
+    is not elementwise gives each replicate its single-seed estimate."""
+    n, seeds, shapes = 12, (4, 9, 2), []
+
+    def centred(x):
+        shapes.append(x.shape)
+        return x - x.mean()
+
+    outs = run(OU, path, 3, n, {"centred": centred}, seed=seeds)
+    assert set(shapes) == {(n,)}
+    for seed, out in zip(seeds, outs):
+        assert out == run(OU, path, 3, n, {"centred": centred}, seed=seed)
+
+
+@pytest.mark.parametrize("run", [pf_run, cpf_run])
+def test_stream_keys_of_another_shape_are_rejected(path, run):
+    keys = _call_keys([(1, 2)], [3], path.T)[0]
+    assert run(OU, path, 3, 10, ["x"], seed=(1, 2), _keys=keys) == run(OU, path, 3, 10, ["x"],
+                                                                        seed=(1, 2))
+    short = keys[:, :, :-1]
+    for bad, seed in ((keys, (1, 2, 3)), (keys, 1), (short, (1, 2))):
+        with pytest.raises(ValueError, match="^_keys must hold"):
+            run(OU, path, 3, 10, ["x"], seed=seed, _keys=bad)
