@@ -82,9 +82,29 @@ MULTI_TILE_DIGESTS = {
 }
 
 
-def cut_calls_digest(model_name: str, calls=CUT_CALLS) -> str:
+# Small filter calls, whose weights, estimates and resampling are one pass
+# over few particles per replicate: (level, particles, seeds).  The digest
+# hashes every diagnostic and log normalizer with the estimates; it was
+# recorded before the filter loop moved to one replicate-major layout.
+SMALL_N_CALLS = (
+    (9, 46, tuple(range(6))),  # gbm-fine's finest rung
+    (5, 23, tuple(range(10, 16))),
+    (2, 2, (5, 6, 7)),
+)
+# (data mode, T, L_data): twelve intervals of pure-Brownian data, over which
+# ``ess_below_half`` resamples some replicates and not others
+SMALL_N_PATH = ("pbar", 12, 9)
+SMALL_N_DIGESTS = {
+    "ou": "2a99b080f12aafbef3a14d4b942b458fbdb7b93a877eaf76d847cfde28139176",
+    "gbm": "5e1b3bebfb2de0f8fa2f15bbb6e3c559404618e1cde909127731c0e76a077f20",
+}
+
+
+def cut_calls_digest(model_name: str, calls=CUT_CALLS, path=("p", 2, 7)) -> str:
+    """Digest of every output of ``calls`` on the path of (data mode, T, L_data) ``path``."""
     model = builtin_model(model_name, {})
-    path = simulate_observations("p", model, 2, 7, seed=3)
+    mode, T, l_data = path
+    path = simulate_observations(mode, model, T, l_data, seed=3)
     h = hashlib.sha256()
     for l, n, seed in calls:
         for policy in RESAMPLE_POLICIES:
@@ -104,3 +124,8 @@ def test_cut_filter_calls_are_pinned(model):
 @pytest.mark.parametrize("model", BUILTIN_NAMES)
 def test_multi_tile_filter_calls_are_pinned(model):
     assert cut_calls_digest(model, MULTI_TILE_CALLS) == MULTI_TILE_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_N_DIGESTS))
+def test_small_n_filter_calls_are_pinned(model):
+    assert cut_calls_digest(model, SMALL_N_CALLS, SMALL_N_PATH) == SMALL_N_DIGESTS[model]
