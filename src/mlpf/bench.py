@@ -301,7 +301,11 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
     done = 0
     with contextlib.ExitStack() as stack:
         if config.workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            # a forked pool starts all its processes at the first submit, so
+            # it gets no more than there are tasks or CPUs; the seed slices
+            # still follow config.workers, so the records do not change
+            workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             outs = pool.map(_run_one, [jobs[i] for i in order])
         else:
             outs = map(_run_one, [jobs[i] for i in order])
@@ -355,8 +359,10 @@ def fit_slope(points):
     pts = [(float(c), float(m)) for c, m in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a slope fit")
-    if any(c <= 0 or m <= 0 for c, m in pts):
-        raise ValueError("cost and mse must be positive for a log-log fit")
+    for c, m in pts:
+        if not (0 < c < math.inf and 0 < m < math.inf):  # nan fails both comparisons
+            raise ValueError(f"cost and mse must be positive and finite for a log-log fit, "
+                             f"got cost {c!r} and mse {m!r}")
     x = np.log10([m for _, m in pts])
     y = np.log10([c for c, _ in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -392,8 +398,6 @@ def summary_csv(summary) -> str:
 
 def emit_outputs(records, summary, output_dir) -> dict:
     """Write the CSV, JSON and SVG outputs; returns {format: [paths]}."""
-    import os
-
     if not records:
         raise ValueError("refusing to emit outputs for zero records")
     os.makedirs(output_dir, exist_ok=True)

@@ -180,10 +180,10 @@ def _truth(args, model, path) -> int:
 def _benchmark(args, *_) -> int:
     with open(args.config) as f:
         raw = json.load(f)
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.output_dir is not None:
-        raw["output_dir"] = args.output_dir
+    if isinstance(raw, dict):  # parse_config rejects any other value, naming config
+        for key, value in (("workers", args.workers), ("output_dir", args.output_dir)):
+            if value is not None:
+                raw[key] = value
     cfg = bench.parse_config(raw)
     progress = None if args.quiet else (
         lambda i, n: print(f"\r{i}/{n} replicates", end="", file=sys.stderr))

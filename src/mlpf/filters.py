@@ -11,24 +11,27 @@ drawn a common ancestor.
 Both filters are one loop, ``_run``, over one chain (the PF) or two (the
 CPF's fine chain at level l and coarse chain at level l-1).  Only the
 Euler step of a tile, the ancestor draw and the output fields depend on the
-chain count; the states and log-weights are (chains, R*N) arrays, and the
+chain count; the states and log-weights are (chains, R, N) arrays, and the
 last chain's ESS gates resampling.
 
 States are scalar: N particles are an (N,) array, which a functional maps
 to an (N,) array of values, and one interval's noise is an (N, 2**l) block.
 
 Both filters take ``seed`` as an int or as a tuple of ints, one independent
-replicate per seed.  A call stacks its R replicates along the particle axis,
-R replicates of N particles as R*N rows, and steps them by one Euler sweep
-per interval and tile; each keeps its own Philox noise block and resampling
-stream.  An interval's bookkeeping runs in one pass over a (chains*R, N)
-view, one row per chain and replicate: the log-weights and ESS of every row,
+replicate per seed.  A call holds its R replicates as rows of its (chains,
+R, N) arrays and steps each chain's R*N particles by one Euler sweep per
+interval and tile; each replicate keeps its own Philox noise block and
+resampling stream.  An interval's bookkeeping runs in one pass over the
+rows, one per chain and replicate: the log-weights and ESS of every row,
 the estimates' weights, and, for the replicates that resample, their log
 mean weights, the coupling's overlaps, residuals and CDFs, the sorted
-coupling's orders, and one gather of each chain's ancestors.  Those
-replicates resample together, in chunks of at most ``RESAMPLE_CHUNK_ROWS``
-particles per chain; each draws its uniforms from its own stream, with one
-``random(out=)`` call into a row of one buffer.  Only the inverse CDF's
+coupling's orders, and one gather of each chain's ancestors, whose flat
+indices index the stack of the resampled rows.  Those replicates resample
+together, in chunks of at most ``RESAMPLE_CHUNK_ROWS`` particles per chain;
+each draws its uniforms from its own stream, with one ``random(out=)`` call
+into a row of one buffer.  The log normalizers are one (chains, R) array,
+and the ESS, resampling flags and coupling fractions are (T, R) arrays, read
+out per replicate at the end.  Only the inverse CDF's
 ``searchsorted`` and the estimates' functionals and dot products run per row
 (a functional maps one row's (N,) states, so it need not be elementwise),
 since numpy has no row-batched searchsorted and BLAS adds a matrix product
@@ -59,16 +62,18 @@ call its own), and opens each stream by resetting one of two generators it
 owns (``streams.open_stream``): one draws every noise tile, the other every
 resampling step, on the main thread.
 
-A block never depends on the particle states, so while the main thread
-steps tile j from slot j mod 2, a helper thread draws and scales tile j+1
-into the other slot whenever the call's blocks are cut for drawing ahead.
-A call that draws nothing ahead allocates one slot.  A coupled call writes
-the coarse chain's pair sums into the even columns of the tile the fine
-chain has just stepped: a slot is drawn into again only for the tile after
-next, which is submitted once this tile's step has returned (or, with one
-slot, drawn on the main thread).  The helper is a one-thread pool
-owned by the call: it is started only if the call draws ahead, and it
-is shut down, after its last draw ends, before the call returns or raises.
+A block never depends on the particle states, so the generator
+``_noise_tiles`` that hands out a call's tiles in stepping order submits
+tile j+1 to a helper thread as it hands out tile j, whenever the call's
+blocks are cut for drawing ahead: the helper draws and scales it into the
+other slot while the main thread steps tile j.  A call that draws nothing
+ahead allocates one slot.  A coupled call writes the coarse chain's pair
+sums into the even columns of the tile the fine chain has just stepped: a
+slot is drawn into again only for the tile after next, which is submitted
+once this tile's step has returned (or, with one slot, drawn on the main
+thread).  The helper is a one-thread pool owned by ``_run``: it is started
+only if the call draws ahead, and it is shut down, after its last draw
+ends, before the call returns or raises.
 No thread outlives a call and none is shared between calls, so a forked
 worker process never inherits one.
 """
@@ -77,7 +82,9 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -218,8 +225,8 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
 
 def _call_bytes(n, replicates: int, chains: int):
     """The bytes of the states and log-weights of a filter call on ``chains``
-    chains of ``replicates`` replicates of ``n`` particles: two (chains,
-    R*N) float64 arrays."""
+    chains of ``replicates`` replicates of ``n`` particles: two (chains, R,
+    N) float64 arrays."""
     return 16 * chains * replicates * n
 
 
@@ -258,80 +265,44 @@ def _cuts(rows: int, l: int) -> tuple:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])], ahead
 
 
-class _NoiseTiles:
-    """A call's Brownian increments, drawn tile by tile in stepping order.
+def _noise_tiles(seeds: tuple, keys: list, n: int, l: int, T: int, cuts: list, pool):
+    """A call's Brownian increments as (rows, noise), tile by tile in
+    stepping order: every interval's row tiles ``cuts``, replicate ``r``
+    owning the rows ``r*n .. (r+1)*n - 1`` and ``keys[r][p]`` keying its
+    noise stream for interval ``p``.  A tile's noise is its rows of each
+    replicate's block, scaled by sqrt(2**-l), in the first rows of a slot
+    that holds the largest tile.
 
-    Every interval's block has the same row tiles, replicate ``r`` owning
-    its rows ``r*n .. (r+1)*n - 1``.  Tile j, of interval j // k for k
-    tiles per interval, is drawn into the first rows of slot j mod 2 of a
-    ring of two slots, or of one slot when nothing is drawn ahead; a slot
-    holds the largest tile.  ``keys[r][p]`` is the key of replicate ``r``'s
-    noise stream for interval ``p``.  ``interval()`` hands out the next
-    interval's tiles.
-    Used as a context manager, it owns the helper thread that draws ahead
-    (see the module docstring).
+    With the one-thread ``pool``, tile j+1 is drawn on it into the other of
+    two slots while tile j is stepped; it is submitted when tile j is handed
+    out, so its slot is that of tile j-1, which has been stepped, and no two
+    draws overlap.  With ``pool`` None there is one slot and every tile is
+    drawn on the main thread.  Every tile is drawn from one generator.
     """
+    scale = np.sqrt(2.0 ** (-l))
+    order = [(p, rows) for p in range(T) for rows in cuts]
+    most = max(rows.stop - rows.start for rows in cuts)
+    slots = [np.empty((most, 1 << l)) for _ in range(1 + (pool is not None))]
+    stream = None
 
-    def __init__(self, seeds: tuple, keys: list, n: int, l: int, T: int):
-        self._seeds, self._keys, self._n, self._l = seeds, keys, n, l
-        self._scale = np.sqrt(2.0 ** (-l))
-        cuts, self._ahead = _cuts(len(seeds) * n, l)
-        self._per_interval = len(cuts)
-        self._order = [(p, rows) for p in range(T) for rows in cuts]  # (interval, rows) of tile j
-        most = max(rows.stop - rows.start for rows in cuts)
-        self._slots = [np.empty((most, 1 << l)) for _ in range(1 + self._ahead)]
-        self._next = 0
-        self._pending = None  # the draw of the next tile, when it runs ahead
-        self._stream = None  # the one generator of every tile's draws
-        self._pool = None
-
-    def __enter__(self):
-        if self._ahead:
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="mlpf-noise")
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()  # waits for a draw that is still running
-            self._pool = None
-
-    def interval(self):
-        """The next interval's tiles, lazily, as (rows, noise); a tile is
-        drawn by the time it is handed out."""
-        return (self._take() for _ in range(self._per_interval))
-
-    def _take(self):
-        j = self._next
-        self._next += 1
-        if self._pending is None:
-            noise = self._draw(j)
-        else:
-            noise = self._pending.result()
-            self._pending = None
-        if self._ahead and j + 1 < len(self._order):
-            # into the slot of tile j-1, which has been stepped
-            self._pending = self._pool.submit(self._draw, j + 1)
-        return self._order[j][1], noise
-
-    def _draw(self, j: int) -> np.ndarray:
-        """Tile ``j``'s increments, in the first rows of its slot: the rows
-        of each replicate's noise block that it covers, scaled by
-        sqrt(2**-l).
-
-        Every tile is drawn from one generator, on the main thread or the
-        helper: tile j+1 is submitted only after tile j's draw has returned,
-        so no two draws overlap."""
-        p, rows = self._order[j]
-        out = self._slots[j % len(self._slots)][:rows.stop - rows.start]
-        seeds, n, l = self._seeds, self._n, self._l
+    def draw(j: int) -> np.ndarray:
+        nonlocal stream
+        p, rows = order[j]
+        out = slots[j % len(slots)][:rows.stop - rows.start]
         for r in range(rows.start // n, -(-rows.stop // n)):
             lo, hi = max(rows.start, r * n), min(rows.stop, (r + 1) * n)
             if lo == r * n:  # a replicate's first rows; later tiles continue its stream
-                self._stream = streams.open_stream(self._keys[r][p], self._stream)
+                stream = streams.open_stream(keys[r][p], stream)
             streams.noise_block(seeds[r], l, p, hi - lo, out=out[lo - rows.start:hi - rows.start],
-                                stream=self._stream)
-        out *= self._scale
+                                stream=stream)
+        out *= scale
         return out
+
+    pending = None  # the draw of the next tile, when it runs ahead
+    for j, (_, rows) in enumerate(order):
+        noise = draw(j) if pending is None else pending.result()
+        pending = pool.submit(draw, j + 1) if pool is not None and j + 1 < len(order) else None
+        yield rows, noise
 
 
 def pf_run(
@@ -352,7 +323,7 @@ def pf_run(
     giving a tuple with one output per seed, each equal to the single-seed
     run.  The replicates are stacked and take one Euler sweep per interval
     and tile, with their noise drawn into a ring of slots (see
-    ``_NoiseTiles``).  Each interval's weights, estimates and resampling
+    ``_noise_tiles``).  Each interval's weights, estimates and resampling
     are done for all replicates at once, one row per replicate.  ``_keys``
     is for ``mlpf_run``, which derives every rung's stream keys in one pass
     (see ``_call_keys``); a call without it derives its own, and keys of
@@ -402,26 +373,23 @@ def _replicate_fault(exc: NonFiniteStateError, tile: slice, n: int, seeds: tuple
 
 def _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling, keys):
     """The interval loop of both filters: a PF when ``coupling`` is None,
-    else a CPF whose ancestors are drawn by ``coupling``.  Row c of the
-    (chains, R*N) states and log-weights is the chain at level l - c, and
-    row c*R + r of their (chains*R, N) views is replicate r of chain c."""
+    else a CPF whose ancestors are drawn by ``coupling``.  Entry [c, r] of
+    the (chains, R, N) states and log-weights is replicate r of the chain at
+    level l - c, and the (T, R) diagnostics hold each interval's entry of
+    every replicate."""
     phis = resolve_functionals(functionals)
     levels = [l] if coupling is None else [l, l - 1]
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed,
                                         len(levels))
     chains, n_rep = len(levels), len(seeds)
-    x = np.full((chains, n_rep * n), model.x_star)
-    cum = np.zeros((chains, n_rep * n))
-    xs = list(x)  # each chain's (R*N,) row, as a view
-    lw = cum.reshape(chains * n_rep, n)  # one row per chain and replicate, as a view
-    lw3, x3 = cum.reshape(chains, n_rep, n), x.reshape(chains, n_rep, n)
-    same = None if coupling is None else np.ones(n_rep * n, dtype=bool)
-    log_norm = [[0.0] * n_rep for _ in levels]
-    estimates = [{} for _ in range(chains * n_rep)]
-    resample_times = [[] for _ in seeds]
-    ess_trace = [[] for _ in seeds]
-    coupling_fraction = [[] for _ in seeds]
-    same_trace = [[] for _ in seeds]
+    x = np.full((chains, n_rep, n), model.x_star)
+    cum = np.zeros((chains, n_rep, n))
+    same = None if coupling is None else np.ones((n_rep, n), dtype=bool)
+    log_norm = np.zeros((chains, n_rep))
+    estimates = [[{} for _ in seeds] for _ in levels]
+    ess_trace = np.empty((path.T, n_rep))
+    resampled = np.zeros((path.T, n_rep), dtype=bool)
+    coupling_fraction, same_trace = np.zeros((path.T, n_rep)), np.zeros((path.T, n_rep))
     if keys is None:
         keys = _call_keys([seeds], [l], path.T)[0]
     elif np.shape(keys) != (n_rep, 2, path.T, 2):
@@ -433,96 +401,86 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     # holding every rung's keys that way grew its peak memory
     noise_keys, resample_keys = keys[:, 0].tolist(), keys[:, 1].tolist()
     rng = streams.open_stream(resample_keys[0][0])  # reopened for every resampling step
-    chunk = max(1, RESAMPLE_CHUNK_ROWS // n)  # replicates, or rows, per pass
-    passes = [slice(i, i + chunk) for i in range(0, chains * n_rep, chunk)]
-    xr = x.reshape(chains * n_rep, n)
+    chunk = max(1, RESAMPLE_CHUNK_ROWS // n)  # replicates per pass
+    passes = [slice(i, i + chunk) for i in range(0, n_rep, chunk)]
 
-    def resample(reps: list, p: int, w3: np.ndarray) -> None:
-        """Resample replicates ``reps`` at the end of interval ``p`` from the
-        (chains, R, N) weights ``w3``, in one pass over their rows; its
-        temporaries end with it, before the next interval's steps."""
-        k, sel = len(reps), np.array(reps)
-        # row i of the stack resampled is replicate reps[i]: its indices,
-        # and its rows in each chain, move by (reps[i] - i)*n
-        shift = np.repeat((sel - np.arange(k)) * n, n)
-        dst = np.arange(k * n) + shift
-        for c, values in enumerate(log_mean_weight(lw3[:, sel]).tolist()):
-            for r, value in zip(reps, values):
-                log_norm[c][r] += value
-        rngs = (streams.open_stream(resample_keys[r][p], rng) for r in reps)
+    def resample(sel: np.ndarray, p: int, w: np.ndarray) -> None:
+        """Resample replicates ``sel`` at the end of interval ``p`` from the
+        (chains, R, N) weights ``w``, in one pass over their rows; the
+        resamplers' flat indices index each chain's stack of those rows.
+        Its temporaries end with it, before the next interval's steps."""
+        log_norm[:, sel] += log_mean_weight(cum[:, sel])
+        rngs = (streams.open_stream(resample_keys[r][p], rng) for r in sel)
         if coupling is None:
-            ancestors = (multinomial_indices(w3[0, sel], n, rngs),)
+            ancestors = (multinomial_indices(w[0, sel], n, rngs),)
         else:
             if coupling == "maximal":
-                pairs = maximal_coupling_indices(w3[0, sel], w3[1, sel], n, rngs)
+                pairs = maximal_coupling_indices(w[0, sel], w[1, sel], n, rngs)
             else:
-                pairs = sorted_coupling_indices(w3[0, sel], w3[1, sel], x3[0, sel], x3[1, sel],
-                                                n, rngs)
+                pairs = sorted_coupling_indices(w[0, sel], w[1, sel], x[0, sel], x[1, sel], n,
+                                                rngs)
             ancestors = (pairs.fine, pairs.coarse)
         for c, idx in enumerate(ancestors):
-            idx += shift
-            xs[c][dst] = xs[c][idx]
-        cum[:, dst] = 0.0
+            x[c, sel] = x[c, sel].reshape(-1)[idx].reshape(-1, n)
+        cum[:, sel] = 0.0
         if coupling is not None:
-            same[dst] = pairs.coupled & same[ancestors[0]]
-            coupled = np.count_nonzero(pairs.coupled.reshape(k, n), axis=1).tolist()
-            kept = np.count_nonzero(same[dst].reshape(k, n), axis=1).tolist()
-            for r, c_count, s_count in zip(reps, coupled, kept):
-                coupling_fraction[r].append(c_count / n)
-                same_trace[r].append(s_count / n)
-        for r in reps:
-            resample_times[r].append(float(p + 1))
+            kept = (pairs.coupled & same[sel].reshape(-1)[ancestors[0]]).reshape(-1, n)
+            same[sel] = kept
+            coupling_fraction[p, sel] = np.count_nonzero(pairs.coupled.reshape(-1, n), axis=1) / n
+            same_trace[p, sel] = np.count_nonzero(kept, axis=1) / n
 
-    with _NoiseTiles(seeds, noise_keys, n, l, path.T) as tiles:
+    cuts, ahead = _cuts(n_rep * n, l)
+    with ThreadPoolExecutor(1, thread_name_prefix="mlpf-noise") if ahead else nullcontext() as pool:
+        tiles = _noise_tiles(seeds, noise_keys, n, l, path.T, cuts, pool)
         for p in range(path.T):
             obs = [increments_at_level(path, level, p) for level in levels]
-            for tile, noise in tiles.interval():
+            for tile, noise in islice(tiles, len(cuts)):
+                xt = [chain.reshape(-1)[tile] for chain in x]  # each chain's rows of the tile
                 try:
                     if coupling is None:
-                        props = (propagate_unit(model, l, xs[0][tile], obs[0], noise),)
+                        props = (propagate_unit(model, l, xt[0], obs[0], noise),)
                     else:
-                        step = propagate_unit_coupled(model, l, xs[0][tile], xs[1][tile], *obs,
-                                                      noise, coarse_noise=noise[:, 0::2])
+                        step = propagate_unit_coupled(model, l, *xt, *obs, noise,
+                                                      coarse_noise=noise[:, 0::2])
                         props = (step.fine, step.coarse)
                 except NonFiniteStateError as exc:
                     raise _replicate_fault(exc, tile, n, seeds) from exc
                 for c, prop in enumerate(props):
-                    xs[c][tile] = prop.endpoint
-                    cum[c][tile] += prop.log_g_total
+                    xt[c][:] = prop.endpoint
+                    cum[c].reshape(-1)[tile] += prop.log_g_total
             t = p + 1
-            w = normalize_log_weights(lw)
-            w3 = w.reshape(chains, n_rep, n)
-            gate_ess = ess(w[-n_rep:]).tolist()
+            w = normalize_log_weights(cum.reshape(-1, n)).reshape(cum.shape)
+            ess_trace[p] = ess(w[-1])
             if t in report_times:
-                for rows in passes:
-                    _weighted(lw[rows], xr[rows], phis, t, estimates[rows])
-            for r, e in enumerate(gate_ess):
-                ess_trace[r].append(e)
-            due = [r for r, e in enumerate(gate_ess)
-                   if resample_policy == "always" or e < n / 2.0]
+                for c in range(chains):
+                    for rows in passes:
+                        _weighted(cum[c, rows], x[c, rows], phis, t, estimates[c][rows])
+            resampled[p] = resample_policy == "always" or ess_trace[p] < n / 2.0
+            due = np.flatnonzero(resampled[p])
             for i in range(0, len(due), chunk):
-                resample(due[i:i + chunk], p, w3)
+                resample(due[i:i + chunk], p, w)
 
-    # zero for a replicate whose last event was a resample
-    final = [v for rows in passes for v in log_mean_weight(lw[rows]).tolist()]
+    for rows in passes:  # zero for a replicate whose last event was a resample
+        log_norm[:, rows] += log_mean_weight(cum[:, rows])
+    log_normalizer = log_norm.tolist()
 
     def output(r):
-        log_normalizer = [log_norm[c][r] + final[c * n_rep + r] for c in range(chains)]
-        common = dict(level=l, n_particles=n, log_normalizer=log_normalizer[0],
+        times = resampled[:, r]
+        common = dict(level=l, n_particles=n, log_normalizer=log_normalizer[0][r],
                       cost_units=n * sum(1 << level for level in levels) * path.T)
+        diagnostics = [(np.flatnonzero(times) + 1.0).tolist(), ess_trace[:, r].tolist()]
         if coupling is None:
-            return FilterOutput(estimates=estimates[r],
-                                diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r]),
-                                **common)
-        fine, coarse = estimates[r], estimates[n_rep + r]
+            return FilterOutput(estimates=estimates[0][r],
+                                diagnostics=FilterDiagnostics(*diagnostics), **common)
+        fine, coarse = estimates[0][r], estimates[1][r]
         return FilterOutput(
             estimates={key: fine[key] - coarse[key] for key in fine},
-            diagnostics=FilterDiagnostics(resample_times[r], ess_trace[r], coupling_fraction[r],
-                                          same_trace[r]),
+            diagnostics=FilterDiagnostics(*diagnostics, coupling_fraction[times, r].tolist(),
+                                          same_trace[times, r].tolist()),
             fine_estimates=fine,
             coarse_estimates=coarse,
-            log_normalizer_coarse=log_normalizer[1],
-            final_same_ancestor_fraction=float(np.count_nonzero(same[r * n:(r + 1) * n]) / n),
+            log_normalizer_coarse=log_normalizer[1][r],
+            final_same_ancestor_fraction=float(np.count_nonzero(same[r]) / n),
             **common,
         )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mlpf import bench
 from mlpf.bench import (
     _CONFIG_KEYS,
     _ESTIMATOR_KEYS,
@@ -210,6 +211,12 @@ class TestFitSlope:
         with pytest.raises(ValueError):
             fit_slope([(1.0, 0.0), (2.0, 0.5), (3.0, 0.1)])
 
+    @pytest.mark.parametrize("point,named", [((math.inf, 0.5), "cost inf"), ((2.0, math.nan), "mse nan")],
+                             ids=["inf-cost", "nan-mse"])
+    def test_non_finite(self, point, named):
+        with pytest.raises(ValueError, match=named):
+            fit_slope([(1.0, 1.0), point, (3.0, 0.1)])
+
 
 @pytest.fixture(scope="module")
 def bench_result():
@@ -267,6 +274,33 @@ class TestRunBenchmark:
         assert calls == [(2, 6), (3, 6), (5, 6), (6, 6)]
         serial, _ = run_benchmark(make_config(estimators=ests))
         assert records_csv(records) == records_csv(serial)
+
+    @pytest.mark.parametrize("cpus,opened", [(64, 3), (2, 2), (None, 1)])
+    def test_pool_opens_no_more_processes_than_tasks_or_cpus(self, monkeypatch, cpus, opened):
+        """Eight workers for three seed slices: the pool, faked here so that
+        no process starts, is opened with at most one process per task and
+        per CPU, and the records are the serial run's."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        ests = [{"id": "pf", "rule": "single_pf", "L_min": 2, "L_max": 2, "base": 10.0}]
+        records, _ = run_benchmark(make_config(workers=8, estimators=ests))
+        assert sizes == [opened]
+        assert records_csv(records) == records_csv(run_benchmark(make_config(estimators=ests))[0])
 
     def test_multiple_paths(self):
         cfg = make_config(paths=2, repeats=2,

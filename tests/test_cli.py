@@ -263,6 +263,16 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"config.{field}" in err
 
+    @pytest.mark.parametrize("override", [["--workers", "2"], ["--output-dir", "alt"]],
+                             ids=["workers", "output-dir"])
+    @pytest.mark.parametrize("value", [[], "x", 3], ids=["list", "string", "number"])
+    def test_override_of_a_config_that_is_not_an_object(self, tmp_path, capsys, value, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert main(["benchmark", "--config", str(cfg), "--quiet", *override]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config:"), err
+
     def test_output_dir_override(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         alt = tmp_path / "alt"
@@ -270,6 +280,15 @@ class TestBenchmarkCommand:
                      "--output-dir", str(alt)]) == EXIT_OK
         capsys.readouterr()
         assert (alt / "records.csv").exists()
+
+    @pytest.mark.parametrize("cost,mse", [("inf", "0.5"), ("20", "nan")], ids=["inf-cost", "nan-mse"])
+    def test_slope_of_a_non_finite_row(self, tmp_path, capsys, cost, mse):
+        summary = tmp_path / "summary.csv"
+        rows = [("10", "1"), (cost, mse), ("40", "0.25")]
+        summary.write_text("estimator,mean_cost,mse\n" + "".join(f"pf,{c},{m}\n" for c, m in rows))
+        assert main(["slope", "--summary", str(summary)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and (cost if cost == "inf" else mse) in captured.err
 
     def test_slope_missing_estimator(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
