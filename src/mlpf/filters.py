@@ -389,7 +389,7 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     estimates = [[{} for _ in seeds] for _ in levels]
     ess_trace = np.empty((path.T, n_rep))
     resampled = np.zeros((path.T, n_rep), dtype=bool)
-    coupling_fraction, same_trace = np.zeros((path.T, n_rep)), np.zeros((path.T, n_rep))
+    coupling_fraction, same_trace = np.zeros((2, path.T, n_rep))
     if keys is None:
         keys = _call_keys([seeds], [l], path.T)[0]
     elif np.shape(keys) != (n_rep, 2, path.T, 2):

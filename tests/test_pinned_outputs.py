@@ -100,10 +100,10 @@ SMALL_N_DIGESTS = {
 }
 
 
-def cut_calls_digest(model_name: str, calls=CUT_CALLS, path=("p", 2, 7)) -> str:
-    """Digest of every output of ``calls`` on the path of (data mode, T, L_data) ``path``."""
+def cut_calls_digest(model_name: str, calls=CUT_CALLS, data=("p", 2, 7)) -> str:
+    """Digest of every output of ``calls`` on a path of (data mode, T, L_data) ``data``."""
     model = builtin_model(model_name, {})
-    mode, T, l_data = path
+    mode, T, l_data = data
     path = simulate_observations(mode, model, T, l_data, seed=3)
     h = hashlib.sha256()
     for l, n, seed in calls:
