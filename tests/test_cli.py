@@ -281,14 +281,15 @@ class TestBenchmarkCommand:
         capsys.readouterr()
         assert (alt / "records.csv").exists()
 
-    @pytest.mark.parametrize("cost,mse", [("inf", "0.5"), ("20", "nan")], ids=["inf-cost", "nan-mse"])
-    def test_slope_of_a_non_finite_row(self, tmp_path, capsys, cost, mse):
+    @pytest.mark.parametrize("cost,mse,named", [("inf", "0.5", "cost inf"), ("20", "nan", "mse nan")],
+                             ids=["inf-cost", "nan-mse"])
+    def test_slope_of_a_non_finite_row(self, tmp_path, capsys, cost, mse, named):
         summary = tmp_path / "summary.csv"
         rows = [("10", "1"), (cost, mse), ("40", "0.25")]
         summary.write_text("estimator,mean_cost,mse\n" + "".join(f"pf,{c},{m}\n" for c, m in rows))
         assert main(["slope", "--summary", str(summary)]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.out == "" and (cost if cost == "inf" else mse) in captured.err
+        assert captured.out == "" and named in captured.err
 
     def test_slope_missing_estimator(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
