@@ -11,6 +11,7 @@ round a transcendental differently and change the last digit of an estimate.
 """
 
 import hashlib
+import struct
 
 import pytest
 
@@ -18,6 +19,7 @@ from mlpf.bench import parse_config, records_csv, run_benchmark, summary_csv
 from mlpf.filters import COUPLINGS, RESAMPLE_POLICIES, cpf_run, pf_run
 from mlpf.models import BUILTIN_NAMES, builtin_model
 from mlpf.observations import simulate_observations
+from mlpf.oracle import kalman_run
 
 DIGESTS = {
     ("ou", "pbar"): "50a9292c26ad80e123dcc6cc8ba0fc9d2d2db92c765bb90836e8352fb1c2fa44",
@@ -129,3 +131,57 @@ def test_multi_tile_filter_calls_are_pinned(model):
 @pytest.mark.parametrize("model", sorted(SMALL_N_DIGESTS))
 def test_small_n_filter_calls_are_pinned(model):
     assert cut_calls_digest(model, SMALL_N_CALLS, SMALL_N_PATH) == SMALL_N_DIGESTS[model]
+
+
+# Set-up outputs: the Kalman truth and the simulated latent path.  Recorded
+# before their per-step loops moved from numpy scalars to Python floats, so
+# that move must leave every byte unchanged.
+# (theta, mu, sigma, x_star): the defaults, a repelling signal, a fast one
+KALMAN_PARAMS = ((1.0, 0.0, 0.5, 0.0), (-0.7, 0.3, 1.3, 0.8), (2.5, -1.0, 0.2, -1.5))
+KALMAN_LEVELS = (0, 1, 4, 9, 10)
+KALMAN_H_SCALES = (1.0, 0.5, 0.0)
+KALMAN_DIGESTS = {
+    "pbar": "a5a20673d725562a04e60cc25ffc1f7a23963154ce111580804aa36444b8cdc6",
+    "p": "14e177a869e1cd0f036f3adba835e2e1ecc762be95a3a7ca2dbd314fa0148639",
+}
+LATENT_GRIDS = ((3, 7), (10, 9), (2, 12))  # (T, L_data)
+LATENT_DIGESTS = {
+    "ou": "273040750d76c67aa58071cb98292b356ccd44192ea0fb35bb35a3269f986d83",
+    "langevin": "4a0afb5f86f44d1c7cd188b91080677a06d08e23b69844a0f5778ed001f5c9b2",
+    "gbm": "985b6fe1c414721f6fa3d87631cdd16dfe37eacd7acfba40933a58882754c406",
+    "nonlinear_sigma": "2ed343fb2fad513d6d7f35dc17df124d5f5d08d8a97317eaaf5cdfb3cb3a8b6c",
+}
+
+
+def kalman_digest(mode: str) -> str:
+    """Digest of every ``kalman_run`` output over the pinned parameters on mode-``mode`` data."""
+    h = hashlib.sha256()
+    for theta, mu, sigma, x_star in KALMAN_PARAMS:
+        model = builtin_model("ou", {"theta": theta, "mu": mu, "sigma": sigma, "x_star": x_star})
+        path = simulate_observations(mode, model, 2, 10, seed=9)
+        for l in KALMAN_LEVELS:
+            for h_scale in KALMAN_H_SCALES:
+                res = kalman_run(path, l, theta, mu, sigma, x_star=x_star, h_scale=h_scale)
+                h.update(res.means.tobytes() + res.variances.tobytes())
+                h.update(struct.pack("<2d", res.log_evidence, res.log_evidence_bm))
+    return h.hexdigest()
+
+
+def latent_digest(model_name: str) -> str:
+    """Digest of the latent path and increments of mode-"p" data on each pinned grid."""
+    model = builtin_model(model_name, {})
+    h = hashlib.sha256()
+    for T, l_data in LATENT_GRIDS:
+        path = simulate_observations("p", model, T, l_data, seed=13)
+        h.update(path.latent.tobytes() + path.increments.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ("pbar", "p"))
+def test_kalman_truth_is_pinned(mode):
+    assert kalman_digest(mode) == KALMAN_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("model", BUILTIN_NAMES)
+def test_latent_path_is_pinned(model):
+    assert latent_digest(model) == LATENT_DIGESTS[model]
