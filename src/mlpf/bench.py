@@ -355,7 +355,10 @@ def summarize(records):
 
 
 def fit_slope(points):
-    """OLS of log10(cost) on log10(mse); returns (slope, intercept, r2)."""
+    """OLS of log10(cost) on log10(mse); returns (slope, intercept, r2).
+
+    MSEs too close for a well-conditioned fit (all equal, say) raise
+    ``ValueError`` rather than give an arbitrary slope."""
     pts = [(float(c), float(m)) for c, m in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a slope fit")
@@ -365,7 +368,14 @@ def fit_slope(points):
                              f"got cost {c!r} and mse {m!r}")
     x = np.log10([m for _, m in pts])
     y = np.log10([c for c, _ in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    with warnings.catch_warnings():
+        # polyfit's one warning, RankWarning, flags a rank-deficient fit
+        warnings.simplefilter("error")
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except Warning:
+            raise ValueError(f"mse values {[m for _, m in pts]} are too close to fit a slope "
+                             f"of cost on mse") from None
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0

@@ -200,11 +200,21 @@ def _benchmark(args, *_) -> int:
 
 def _slope(args, *_) -> int:
     by_est: dict = {}
-    with open(args.summary) as f:
-        for row in csv.DictReader(f):
+    with open(args.summary, newline="") as f:
+        reader = csv.DictReader(f)
+        columns = reader.fieldnames or ()
+        missing = [c for c in ("estimator", "mean_cost", "mse") if c not in columns]
+        if missing:
+            raise ValueError(f"summary file has no column {', '.join(missing)}")
+        for row in reader:
             if not args.estimator or row["estimator"] == args.estimator:
-                by_est.setdefault(row["estimator"], []).append(
-                    (float(row["mean_cost"]), float(row["mse"])))
+                try:
+                    point = (float(row["mean_cost"]), float(row["mse"]))
+                except (TypeError, ValueError):  # a short row reads None
+                    raise ValueError(f"summary line {reader.line_num}: mean_cost "
+                                     f"{row['mean_cost']!r} and mse {row['mse']!r} must be "
+                                     f"numbers") from None
+                by_est.setdefault(row["estimator"], []).append(point)
     if not by_est:
         raise ValueError("no matching rows in summary file")
     out = {}

@@ -6,7 +6,9 @@ act elementwise on a 1-D array of any length: each maps an (M,) array of
 states to an (M,) array, the diffusion giving sigma(x).  The Euler kernel
 calls the drift and diffusion on the N states of one step and the
 observation on the K*N states of a block of K steps, so a callable whose
-value at one state depends on the others is not a model.  A model whose diffusion is a constant also
+value at one state depends on the others is not a model.  The simulated
+latent path of ``observations.simulate_observations`` calls the drift and
+diffusion on one float state.  A model whose diffusion is a constant also
 carries it as the float ``sigma`` (ou and langevin), so the Euler loops
 multiply it into the noise without calling the diffusion; ``sigma`` is
 None for a state-dependent diffusion (gbm and nonlinear_sigma).
@@ -80,11 +82,12 @@ def _is_real(value) -> bool:
 def langevin_drift(x, nu: float):
     """Half the score of a Student-t density (zero location, unit scale).
 
-    Closed form -(nu+1) * x / (2 * (nu + x^2)); odd in x.
+    Closed form -(nu+1) * x / (2 * (nu + x^2)); odd in x.  ``x`` is a float
+    or a float ndarray, and the result has its type, so a latent path
+    simulated on Python floats stays on them.
     """
     if nu <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {nu}")
-    x = np.asarray(x, dtype=float)
     return -(nu + 1.0) * x / (2.0 * (nu + x * x))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -104,6 +105,13 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     with the "pbar" mode so the two coincide when h is identically zero.
     A latent state or increment that is not finite (the signal blew up)
     raises ``NonFiniteStateError``.
+
+    The latent recursion runs on Python floats, which round each operation
+    as float64 numpy scalars do, so a drift and diffusion that map a float
+    to a float (every built-in's but nonlinear_sigma's diffusion) step it
+    without numpy's per-scalar overhead and the path keeps its bytes.  A
+    square in a drift or diffusion stays ``**``, libm ``pow`` on either
+    type, since ``x * x`` may round differently.
     """
     if T < 1 or L_data < 1:
         raise ValueError("need T >= 1 and L_data >= 1")
@@ -118,13 +126,14 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
         raise ValueError(f"mode must be one of {MODES}")
     g_lat = streams.generator(seed, streams.TAG_LATENT)
     xi = (np.sqrt(delta) * g_lat.standard_normal(n)).tolist()
-    latent = np.empty(n + 1)
-    latent[0] = x = model.x_star
+    x = model.x_star
+    latent = array("d", [x])  # raw doubles, as in oracle.kalman_run
     drift, diffusion, sigma = model.drift, model.diffusion, model.sigma
-    for k in range(n):
+    for dxi in xi:
         # a constant sigma multiplies in directly, as the filters' Euler step does
-        x = x + drift(x) * delta + (diffusion(x) if sigma is None else sigma) * xi[k]
-        latent[k + 1] = x
+        x = x + drift(x) * delta + (diffusion(x) if sigma is None else sigma) * dxi
+        latent.append(x)
+    latent = np.frombuffer(latent)
     h_vals = model.observation(latent[:-1])
     increments = h_vals * delta + brownian
     for name, values in (("latent state", latent), ("increment", increments)):

@@ -4,11 +4,13 @@ scalar linear-Gaussian model, and a large-N particle filter for the rest."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
+from .euler import NonFiniteStateError
 from .filters import pf_run
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
@@ -47,31 +49,49 @@ def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: fl
     pre-step state, then applies the linear predict map
     m <- m + theta*(mu - m)*delta, P <- (1 - theta*delta)^2 P + sigma^2 delta.
     Initial law is a point mass at ``x_star``.
+
+    The recursion runs on Python floats, which round each operation as
+    float64 numpy scalars do.  Squares stay ``**``, libm ``pow`` on either
+    type, since ``x * x`` may round differently.  A float ``**`` raises
+    ``OverflowError`` where numpy returns inf, so an overflow, and a mean or
+    variance that is not finite after the loop, raise ``NonFiniteStateError``
+    naming the level and the first bad step.
     """
     _check_level(path, l)
     delta = 2.0 ** (-l)
-    n = path.T * (1 << l)
-    means = np.empty(n + 1)
-    variances = np.empty(n + 1)
     m, P = float(x_star), 0.0
-    means[0], variances[0] = m, P
+    # raw doubles: a list would keep every step's float object alive
+    means, variances = array("d", [m]), array("d", [P])
     log_ev = 0.0
     log_ev_bm = 0.0
-    k = 0
-    for p in range(path.T):
-        obs = increments_at_level(path, l, p)
-        for dy in obs:
-            pred_mean = h_scale * m * delta
-            pred_var = delta + P * (h_scale * delta) ** 2
-            log_ev += -0.5 * (_LOG_2PI + math.log(pred_var) + (dy - pred_mean) ** 2 / pred_var)
-            log_ev_bm += -0.5 * (_LOG_2PI + math.log(delta) + dy ** 2 / delta)
-            gain = P * h_scale * delta / pred_var
-            m = m + gain * (dy - pred_mean)
-            P = (1.0 - gain * h_scale * delta) * P
-            m = m + theta * (mu - m) * delta
-            P = (1.0 - theta * delta) ** 2 * P + sigma ** 2 * delta
-            k += 1
-            means[k], variances[k] = m, P
+    try:
+        # loop invariants, each the exact expression it stands for
+        hd2 = (h_scale * delta) ** 2
+        log_bm = _LOG_2PI + math.log(delta)
+        decay2 = (1.0 - theta * delta) ** 2
+        q = sigma ** 2 * delta
+        for p in range(path.T):
+            for dy in increments_at_level(path, l, p).tolist():
+                pred_mean = h_scale * m * delta
+                pred_var = delta + P * hd2
+                log_ev += -0.5 * (_LOG_2PI + math.log(pred_var) + (dy - pred_mean) ** 2 / pred_var)
+                log_ev_bm += -0.5 * (log_bm + dy ** 2 / delta)
+                gain = P * h_scale * delta / pred_var
+                m = m + gain * (dy - pred_mean)
+                P = (1.0 - gain * h_scale * delta) * P
+                m = m + theta * (mu - m) * delta
+                P = decay2 * P + q
+                means.append(m)
+                variances.append(P)
+    except OverflowError:
+        raise NonFiniteStateError(f"Kalman filter at level {l} overflowed at step "
+                                  f"{len(means)}") from None
+    means, variances = np.frombuffer(means), np.frombuffer(variances)
+    finite = np.isfinite(means) & np.isfinite(variances)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteStateError(f"Kalman filter at level {l}: step {k} is not finite "
+                                  f"(mean {float(means[k])!r}, variance {float(variances[k])!r})")
     return KalmanResult(l, means, variances, log_ev, log_ev_bm)
 
 

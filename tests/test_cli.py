@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mlpf.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from mlpf.observations import read_path
@@ -95,6 +96,15 @@ class TestRunCommands:
         assert main(["truth", "--model", "ou", "--path", path_file,
                      "--level", "4", "--n", "100"]) == EXIT_OK
         assert read_json(capsys)["kind"] == "kalman"
+
+    @pytest.mark.parametrize("params", ['{"sigma": 1e200}', '{"theta": 1e200}', '{"mu": 1e300}',
+                                        '{"x_star": 1e300}'],
+                             ids=["sigma", "theta", "mu", "x_star"])
+    def test_kalman_overflow_is_runtime_error(self, path_file, capsys, params):
+        assert main(["truth", "--model", "ou", "--params", params, "--path", path_file,
+                     "--level", "3"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Kalman filter at level 3 overflowed at step" in captured.err
 
     def test_level_too_fine_is_config_error(self, path_file):
         assert main(["run-pf", "--model", "ou", "--path", path_file,
@@ -273,6 +283,14 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: config:"), err
 
+    @pytest.mark.parametrize("params", [{"sigma": 1e200}, {"theta": 1e200}], ids=["sigma", "theta"])
+    def test_kalman_overflow_is_runtime_error(self, tmp_path, capsys, params):
+        cfg = self.config(tmp_path, model_params=params)
+        assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Kalman filter at level 4 overflowed at step 1" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_override(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         alt = tmp_path / "alt"
@@ -291,6 +309,28 @@ class TestBenchmarkCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
 
+    @pytest.mark.parametrize("costs", [("10", "20", "40"), ("10", "10", "10")],
+                             ids=["distinct-costs", "equal-costs"])
+    def test_slope_of_equal_mses(self, tmp_path, capsys, costs):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("estimator,mean_cost,mse\n" + "".join(f"pf,{c},0.5\n" for c in costs))
+        assert main(["slope", "--summary", str(summary)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "mse values [0.5, 0.5, 0.5]" in captured.err
+
+    @pytest.mark.parametrize("text,named", [
+        ("estimator,mean_cost\npf,10\n", "no column mse"),
+        ("estimator,mse\npf,0.5\n", "no column mean_cost"),
+        ("", "no column estimator, mean_cost, mse"),
+        ("estimator,mean_cost,mse\npf,10\n", "line 2: mean_cost '10' and mse None"),
+    ], ids=["mse", "mean_cost", "empty", "short-row"])
+    def test_slope_of_a_summary_missing_a_column(self, tmp_path, capsys, text, named):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(text)
+        assert main(["slope", "--summary", str(summary)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err, captured.err
+
     def test_slope_missing_estimator(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_OK
@@ -298,6 +338,58 @@ class TestBenchmarkCommand:
         rc = main(["slope", "--summary", str(tmp_path / "out" / "summary.csv"),
                    "--estimator", "ghost"])
         assert rc == EXIT_CONFIG
+
+
+# every finite double, with the extremes and subnormals drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, -1e300, 1e200, -1e200, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]),
+)
+MODEL_PARAMS = {
+    "ou": ("theta", "mu", "sigma", "x_star"),
+    "langevin": ("nu", "x_star"),
+    "gbm": ("mu", "sigma", "x_star"),
+    "nonlinear_sigma": ("theta", "mu", "x_star"),
+}
+
+
+@st.composite
+def model_and_params(draw, models=tuple(MODEL_PARAMS)):
+    model = draw(st.sampled_from(models))
+    keys = draw(st.lists(st.sampled_from(MODEL_PARAMS[model]), unique=True))
+    return model, {k: draw(FINITE) for k in keys}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(kalman=("ou", {"sigma": 1e200}), simulated=("ou", {}), filtered=("ou", {}),
+         level=1, seed=0)
+@given(kalman=model_and_params(("ou",)), simulated=model_and_params(),
+       filtered=model_and_params(), level=st.integers(0, 3), seed=st.integers(0, 2 ** 64 - 1))
+def test_commands_exit_cleanly_on_any_finite_parameters(fuzz_dir, kalman, simulated, filtered,
+                                                        level, seed):
+    """simulate-data --mode p, truth by the Kalman filter and run-pf on tiny
+    paths give exit 0, 2 or 3 for any finite model parameters; whatever
+    else is raised escapes and fails the test."""
+    out = str(fuzz_dir / "p.bin")
+    model, params = simulated
+    rc = main(["simulate-data", "--model", model, "--params", json.dumps(params), "--mode", "p",
+               "--T", "2", "--L-data", "3", "--seed", str(seed), "--out", out])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    if rc != EXIT_OK:  # a pure-Brownian path of the same size instead
+        assert main(["simulate-data", "--model", "ou", "--T", "2", "--L-data", "3",
+                     "--seed", str(seed), "--out", out]) == EXIT_OK
+    for command, (model, params), extra in (("truth", kalman, []),
+                                            ("run-pf", filtered, ["--n", "3"])):
+        rc = main([command, "--model", model, "--params", json.dumps(params), "--path", out,
+                   "--level", str(level), "--seed", str(seed), *extra])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
 
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")

@@ -40,6 +40,14 @@ def test_langevin_drift_values():
     assert langevin_drift(-1.0, 10.0) == pytest.approx(0.5)
 
 
+def test_langevin_drift_keeps_the_type_of_its_state():
+    assert type(langevin_drift(1.5, 10.0)) is float
+    x = np.array([-1.0, 0.0, 1.5])
+    out = langevin_drift(x, 10.0)
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [langevin_drift(v, 10.0) for v in x.tolist()]
+
+
 @given(st.floats(-1e6, 1e6), st.floats(0.1, 100.0))
 def test_langevin_drift_odd(x, nu):
     assert langevin_drift(-x, nu) == pytest.approx(-langevin_drift(x, nu), abs=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlpf.euler import NonFiniteStateError
 from mlpf.models import builtin_model
 from mlpf.observations import simulate_observations
 from mlpf.oracle import kalman_log_normalizer, kalman_run, reference_truth
@@ -57,6 +58,17 @@ class TestKalman:
     def test_log_normalizer_zero_when_silent(self, path):
         res = kalman_run(path, 4, 1.0, 0.0, 0.5, h_scale=0.0)
         assert kalman_log_normalizer(res) == pytest.approx(0.0, abs=1e-12)
+
+    def test_overflow_names_level_and_step(self, path):
+        with pytest.raises(NonFiniteStateError, match="level 4 overflowed at step 1$"):
+            kalman_run(path, 4, 1.0, 0.0, 1e200)
+
+    def test_non_finite_variance_names_level_and_step(self, path):
+        # without assimilation no square can overflow, and the variance
+        # grows by a factor 1e200 a step, to inf at step 3
+        with pytest.raises(NonFiniteStateError,
+                           match=r"level 2: step 3 is not finite \(mean 0.0, variance inf\)"):
+            kalman_run(path, 2, -4e100, 0.0, 1.0, h_scale=0.0)
 
     def test_level_exceeds_data(self, path):
         with pytest.raises(ValueError):
