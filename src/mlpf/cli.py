@@ -93,6 +93,15 @@ def _keyed(values: dict) -> dict:
     return {f"{t}:{fid}": v for (t, fid), v in sorted(values.items())}
 
 
+def _read(flag: str, read, *args):
+    """``read(*args)``, with the ``ValueError`` of an undecodable file or bad
+    JSON naming ``flag``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _print(payload, indent=1) -> int:
     print(json.dumps(payload, indent=indent))
     return EXIT_OK
@@ -102,7 +111,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # the one place a command's model is built and its path file read
-        model = builtin_model(args.model, json.loads(args.params)) if "model" in args else None
+        model = (builtin_model(args.model, _read("--params", json.loads, args.params))
+                 if "model" in args else None)
         path = read_path(args.path) if "path" in args else None
         return args.run(args, model, path)
     except bench.ConfigError as exc:
@@ -179,7 +189,7 @@ def _truth(args, model, path) -> int:
 
 def _benchmark(args, *_) -> int:
     with open(args.config) as f:
-        raw = json.load(f)
+        raw = _read(f"--config {args.config}", json.load, f)
     if isinstance(raw, dict):  # parse_config rejects any other value, naming config
         for key, value in (("workers", args.workers), ("output_dir", args.output_dir)):
             if value is not None:
@@ -201,7 +211,7 @@ def _benchmark(args, *_) -> int:
 def _slope(args, *_) -> int:
     by_est: dict = {}
     with open(args.summary, newline="") as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(_read(f"--summary {args.summary}", f.readlines))
         columns = reader.fieldnames or ()
         missing = [c for c in ("estimator", "mean_cost", "mse") if c not in columns]
         if missing:

@@ -29,7 +29,8 @@ coupling's orders, and one gather of each chain's ancestors, whose flat
 indices index the stack of the resampled rows.  Those replicates resample
 together, in chunks of at most ``RESAMPLE_CHUNK_ROWS`` particles per chain;
 each draws its uniforms from its own stream, with one ``random(out=)`` call
-into a row of one buffer.  The log normalizers are one (chains, R) array,
+into a row of one buffer, and the resamplers are pure functions of the
+weights and that buffer.  The log normalizers are one (chains, R) array,
 and the ESS, resampling flags and coupling fractions are (T, R) arrays, read
 out per replicate at the end.  Only the inverse CDF's
 ``searchsorted`` and the estimates' functionals and dot products run per row
@@ -211,16 +212,24 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
     streams.check_count(n, "n", 1)
     if resample_policy not in RESAMPLE_POLICIES:
         raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
-    if report_times is None:
-        report_times = list(range(1, path.T + 1))
-    report_times = [int(t) for t in report_times]
-    if any(t < 1 or t > path.T for t in report_times):
-        raise ValueError("report times must be integers in [1, T]")
+    report_times = _report_times(report_times, path.T)
     seeds = seed_tuple(seed)
     if _call_bytes(n, len(seeds), chains) > sys.maxsize:
         raise ValueError(f"n={n} particles in {chains} chain(s) of {len(seeds)} replicate(s) "
                          "need states and log-weights above sys.maxsize bytes")
     return report_times, seeds
+
+
+def _report_times(report_times, T: int) -> list:
+    """``report_times`` as a list of ints, every integer time in [1, ``T``]
+    for None; raise a ``ValueError`` naming it unless each time is an
+    integer, not a bool, in [1, T]."""
+    if report_times is None:
+        return list(range(1, T + 1))
+    times = list(report_times)
+    if not all(streams.is_count(t, 1) and t <= T for t in times):
+        raise ValueError(f"report_times must be integers in [1, T={T}], got {times!r}")
+    return [int(t) for t in times]
 
 
 def _call_bytes(n, replicates: int, chains: int):
@@ -410,15 +419,16 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
         resamplers' flat indices index each chain's stack of those rows.
         Its temporaries end with it, before the next interval's steps."""
         log_norm[:, sel] += log_mean_weight(cum[:, sel])
-        rngs = (streams.open_stream(resample_keys[r][p], rng) for r in sel)
+        u = np.empty((len(sel), 4, n) if coupling == "maximal" else (len(sel), n))
+        for r, row in zip(sel, u):  # each replicate's uniforms from its own stream
+            streams.open_stream(resample_keys[r][p], rng).random(out=row)
         if coupling is None:
-            ancestors = (multinomial_indices(w[0, sel], n, rngs),)
+            ancestors = (multinomial_indices(w[0, sel], u),)
         else:
             if coupling == "maximal":
-                pairs = maximal_coupling_indices(w[0, sel], w[1, sel], n, rngs)
+                pairs = maximal_coupling_indices(w[0, sel], w[1, sel], u)
             else:
-                pairs = sorted_coupling_indices(w[0, sel], w[1, sel], x[0, sel], x[1, sel], n,
-                                                rngs)
+                pairs = sorted_coupling_indices(w[0, sel], w[1, sel], x[0, sel], x[1, sel], u)
             ancestors = (pairs.fine, pairs.coarse)
         for c, idx in enumerate(ancestors):
             x[c, sel] = x[c, sel].reshape(-1)[idx].reshape(-1, n)

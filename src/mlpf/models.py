@@ -157,7 +157,9 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
         return _scalar_model(
             "nonlinear_sigma",
             lambda x: th * (mu - x),
-            lambda x: 1.0 / np.sqrt(1.0 + x * x),
+            # a float state stays a float; both square roots are correctly rounded
+            lambda x: 1.0 / (math.sqrt(1.0 + x * x) if isinstance(x, float)
+                             else np.sqrt(1.0 + x * x)),
             p["x_star"], p,
         )
     raise ValueError(f"unknown model {name!r}; expected one of {BUILTIN_NAMES}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .filters import _call_bytes, _call_keys, cpf_run, pf_run, seed_tuple
+from .filters import _call_bytes, _call_keys, _report_times, cpf_run, pf_run, seed_tuple
 from .models import ModelSpec
 from .observations import ObservationPath
 
@@ -132,6 +132,7 @@ def mlpf_run(
     if allocation.L > path.L_data:
         raise ValueError(f"allocation level {allocation.L} exceeds data frequency {path.L_data}")
     seeds = seed_tuple(seed)
+    report_times = _report_times(report_times, path.T)  # one list for every rung
     lowest = allocation.lowest
     rungs = np.arange(lowest, lowest + len(allocation.counts))
     # every rung's seeds in one pass, row i holding rung lowest + i's seed of

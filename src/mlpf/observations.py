@@ -108,8 +108,8 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
 
     The latent recursion runs on Python floats, which round each operation
     as float64 numpy scalars do, so a drift and diffusion that map a float
-    to a float (every built-in's but nonlinear_sigma's diffusion) step it
-    without numpy's per-scalar overhead and the path keeps its bytes.  A
+    to a float (every built-in's do) step it without numpy's per-scalar
+    overhead and the path keeps its bytes.  A
     square in a drift or diffusion stays ``**``, libm ``pow`` on either
     type, since ``x * x`` may round differently.
     """

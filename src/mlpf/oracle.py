@@ -11,7 +11,7 @@ import numpy as np
 
 from . import streams
 from .euler import NonFiniteStateError
-from .filters import pf_run
+from .filters import _report_times, pf_run
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 
@@ -127,8 +127,7 @@ def reference_truth(
     _check_level(path, ref_level)
     streams.check_seed(seed)
     streams.check_count(replicates, "replicates", 1)
-    if report_times is None:
-        report_times = list(range(1, path.T + 1))
+    report_times = _report_times(report_times, path.T)
     if model.is_linear_gaussian:
         p = model.params
         res = kalman_run(path, ref_level, p["theta"], p["mu"], p["sigma"], x_star=model.x_star)

@@ -5,12 +5,14 @@ and coarse filters selecting a common ancestor, and an optional comonotone
 (sorted inverse-CDF) coupling for scalar states.  Weights pass between
 these functions as plain normalized arrays.
 
-Every function also takes a stack of rows, one per replicate of a filter
-call, and reduces, sorts, draws and searches each row as it would the row
-alone: a sum or cumsum along a contiguous row adds in the order of the 1-D
-one, each row's uniforms come from its own generator, and only the inverse
-CDF's ``searchsorted`` runs once per row.  So a filter resamples all its
-due replicates in one call, with the bytes of one call per replicate.
+The weight reductions take one (N,) vector or a stack of rows, one per
+replicate of a filter call; the resamplers take (k, N) stacks and the
+uniforms of their draws, which the filters draw from each replicate's own
+resampling stream.  Each row is reduced, sorted, drawn and searched as it
+would be alone: a sum or cumsum along a contiguous row adds in the order of
+the 1-D one, and only the inverse CDF's ``searchsorted`` runs once per row.
+So a filter resamples all its due replicates in one call, with the bytes of
+one call per replicate.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class DegenerateWeightsError(ValueError):
 class IndexPairs:
     """Jointly resampled ancestor indices for a coupled particle system."""
 
-    fine: np.ndarray  # (N,) int
-    coarse: np.ndarray  # (N,) int
-    coupled: np.ndarray  # (N,) bool; True => fine == coarse
+    fine: np.ndarray  # (k*m,) int, flat indices into a (k, N) stack
+    coarse: np.ndarray  # (k*m,) int
+    coupled: np.ndarray  # (k*m,) bool; True => fine == coarse
 
     def __post_init__(self):
         if not np.array_equal(self.fine[self.coupled], self.coarse[self.coupled]):
@@ -102,23 +104,6 @@ def log_mean_weight(log_weights):
     return float(out[0]) if lw.ndim == 1 else out.reshape(lw.shape[:-1])
 
 
-def _stack(w: np.ndarray, rng) -> tuple:
-    """Weights as a (k, N) stack and the generators of its rows: one (N,)
-    vector is the one-row stack of ``rng``."""
-    return (w[None], (rng,)) if w.ndim == 1 else (w, rng)
-
-
-def _uniforms(rngs, k: int, shape: tuple) -> np.ndarray:
-    """(k, *shape) uniforms, row i drawn by one ``random(out=)`` call from
-    the i-th generator of ``rngs``, which is taken only after row i-1 is
-    drawn; so the generators may be one object, reopened on each step."""
-    u = np.empty((k,) + shape)
-    rngs = iter(rngs)
-    for row in u:
-        next(rngs).random(out=row)
-    return u
-
-
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Row i of the (k, m) uniforms ``u`` mapped through row i of the
     (k, N) running sums ``cdf``, as indices into that row: a (k, m) array,
@@ -141,50 +126,38 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, mask: np.ndarray | None = None)
     return np.minimum(idx, cdf.shape[1] - 1, out=idx)  # never below 0
 
 
-def _flat(idx: np.ndarray, n: int, one_row: bool) -> np.ndarray:
+def _flat(idx: np.ndarray, n: int) -> np.ndarray:
     """(k, m) row indices into a (k, N) stack as flat indices into its k*N
-    rows; for a one-row stack given as an (N,) vector, the (m,) row."""
-    if one_row:
-        return idx[0]
+    rows, row i's first."""
     idx += np.arange(0, idx.shape[0] * n, n)[:, None]
     return idx.reshape(-1)
 
 
-def multinomial_indices(w: np.ndarray, n_draws: int, rng) -> np.ndarray:
-    """i.i.d. categorical draws from the normalized weights ``w`` via
-    inverse CDF on uniforms.
-
-    ``w`` is one (N,) vector with its generator ``rng``, giving (n_draws,)
-    indices, or a (k, N) stack with an iterable ``rng`` of one generator per
-    row (see ``_uniforms``), giving (k*n_draws,) indices into the stack's
-    flattened k*N rows, row i's draws first; each row's draws equal those
-    of its vector alone.
+def multinomial_indices(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """i.i.d. categorical draws from each row of the (k, N) normalized
+    weights ``w`` via inverse CDF on row i of the (k, m) uniforms ``u``:
+    (k*m,) indices into the stack's flattened k*N rows, row i's draws first.
     """
-    stack, rngs = _stack(w, rng)
-    u = _uniforms(rngs, len(stack), (n_draws,))
-    return _flat(_inverse_cdf(np.cumsum(stack, axis=-1), u), stack.shape[1], w.ndim == 1)
+    return _flat(_inverse_cdf(np.cumsum(w, axis=-1), u), w.shape[1])
 
 
-def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, n_draws: int, rng) -> IndexPairs:
-    """Draw ``n_draws`` index pairs from the maximal coupling of two
-    normalized weight vectors.
+def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, u: np.ndarray) -> IndexPairs:
+    """Draw m index pairs per row from the maximal coupling of the rows of
+    two (k, N) stacks of normalized weights, on the (k, 4, m) uniforms ``u``.
 
     Per pair: with probability alpha = sum_i min(wf_i, wc_i) a common index
     is drawn from min(wf, wc)/alpha; otherwise fine and coarse are drawn
-    independently from the normalized residuals.  The uniform stream is
-    consumed in fixed order (branch, common, fine-residual, coarse-residual),
-    so the draw is a pure function of the rng state.  ``wf`` and ``wc`` may
-    be (k, N) stacks, with ``rng`` and the indices as in
-    ``multinomial_indices``.  A row's overlap, alpha, residuals and CDFs
-    are reduced along the row, as for its vectors alone, and each CDF maps
-    the uniforms of the draws of its branch.
+    independently from the normalized residuals.  Row i of ``u`` holds the
+    uniforms of its pairs in fixed order (branch, common, fine-residual,
+    coarse-residual), so the draw is a pure function of them.  A row's
+    overlap, alpha, residuals and CDFs are reduced along the row, and each
+    CDF maps the uniforms of the draws of its branch.  The indices are flat,
+    as in ``multinomial_indices``.
     """
     if wf.shape != wc.shape:
         raise ValueError("weight vectors must share the ancestor count")
-    (sf, rngs), (sc, _) = _stack(wf, rng), _stack(wc, None)
-    overlap = np.minimum(sf, sc)
+    overlap = np.minimum(wf, wc)
     alpha = overlap.sum(axis=-1, keepdims=True)
-    u = _uniforms(rngs, len(sf), (4, n_draws))
     full = 1.0 - alpha < FULL_COUPLING_EPS
     coupled = (u[:, 0] < alpha) | full
     # a row of alpha 0 has no common draw, and a fully coupled row no
@@ -195,13 +168,12 @@ def maximal_coupling_indices(wf: np.ndarray, wc: np.ndarray, n_draws: int, rng) 
     fine[coupled] = _inverse_cdf(np.cumsum(probs, axis=-1, out=probs), u[:, 1], coupled)
     coarse = fine.copy()
     rest = ~coupled
-    for idx, side, uniforms in ((fine, sf, u[:, 2]), (coarse, sc, u[:, 3])):
+    for idx, side, uniforms in ((fine, wf, u[:, 2]), (coarse, wc, u[:, 3])):
         np.subtract(side, overlap, out=probs)
         np.divide(probs, 1.0 - alpha, out=probs, where=~full)
         idx[rest] = _inverse_cdf(np.cumsum(probs, axis=-1, out=probs), uniforms, rest)
-    one_row, n = wf.ndim == 1, sf.shape[1]
-    return IndexPairs(_flat(fine, n, one_row), _flat(coarse, n, one_row),
-                      coupled[0] if one_row else coupled.reshape(-1))
+    n = wf.shape[1]
+    return IndexPairs(_flat(fine, n), _flat(coarse, n), coupled.reshape(-1))
 
 
 def sorted_coupling_indices(
@@ -209,24 +181,19 @@ def sorted_coupling_indices(
     wc: np.ndarray,
     fine_states: np.ndarray,
     coarse_states: np.ndarray,
-    n_draws: int,
-    rng,
+    u: np.ndarray,
 ) -> IndexPairs:
-    """Comonotone coupling for (N,) scalar states: shared uniform, per-side
+    """Comonotone coupling for scalar states: shared uniform, per-side
     inverse CDF over the state-sorted weight order.  No theoretical guarantee
     is claimed for this scheme; it is provided as an empirical alternative.
-    The weights and states may be (k, N) stacks, with ``rng`` and the
-    indices as in ``multinomial_indices``; each row is sorted on its own.
+    The weights and states are (k, N) stacks, each row sorted on its own,
+    and ``u`` and the indices are as in ``multinomial_indices``.
     """
     if np.shape(fine_states) != wf.shape or np.shape(coarse_states) != wc.shape:
-        raise ValueError("sorted coupling needs (N,) scalar states, one per weight")
-    (sf, rngs), (sc, _) = _stack(wf, rng), _stack(wc, None)
-    order_f = np.argsort(np.reshape(fine_states, sf.shape), axis=-1, kind="stable")
-    order_c = np.argsort(np.reshape(coarse_states, sc.shape), axis=-1, kind="stable")
-    u = _uniforms(rngs, len(sf), (n_draws,))
+        raise ValueError("sorted coupling needs (k, N) scalar states, one per weight")
     pairs = []
-    for side, order in ((sf, order_f), (sc, order_c)):
+    for side, states in ((wf, fine_states), (wc, coarse_states)):
+        order = np.argsort(states, axis=-1, kind="stable")
         cdf = np.cumsum(np.take_along_axis(side, order, -1), axis=-1)
-        pairs.append(_flat(np.take_along_axis(order, _inverse_cdf(cdf, u), -1), sf.shape[1],
-                           wf.ndim == 1))
+        pairs.append(_flat(np.take_along_axis(order, _inverse_cdf(cdf, u), -1), wf.shape[1]))
     return IndexPairs(*pairs, pairs[0] == pairs[1])

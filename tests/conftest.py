@@ -5,17 +5,14 @@ from mlpf import filters
 from mlpf.resampling import IndexPairs, multinomial_indices
 
 
-def independent_indices(w_fine, w_coarse, n_draws, rngs):
+def independent_indices(w_fine, w_coarse, u):
     """Fine and coarse ancestors drawn independently, each row's from its
-    one stream: the coupled filter without its joint resampler.  It takes
-    the (k, N) weight stacks and per-row generators of the filters' batched
-    call, and gives flat indices into the stack's rows, as it does."""
-    fine, coarse = [], []
-    for i, rng in enumerate(rngs):
-        offset = i * w_fine.shape[1]
-        fine.append(multinomial_indices(w_fine[i], n_draws, rng) + offset)
-        coarse.append(multinomial_indices(w_coarse[i], n_draws, rng) + offset)
-    fine, coarse = np.concatenate(fine), np.concatenate(coarse)
+    stream's first two blocks of uniforms: the coupled filter without its
+    joint resampler.  It takes the (k, N) weight stacks and (k, 4, m)
+    uniforms of the filters' batched call, and gives flat indices into the
+    stack's rows, as it does."""
+    fine = multinomial_indices(w_fine, u[:, 0])
+    coarse = multinomial_indices(w_coarse, u[:, 1])
     return IndexPairs(fine, coarse, fine == coarse)
 
 

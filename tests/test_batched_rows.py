@@ -117,14 +117,17 @@ def row_seeds(k, salt=0):
     return [1000 * salt + i for i in range(k)]
 
 
-def reopened(seeds):
-    """One generator per row, as the filters hand them out: one object,
+def reopened(seeds, *shape):
+    """The (k, *shape) uniforms of a batched call, as the filters draw them:
+    row i by one ``random(out=)`` call from row i's stream, on one generator
     reset to each row's stream in turn."""
     keys = streams.stream_keys(np.array(seeds, dtype=np.uint64), streams.TAG_RESAMPLE, 3, 0)
+    u = np.empty((len(seeds),) + shape)
     stream = None
-    for key in keys:
+    for key, row in zip(keys, u):
         stream = streams.open_stream(key, stream)
-        yield stream
+        stream.random(out=row)
+    return u
 
 
 def alone(seed):
@@ -146,7 +149,7 @@ def test_maximal_coupling_rows(stack):
     wf, wc = normalize_log_weights(lwf), normalize_log_weights(lwc)
     k, n = wf.shape
     seeds = row_seeds(k)
-    pairs = maximal_coupling_indices(wf, wc, n, reopened(seeds))
+    pairs = maximal_coupling_indices(wf, wc, reopened(seeds, 4, n))
     refs = [ref_maximal(wf[i].copy(), wc[i].copy(), n, alone(s)) for i, s in enumerate(seeds)]
     assert np.array_equal(pairs.fine, stacked([r[0] for r in refs], n))
     assert np.array_equal(pairs.coarse, stacked([r[1] for r in refs], n))
@@ -166,13 +169,13 @@ def test_multinomial_and_sorted_coupling_rows(stack):
     wf, wc = normalize_log_weights(lwf), normalize_log_weights(lwc)
     k, n = wf.shape
     seeds = row_seeds(k, 1)
-    got = multinomial_indices(wf, n, reopened(seeds))
+    got = multinomial_indices(wf, reopened(seeds, n))
     assert np.array_equal(got, stacked([ref_multinomial(wf[i].copy(), n, alone(s))
                                         for i, s in enumerate(seeds)], n))
     # states with ties, so the stable order matters
     xf = np.round(np.random.default_rng(n).normal(size=wf.shape), 1)
     xc = xf[:, ::-1].copy()
-    pairs = sorted_coupling_indices(wf, wc, xf, xc, n, reopened(seeds))
+    pairs = sorted_coupling_indices(wf, wc, xf, xc, reopened(seeds, n))
     refs = [ref_sorted(wf[i].copy(), wc[i].copy(), xf[i].copy(), xc[i].copy(), n, alone(s))
             for i, s in enumerate(seeds)]
     assert np.array_equal(pairs.fine, stacked([r[0] for r in refs], n))

@@ -6,10 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mlpf.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from mlpf.observations import read_path
+from mlpf.observations import PathFormatError, read_path
 
 
 @pytest.fixture()
@@ -188,6 +188,13 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert fragment in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("params", ["nul", "{not json", "\udcaa"], ids=repr)
+    def test_params_that_are_not_json_name_the_flag(self, path_file, capsys, params):
+        assert main(["run-pf", "--model", "ou", "--params", params,
+                     "--path", path_file, "--level", "3", "--n", "10"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --params: ") and "Traceback" not in err, err
+
     def test_bad_model_params_in_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -331,6 +338,20 @@ class TestBenchmarkCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err, captured.err
 
+    @pytest.mark.parametrize("flag,data", [
+        ("--config", b"\xaa\x00\xff"), ("--config", b"{\"model\": \"ou\xe9\"}"),
+        ("--config", b"{nul"), ("--summary", b"\xaa\x00\xff"),
+        ("--summary", b"estimator,mean_cost,mse\npf,1\xe9,2\n"),
+    ], ids=["config-binary", "config-latin-1", "config-not-json", "summary-binary",
+            "summary-latin-1"])
+    def test_unreadable_input_names_the_flag(self, tmp_path, capsys, flag, data):
+        source = tmp_path / "input"
+        source.write_bytes(data)
+        command = "benchmark" if flag == "--config" else "slope"
+        assert main([command, flag, str(source)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {source}: ") and "Traceback" not in err, err
+
     def test_slope_missing_estimator(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_OK
@@ -390,6 +411,58 @@ def test_commands_exit_cleanly_on_any_finite_parameters(fuzz_dir, kalman, simula
         rc = main([command, "--model", model, "--params", json.dumps(params), "--path", out,
                    "--level", str(level), "--seed", str(seed), *extra])
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+
+
+# (offset, size) of each field of a path file's "<8sIIIQB" header: magic,
+# T, L_data, d_y, seed and mode
+HEADER_FIELDS = ((0, 8), (8, 4), (12, 4), (16, 4), (20, 8), (28, 1))
+
+
+@st.composite
+def corrupted(draw, data: bytes) -> bytes:
+    """``data`` truncated, extended, with bytes flipped, or with one header
+    field rewritten."""
+    kind = draw(st.sampled_from(["truncate", "extend", "flip", "field"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "extend":
+        return data + draw(st.binary(min_size=1, max_size=64))
+    out = bytearray(data)
+    if kind == "flip":
+        for i in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=8)):
+            out[i] ^= draw(st.integers(1, 255))
+    else:
+        start, size = draw(st.sampled_from(HEADER_FIELDS))
+        out[start:start + size] = draw(st.integers(0, 256 ** size - 1)).to_bytes(size, "little")
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def valid_path_bytes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid") / "p.bin"
+    assert main(["simulate-data", "--model", "ou", "--T", "2", "--L-data", "3", "--seed", "5",
+                 "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys, read per example
+@given(data=st.data())
+def test_corrupted_path_files_exit_cleanly(fuzz_dir, valid_path_bytes, capsys, data):
+    """A corrupted path file either reads or raises ``PathFormatError``, and
+    run-pf and the Kalman truth on it give exit 0, 2 or 3; whatever else is
+    raised escapes and fails the test."""
+    out = fuzz_dir / "corrupt.bin"
+    out.write_bytes(data.draw(corrupted(valid_path_bytes)))
+    try:
+        read_path(str(out))
+    except PathFormatError:
+        pass
+    for command, extra in (("run-pf", ["--n", "3"]), ("truth", [])):
+        rc = main([command, "--model", "ou", "--path", str(out), "--level", "1", *extra])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")

@@ -10,7 +10,7 @@ from mlpf.filters import _call_keys, cpf_run, pf_run, resolve_functionals
 from mlpf.multilevel import allocate, mlpf_run
 from mlpf.models import BUILTIN_NAMES, ModelSpec, builtin_model
 from mlpf.observations import simulate_observations
-from mlpf.oracle import kalman_log_normalizer, kalman_run
+from mlpf.oracle import kalman_log_normalizer, kalman_run, reference_truth
 
 OU = builtin_model("ou", {})
 
@@ -229,6 +229,30 @@ def test_a_seed_of_2_64_is_rejected_naming_it(path, run):
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
             run(OU, path, 2, 10, ["x"], seed=seed)
     run(OU, path, 2, 10, ["x"], seed=(0, 2 ** 64 - 1))
+
+
+def _report_at(run, path, times):
+    """One call of ``run`` on ``path`` reporting at ``times``."""
+    if run in ("pf", "cpf"):
+        return (pf_run if run == "pf" else cpf_run)(OU, path, 2, 10, ["x"], report_times=times)
+    if run == "mlpf":
+        return mlpf_run(OU, path, allocate("mlpf_constant", 2, 10), ["x"], report_times=times)
+    model = OU if run == "kalman" else builtin_model("gbm", {})
+    return reference_truth(model, path, 2, 10, ["x"], report_times=times, replicates=2)
+
+
+@pytest.mark.parametrize("run", ["pf", "cpf", "mlpf", "kalman", "reference_pf"])
+@pytest.mark.parametrize("times", [[1.5], [2.0], ["2"], [True], [0], [5], [1, 5]], ids=repr)
+def test_bad_report_times_are_rejected_naming_them(path, run, times):
+    assert path.T == 4
+    with pytest.raises(ValueError, match=r"^report_times must be integers in \[1, T=4\]"):
+        _report_at(run, path, times)
+
+
+@pytest.mark.parametrize("run", ["pf", "cpf", "mlpf", "kalman", "reference_pf"])
+def test_report_times_are_reported_as_given(path, run):
+    out = _report_at(run, path, iter([np.int64(2), 4]))
+    assert sorted(out.estimates) == [(2.0, "x"), (4.0, "x")]
 
 
 @pytest.mark.parametrize("run", [pf_run, cpf_run])

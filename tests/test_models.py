@@ -40,6 +40,19 @@ def test_langevin_drift_values():
     assert langevin_drift(-1.0, 10.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_latent_step_keeps_a_float_state_a_float(name):
+    """The simulated latent path steps on floats: the drift, and a
+    state-dependent diffusion, map a float to a float with the bytes of
+    the array form."""
+    m = builtin_model(name, {})
+    x = np.array([-3.0, -0.5, 0.0, 0.7, 1e150])
+    for fn in [m.drift] + ([m.diffusion] if m.sigma is None else []):
+        out = [fn(v) for v in x.tolist()]
+        assert all(type(v) is float for v in out)
+        assert np.array(out).tobytes() == fn(x).tobytes()
+
+
 def test_langevin_drift_keeps_the_type_of_its_state():
     assert type(langevin_drift(1.5, 10.0)) is float
     x = np.array([-1.0, 0.0, 1.5])

@@ -19,20 +19,10 @@ from mlpf.resampling import (
 )
 
 
-class StubRng:
-    """Replays a scripted uniform stream through .random(size) and
-    .random(out=array)."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None, out=None):
-        if out is not None:
-            out[...] = np.reshape([self.values.pop(0) for _ in range(out.size)], out.shape)
-            return out
-        n = 1 if size is None else size
-        out = np.array([self.values.pop(0) for _ in range(n)])
-        return out if size is not None else out[0]
+def one_pair(branch, common, fine, coarse):
+    """The (1, 4, 1) uniforms of one maximal-coupling pair, in the order the
+    sampler reads them."""
+    return np.reshape([branch, common, fine, coarse], (1, 4, 1))
 
 
 def wv(weights):
@@ -107,17 +97,17 @@ class TestEss:
 
 class TestMultinomial:
     def test_degenerate(self):
-        idx = multinomial_indices(wv([1.0, 0, 0, 0]), 50, np.random.default_rng(0))
+        idx = multinomial_indices(wv([1.0, 0, 0, 0])[None], np.random.default_rng(0).random((1, 50)))
         assert np.all(idx == 0)
 
     def test_inverse_cdf_walkthrough(self):
-        idx = multinomial_indices(wv([0.7, 0.3]), 2, StubRng([0.65, 0.75]))
+        idx = multinomial_indices(wv([0.7, 0.3])[None], np.array([[0.65, 0.75]]))
         assert list(idx) == [0, 1]
 
     def test_frequencies(self):
         n = 8
         draws = 100_000
-        idx = multinomial_indices(wv(np.ones(n)), draws, np.random.default_rng(42))
+        idx = multinomial_indices(wv(np.ones(n))[None], np.random.default_rng(42).random((1, draws)))
         freq = np.bincount(idx, minlength=n) / draws
         se = np.sqrt((1 / n) * (1 - 1 / n) / draws)
         assert np.all(np.abs(freq - 1 / n) < 5 * se)
@@ -146,21 +136,21 @@ class TestMaximalCouplingPmf:
 
 class TestMaximalCouplingSampler:
     def test_identical_weights_fully_coupled(self):
-        pairs = maximal_coupling_indices(wv([0.2, 0.8]), wv([0.2, 0.8]), 100,
-                                         np.random.default_rng(1))
+        pairs = maximal_coupling_indices(wv([0.2, 0.8])[None], wv([0.2, 0.8])[None],
+                                         np.random.default_rng(1).random((1, 4, 100)))
         assert np.all(pairs.coupled)
         assert np.array_equal(pairs.fine, pairs.coarse)
 
     def test_disjoint_supports(self):
-        pairs = maximal_coupling_indices(wv([1.0, 0.0]), wv([0.0, 1.0]), 64,
-                                         np.random.default_rng(2))
+        pairs = maximal_coupling_indices(wv([1.0, 0.0])[None], wv([0.0, 1.0])[None],
+                                         np.random.default_rng(2).random((1, 4, 64)))
         assert not np.any(pairs.coupled)
         assert np.all(pairs.fine == 0) and np.all(pairs.coarse == 1)
 
     def test_joint_pmf_hand_case(self):
         wf, wc = wv([0.7, 0.3]), wv([0.4, 0.6])
-        rng = np.random.default_rng(7)
-        pairs = maximal_coupling_indices(wf, wc, 200_000, rng)
+        u = np.random.default_rng(7).random((1, 4, 200_000))
+        pairs = maximal_coupling_indices(wf[None], wc[None], u)
         counts = np.zeros((2, 2))
         np.add.at(counts, (pairs.fine, pairs.coarse), 1)
         assert np.allclose(counts / 200_000, [[0.4, 0.3], [0.0, 0.3]], atol=0.01)
@@ -175,7 +165,8 @@ class TestMaximalCouplingSampler:
         wf, wc = wv([0.5, 0.2, 0.3]), wv([0.1, 0.6, 0.3])
         pmf = maximal_coupling_pmf(wf, wc)
         draws = 100_000
-        pairs = maximal_coupling_indices(wf, wc, draws, np.random.default_rng(11))
+        pairs = maximal_coupling_indices(wf[None], wc[None],
+                                         np.random.default_rng(11).random((1, 4, draws)))
         counts = np.zeros((3, 3))
         np.add.at(counts, (pairs.fine, pairs.coarse), 1)
         mask = pmf.flatten() > 0
@@ -211,20 +202,20 @@ def enumerate_sampler_law(wf: np.ndarray, wc: np.ndarray) -> np.ndarray:
 
     if 1.0 - alpha < 1e-14:
         for i, u, pr in cells(overlap / alpha):
-            pairs = maximal_coupling_indices(wf, wc, 1, StubRng([0.0, u, 0.5, 0.5]))
+            pairs = maximal_coupling_indices(wf[None], wc[None], one_pair(0.0, u, 0.5, 0.5))
             law[pairs.fine[0], pairs.coarse[0]] += pr
         return law
     res_f = (wf - overlap) / (1 - alpha)
     res_c = (wc - overlap) / (1 - alpha)
     if alpha > 0:
         for i, u, pr in cells(overlap / alpha):
-            pairs = maximal_coupling_indices(wf, wc, 1, StubRng([alpha / 2, u, 0.5, 0.5]))
+            pairs = maximal_coupling_indices(wf[None], wc[None], one_pair(alpha / 2, u, 0.5, 0.5))
             assert pairs.coupled[0]
             law[pairs.fine[0], pairs.coarse[0]] += alpha * pr
     for i, uf, pf in cells(res_f):
         for j, uc, pc in cells(res_c):
             u_branch = (1 + alpha) / 2
-            pairs = maximal_coupling_indices(wf, wc, 1, StubRng([u_branch, 0.5, uf, uc]))
+            pairs = maximal_coupling_indices(wf[None], wc[None], one_pair(u_branch, 0.5, uf, uc))
             assert not pairs.coupled[0]
             law[pairs.fine[0], pairs.coarse[0]] += (1 - alpha) * pf * pc
     return law
@@ -232,35 +223,35 @@ def enumerate_sampler_law(wf: np.ndarray, wc: np.ndarray) -> np.ndarray:
 
 class TestSortedCoupling:
     def test_identical_ensembles(self):
-        states = np.array([0.3, -1.0, 2.0, 0.9])
-        weights = wv([0.1, 0.4, 0.2, 0.3])
+        states = np.array([[0.3, -1.0, 2.0, 0.9]])
+        weights = wv([0.1, 0.4, 0.2, 0.3])[None]
         for u in [0.05, 0.3, 0.6, 0.95]:
-            a = sorted_coupling_indices(weights, weights, states, states, 1, StubRng([u]))
+            a = sorted_coupling_indices(weights, weights, states, states, np.array([[u]]))
             assert a.fine[0] == a.coarse[0]
 
     def test_comonotone_pick_of_larger_state(self):
-        states = np.array([5.0, 1.0])
-        weights = wv([0.5, 0.5])
-        pairs = sorted_coupling_indices(weights, weights, states, states, 1, StubRng([0.9]))
+        states = np.array([[5.0, 1.0]])
+        weights = wv([0.5, 0.5])[None]
+        pairs = sorted_coupling_indices(weights, weights, states, states, np.array([[0.9]]))
         assert pairs.fine[0] == 0  # index of the larger state
 
     def test_marginals_monte_carlo(self):
-        rng = np.random.default_rng(5)
         wf, wc = wv([0.5, 0.3, 0.2]), wv([0.2, 0.2, 0.6])
-        sf = np.array([0.0, 1.0, 2.0])
-        sc = np.array([2.0, 0.0, 1.0])
+        sf = np.array([[0.0, 1.0, 2.0]])
+        sc = np.array([[2.0, 0.0, 1.0]])
         draws = 100_000
-        pairs = sorted_coupling_indices(wf, wc, sf, sc, draws, rng)
+        u = np.random.default_rng(5).random((1, draws))
+        pairs = sorted_coupling_indices(wf[None], wc[None], sf, sc, u)
         for target, idx in ((wf, pairs.fine), (wc, pairs.coarse)):
             freq = np.bincount(idx, minlength=3) / draws
             se = np.sqrt(target * (1 - target) / draws)
             assert np.all(np.abs(freq - target) < 5 * np.maximum(se, 1e-4))
 
     def test_rejects_vector_states(self):
-        w = wv([0.5, 0.5])
+        w = wv([0.5, 0.5])[None]
         with pytest.raises(ValueError):
-            sorted_coupling_indices(w, w, np.zeros((2, 2)), np.zeros((2, 2)), 2,
-                                    np.random.default_rng(0))
+            sorted_coupling_indices(w, w, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
+                                    np.random.default_rng(0).random((1, 2)))
 
 
 class TestGroupReduction:
@@ -299,7 +290,8 @@ class TestGroupReduction:
     def test_row_draws_equal_one_dimensional(self):
         lw = np.random.default_rng(8).normal(size=(4, 30))
         group = normalize_log_weights(lw)
+        u = np.stack([np.random.default_rng(i).random(30) for i in range(4)])
+        idx = multinomial_indices(group, u).reshape(4, 30)
         for i in range(4):
             alone = normalize_log_weights(lw[i])
-            assert np.array_equal(multinomial_indices(group[i], 30, np.random.default_rng(i)),
-                                  multinomial_indices(alone, 30, np.random.default_rng(i)))
+            assert np.array_equal(idx[i] - 30 * i, multinomial_indices(alone[None], u[i:i + 1]))
