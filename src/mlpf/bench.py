@@ -96,8 +96,6 @@ class BenchmarkConfig:
     workers: int = 1
 
 
-_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)}
-_ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
 # the least value of each integer field; two replicates give a variance estimate
 _INT_LEAST = {"T": 1, "L_data": 1, "data_seed": 0, "repeats": 2, "paths": 1, "master_seed": 0,
               "truth_level": 0, "truth_n": 1, "workers": 1, "L_min": 0, "L_max": 0}

@@ -19,26 +19,23 @@ it had been propagated alone.
 
 Steps run in blocks of K, where K*N is at most ``BLOCK_PARTICLE_STEPS`` (at
 least one step, at most the interval's 2**l).  A step writes its new states
-into row j+1 of a (K, N) buffer, as (x + b(x)*delta) + s*xi, where s is the
-model's constant ``sigma`` when it has one (multiplied into the block's
-noise in one call, so the diffusion is never called) and sigma(x) otherwise;
-since s*xi == xi*s in IEEE arithmetic, both give the same bytes.  Once per
-block, before its last step writes the endpoint over row 0, the observation
-is evaluated on the flat (K*N,) view of the block's pre-step states, and the
-log-potentials h*dy - (delta/2)*(h*h) of all its steps in a few calls; they
-are added to the running sum in step order, by one ``np.add.accumulate``
-down the steps below ``ACCUMULATE_ROWS`` particles and one ``np.add`` per
-step above, both sequential.  So a step makes about six numpy calls where it
-made eleven, every output byte is that of the step-by-step loop, and the
-fixed cost of a step falls where N is small.  The buffers, three (K, N)
-blocks and one row, are made once per call; a step's drift term and the
-block's (delta/2)*(h*h) reuse rows that are free by then.  With K 1 the first
-step reads x0 where it lies and its output becomes the state buffer, and the
-summed log-potential is returned in the one row of the s*xi buffer, so such
-a call holds no more arrays than the step-by-step loop did.  Only the model's
-own callables allocate per step.  Neither the caller's states nor its noise
-block is written, except for a coupled step's pair sums when the caller
-passes the noise's own even columns to hold them.
+into row j+1 of a (K, N) buffer, as (x + b(x)*delta) + xi*s, where s is the
+model's constant ``sigma`` when it has one (so the diffusion is never called)
+and sigma(x) otherwise; multiplication is commutative in IEEE arithmetic, so
+both give the same bytes.  Once per block, before its last step writes the
+endpoint over row 0, the observation is evaluated on the flat (K*N,) view of
+the block's pre-step states, and the log-potentials h*dy - (delta/2)*(h*h) of
+all its steps in a few calls; they are added to the running sum, its own
+(N,) array from 0, by one ``np.add`` per step in step order.  So a step makes
+about six numpy calls where it made eleven, every output byte is that of the
+step-by-step loop, and the fixed cost of a step falls where N is small.  The
+buffers, three (K, N) blocks and the sum, are made once per call; a step's
+drift term and the block's (delta/2)*(h*h) reuse rows that are free by then.
+With K 1 the first step reads x0 where it lies and its output becomes the
+state buffer, so such a call holds no more arrays than the step-by-step loop
+did.  Only the model's own callables allocate per step.  Neither the
+caller's states nor its noise block is written, except for a coupled step's
+pair sums when the caller passes the noise's own even columns to hold them.
 """
 
 from __future__ import annotations
@@ -90,10 +87,6 @@ class NonFiniteStateError(ValueError):
 # tens of rows to spread a block's fixed cost, and few enough rows that its
 # buffers add little to a filter call's peak memory
 BLOCK_PARTICLE_STEPS = 1 << 11
-# below this many particles a block sums its log-potentials in one
-# np.add.accumulate; its inner loop runs along the steps, once per particle,
-# so above it one np.add per step costs less
-ACCUMULATE_ROWS = 256
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -151,59 +144,40 @@ def propagate_unit(
     # x0 where it lies, and the first step's output becomes the buffer, as
     # in the step-by-step loop; longer blocks copy x0 into row 0
     x = None if k_most == 1 else np.empty((k_most, n))
-    # row 0: the summed log-potential; rows 1..k: the block's log-potentials,
-    # row 1 also a step's drift term, before and after they are summed
-    g = np.empty((k_most + 1, n))
-    b = np.empty((k_most, n))  # a step's s*xi; (delta/2)*(h*h) of the block's states
-    a, total = g[1], g[0]
+    g = np.empty((k_most, n))  # the block's log-potentials; row 0 also a step's drift term
+    b = np.empty((k_most, n))  # a step's xi*s; (delta/2)*(h*h) of the block's states
+    a, total = g[0], np.zeros(n)
     if x is not None:
         x[0] = x0
-    total[...] = 0.0
     k_views = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, k_most):
             k = min(k_most, steps - k0)
             if k != k_views:  # the views of a block of k steps: the first, and a shorter last
                 k_views = k
-                states, scaled, sums = x0[None] if x is None else x[:k], b[:k], g[:k + 1]
-                terms = sums[1:]
+                states, scaled, terms = x0[None] if x is None else x[:k], b[:k], g[:k]
                 flat, term_rows = states.reshape(-1), list(terms)
                 # step j reads row j and writes row j+1; the last step writes the endpoint
                 # over row 0, after the block's log-potentials have read it
                 plan = list(zip(states, scaled, [*states[1:], None if x is None else states[0]]))
-            if sigma is not None and k > 1:
-                mul(xi[k0:k0 + k - 1], sigma, scaled[:-1])
             for j, (xj, bj, out) in enumerate(plan):
-                last = j == k - 1
-                if last:
+                if j == k - 1:
                     # every pre-step state of the block is in place: their
-                    # log-potentials h*dy - (delta/2)*(h*h)
+                    # log-potentials h*dy - (delta/2)*(h*h), summed in step order
                     h = observation(flat).reshape(k, n)
                     mul(h, dys[k0:k0 + k], terms)
                     mul(mul(h, h, scaled), half_delta, scaled)
                     sub(terms, scaled, terms)
-                    if n < ACCUMULATE_ROWS:  # a sequential sum, as the adds below
-                        add.accumulate(sums, 0, None, sums)
-                        total[...] = sums[k]
-                    else:
-                        for term in term_rows:
-                            add(total, term, total)
+                    for term in term_rows:
+                        add(total, term, total)
                 add(xj, mul(drift(xj), delta, a), a)
-                if sigma is None:
-                    mul(diffusion(xj), xi[k0 + j], bj)
-                elif last:
-                    mul(xi[k0 + j], sigma, bj)
+                mul(xi[k0 + j], diffusion(xj) if sigma is None else sigma, bj)
                 end = add(a, bj, out)
             if x is None:  # the first step's output: the buffer from now on
                 x, k_views = end[None], 0
     endpoint = x[0]  # a view: the buffer holds at most max(n, BLOCK_PARTICLE_STEPS) states
     _check_finite(endpoint)
-    if k_most == 1:  # b is one free row: the sum moves there, and g ends with the call
-        b[0] = total
-        log_g = b[0]
-    else:  # a copy, not a view that would keep b's or g's other rows
-        log_g = total.copy()
-    return UnitPropagation(l, endpoint, log_g)
+    return UnitPropagation(l, endpoint, total)
 
 
 def propagate_unit_coupled(

@@ -205,10 +205,7 @@ def seed_tuple(seed) -> tuple:
 def _check_common(path, l, n, report_times, resample_policy, seed, chains):
     """The checked report times and replicate seeds of a filter call on
     ``chains`` chains."""
-    if l < 0:
-        raise ValueError(f"level must be >= 0, got {l}")
-    if l > path.L_data:
-        raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
+    _check_level(path, l)
     streams.check_count(n, "n", 1)
     if resample_policy not in RESAMPLE_POLICIES:
         raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
@@ -218,6 +215,15 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
         raise ValueError(f"n={n} particles in {chains} chain(s) of {len(seeds)} replicate(s) "
                          "need states and log-weights above sys.maxsize bytes")
     return report_times, seeds
+
+
+def _check_level(path, l: int) -> None:
+    """Raise a ``ValueError`` unless ``l`` is a level of ``path``'s data, in
+    [0, L_data]."""
+    if l < 0:
+        raise ValueError(f"level must be >= 0, got {l}")
+    if l > path.L_data:
+        raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
 
 
 def _report_times(report_times, T: int) -> list:

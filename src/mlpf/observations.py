@@ -69,6 +69,9 @@ class ObservationPath:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        streams.check_count(self.T, "T", 1)
+        streams.check_count(self.L_data, "L_data", 1)
+        streams.check_seed(self.seed)
         inc = np.asarray(self.increments, dtype=float)
         expected = self.T * (1 << self.L_data)
         if inc.shape != (expected,):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import streams
 from .euler import NonFiniteStateError
-from .filters import _report_times, pf_run
+from .filters import _check_level, _report_times, pf_run
 from .models import ModelSpec
 from .observations import ObservationPath, increments_at_level
 
@@ -31,13 +31,6 @@ class KalmanResult:
     def at_time(self, t: float) -> tuple[float, float]:
         idx = int(round(t * 2 ** self.level))
         return float(self.means[idx]), float(self.variances[idx])
-
-
-def _check_level(path: ObservationPath, l: int) -> None:
-    if l < 0:
-        raise ValueError(f"level must be >= 0, got {l}")
-    if l > path.L_data:
-        raise ValueError(f"level {l} exceeds data frequency {path.L_data}")
 
 
 def kalman_run(path: ObservationPath, l: int, theta: float, mu: float, sigma: float,
@@ -125,6 +118,7 @@ def reference_truth(
     standard errors.  ``seed`` is the master seed of the replicates' seeds.
     """
     _check_level(path, ref_level)
+    streams.check_count(ref_n, "n", 1)
     streams.check_seed(seed)
     streams.check_count(replicates, "replicates", 1)
     report_times = _report_times(report_times, path.T)

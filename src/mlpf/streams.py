@@ -27,7 +27,6 @@ count or seed at the API boundary.
 
 from __future__ import annotations
 
-import functools
 import numbers
 
 import numpy as np
@@ -77,16 +76,14 @@ def check_seed(value, name: str = "seed") -> None:
         raise ValueError(f"{name} must be less than 2**64, got {value!r}")
 
 
-@functools.lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, calls: int) -> tuple:
     """The xor and multiply constants of ``calls`` successive hash calls, as
-    read-only (calls, 1) uint32 column vectors: call i xors with
-    init*mult**i and multiplies by init*mult**(i+1), modulo 2**32."""
+    two new (calls, 1) uint32 column vectors, made at each call: call i xors
+    with init*mult**i and multiplies by init*mult**(i+1), modulo 2**32."""
     powers = [init]
     for _ in range(calls):
         powers.append(powers[-1] * mult & 0xFFFFFFFF)
     column = np.array(powers, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
     return column[:-1], column[1:]
 
 

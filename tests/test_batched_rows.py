@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpf import streams
-from mlpf.euler import (ACCUMULATE_ROWS, BLOCK_PARTICLE_STEPS, NonFiniteStateError,
-                        propagate_unit)
+from mlpf.euler import BLOCK_PARTICLE_STEPS, NonFiniteStateError, propagate_unit
 from mlpf.filters import _weighted, cpf_run, pf_run
 from mlpf.models import ModelSpec, builtin_model
 from mlpf.observations import simulate_observations
@@ -267,15 +266,15 @@ KERNEL_MODELS = {
 
 def block_cases():
     """(l, n): every level 0..10 with the rows for blocks of steps - 1,
-    steps and steps + 1 steps, and rows about the block bound and the
-    accumulate bound, at a few levels."""
+    steps and steps + 1 steps, and rows about the block bound and about 256,
+    at a few levels."""
     cases = set()
     for l in range(11):
         for k in (1 << l) - 1, 1 << l, (1 << l) + 1:
             if k >= 1:
                 cases.add((l, max(1, BLOCK_PARTICLE_STEPS // k)))
     for l in (0, 3, 6):
-        for edge in BLOCK_PARTICLE_STEPS, ACCUMULATE_ROWS:
+        for edge in BLOCK_PARTICLE_STEPS, 256:
             cases.update((l, edge + d) for d in (-1, 0, 1))
     return sorted(cases)
 

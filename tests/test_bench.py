@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mlpf import bench
 from mlpf.bench import (
-    _CONFIG_KEYS,
-    _ESTIMATOR_KEYS,
     BenchmarkConfig,
     ConfigError,
+    EstimatorConfig,
     _seed_slices,
     emit_outputs,
     fit_slope,
@@ -164,8 +164,9 @@ JSON_VALUES = st.one_of(
     st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=4)), max_size=3),
     st.dictionaries(st.text(max_size=6), st.one_of(st.integers(), st.floats()), max_size=2),
 )
-FIELDS = ([(key,) for key in sorted(_CONFIG_KEYS)]
-          + [(i, key) for i in (0, 1) for key in sorted(_ESTIMATOR_KEYS)])
+CONFIG_KEYS, ESTIMATOR_KEYS = (sorted(f.name for f in fields(c))
+                               for c in (BenchmarkConfig, EstimatorConfig))
+FIELDS = [(key,) for key in CONFIG_KEYS] + [(i, key) for i in (0, 1) for key in ESTIMATOR_KEYS]
 
 
 @settings(max_examples=300, deadline=None)

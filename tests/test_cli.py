@@ -137,6 +137,14 @@ class TestRunCommands:
                      "--n", "10"]) == EXIT_CONFIG
         assert "level must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("command,model", [("run-pf", "ou"), ("truth", "ou"), ("truth", "gbm")],
+                             ids=["run-pf", "truth-kalman", "truth-pf"])
+    def test_non_positive_n_is_config_error(self, path_file, capsys, command, model, n):
+        assert main([command, "--model", model, "--path", path_file, "--level", "2",
+                     "--n", n]) == EXIT_CONFIG
+        assert f"n must be an integer >= 1, got {n}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run-pf", "run-cpf", "truth"])
     def test_negative_seed_is_config_error(self, path_file, capsys, command):
         assert main([command, "--model", "gbm", "--path", path_file, "--level", "3",

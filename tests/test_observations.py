@@ -234,6 +234,18 @@ def test_invalid_dimensions():
         ObservationPath(1, 2, np.zeros((4, 1)), "pbar", 0)
 
 
+@pytest.mark.parametrize("T,L_data,size,seed,field", [
+    (0, 3, 0, 0, "T"), (True, 2, 4, 0, "T"), (2.0, 2, 8, 0, "T"),
+    (1, 0, 1, 0, "L_data"), (1, -1, 0, 0, "L_data"),
+    (1, 2, 4, -5, "seed"), (1, 2, 4, 2 ** 64, "seed"),
+], ids=["T-0", "T-bool", "T-float", "L_data-0", "L_data-negative", "seed-negative", "seed-2**64"])
+def test_bad_dimension_or_seed_is_named(T, L_data, size, seed, field):
+    """A path whose T or L_data is not an integer >= 1, or whose seed is not
+    one, fails when built, naming the field, whatever its increments."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ObservationPath(T, L_data, np.zeros(size), "pbar", seed)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_increment_rejected(value):
     inc = np.arange(8.0)
