@@ -22,8 +22,12 @@ least one step, at most the interval's 2**l).  A step writes its new states
 into row j+1 of a (K, N) buffer, as (x + b(x)*delta) + xi*s, where s is the
 model's constant ``sigma`` when it has one (so the diffusion is never called)
 and sigma(x) otherwise; multiplication is commutative in IEEE arithmetic, so
-both give the same bytes.  Once per block, before its last step writes the
-endpoint over row 0, the observation is evaluated on the flat (K*N,) view of
+both give the same bytes.  b(x) and sigma(x) are written into the step's
+buffers by the model's in-place forms, ``drift_into`` and
+``diffusion_into``; a model without them has its plain callables wrapped to
+the same signature once per call, so the step loop has one path.  Once per
+block, before its last step writes the endpoint over row 0, the
+observation is evaluated on the flat (K*N,) view of
 the block's pre-step states, and the log-potentials h*dy - (delta/2)*(h*h) of
 all its steps in a few calls; they are added to the running sum, its own
 (N,) array from 0, by one ``np.add`` per step in step order.  So a step makes
@@ -33,7 +37,9 @@ buffers, three (K, N) blocks and the sum, are made once per call; a step's
 drift term and the block's (delta/2)*(h*h) reuse rows that are free by then.
 With K 1 the first step reads x0 where it lies and its output becomes the
 state buffer, so such a call holds no more arrays than the step-by-step loop
-did.  Only the model's own callables allocate per step.  Neither the
+did.  With the built-ins' in-place forms a step allocates nothing but
+langevin's one temporary; a model's plain callables allocate their
+results, as they did before the forms existed.  Neither the
 caller's states nor its noise block is written, except for a coupled step's
 pair sums when the caller passes the noise's own even columns to hold them.
 """
@@ -139,6 +145,10 @@ def propagate_unit(
     xi = noise.T  # row k: the step-k increments of every particle
     drift, diffusion, observation = model.drift, model.diffusion, model.observation
     sigma = None if model.sigma is None else np.array(model.sigma)
+    # a step's drift and sigma(x), written into its buffer where the model can
+    drift_at = model.drift_into or (lambda x, out: drift(x))
+    diffusion_at = ((lambda x, out: sigma) if sigma is not None
+                    else model.diffusion_into or (lambda x, out: diffusion(x)))
     mul, add, sub = np.multiply, np.add, np.subtract
     # row j: the block's state before its step j.  Blocks of one step read
     # x0 where it lies, and the first step's output becomes the buffer, as
@@ -170,8 +180,8 @@ def propagate_unit(
                     sub(terms, scaled, terms)
                     for term in term_rows:
                         add(total, term, total)
-                add(xj, mul(drift(xj), delta, a), a)
-                mul(xi[k0 + j], diffusion(xj) if sigma is None else sigma, bj)
+                add(xj, mul(drift_at(xj, a), delta, a), a)
+                mul(xi[k0 + j], diffusion_at(xj, bj), bj)
                 end = add(a, bj, out)
             if x is None:  # the first step's output: the buffer from now on
                 x, k_views = end[None], 0

@@ -81,6 +81,7 @@ worker process never inherits one.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -206,6 +207,8 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
     """The checked report times and replicate seeds of a filter call on
     ``chains`` chains."""
     _check_level(path, l)
+    if chains == 2 and l < 1:
+        raise ValueError("coupled filter needs l >= 1")
     streams.check_count(n, "n", 1)
     if resample_policy not in RESAMPLE_POLICIES:
         raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
@@ -218,10 +221,11 @@ def _check_common(path, l, n, report_times, resample_policy, seed, chains):
 
 
 def _check_level(path, l: int) -> None:
-    """Raise a ``ValueError`` unless ``l`` is a level of ``path``'s data, in
-    [0, L_data]."""
-    if l < 0:
-        raise ValueError(f"level must be >= 0, got {l}")
+    """Raise a ``ValueError`` naming the level unless ``l`` is a level of
+    ``path``'s data: an integer, not a bool, in [0, L_data]."""
+    if not streams.is_count(l, 0):
+        rule = ">= 0" if isinstance(l, numbers.Integral) and not isinstance(l, bool) else "an integer"
+        raise ValueError(f"level must be {rule}, got {l!r}")
     if l > path.L_data:
         raise ValueError(f"level {l} exceeds data frequency L_data={path.L_data}")
 
@@ -369,8 +373,6 @@ def cpf_run(
     draws over the state-sorted weights).  ``seed`` is an int or a tuple of
     ints, with replicates stacked and ``_keys`` as in ``pf_run``.
     """
-    if l < 1:
-        raise ValueError("coupled filter needs l >= 1")
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
     return _run(model, path, l, n, functionals, report_times, resample_policy, seed, coupling,
@@ -393,9 +395,9 @@ def _run(model, path, l, n, functionals, report_times, resample_policy, seed, co
     level l - c, and the (T, R) diagnostics hold each interval's entry of
     every replicate."""
     phis = resolve_functionals(functionals)
-    levels = [l] if coupling is None else [l, l - 1]
     report_times, seeds = _check_common(path, l, n, report_times, resample_policy, seed,
-                                        len(levels))
+                                        1 if coupling is None else 2)
+    levels = [l] if coupling is None else [l, l - 1]
     chains, n_rep = len(levels), len(seeds)
     x = np.full((chains, n_rep, n), model.x_star)
     cum = np.zeros((chains, n_rep, n))

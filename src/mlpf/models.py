@@ -12,9 +12,18 @@ diffusion on one float state.  A model whose diffusion is a constant also
 carries it as the float ``sigma`` (ou and langevin), so the Euler loops
 multiply it into the noise without calling the diffusion; ``sigma`` is
 None for a state-dependent diffusion (gbm and nonlinear_sigma).
-``ModelSpec`` checks the diffusion contract, ``sigma`` and the start state
-once, at construction, so the Euler loop can multiply sigma(x) into the
-noise without reshaping.
+A model may also carry in-place forms of its drift and diffusion,
+``drift_into(x, out)`` and ``diffusion_into(x, out)``: each returns an array
+holding the plain callable's values at the (M,) states ``x``, written into
+the (M,) buffer ``out`` where the form can, so an Euler step allocates
+nothing and converts no Python float for the model.  ``out`` never aliases
+``x``.  The built-ins supply them with 0-d float64 constants and the plain
+lambdas' operations in the same order, so both forms give the same bytes;
+a constant diffusion needs none, since ``sigma`` takes its place.  A
+user-built model may leave both None, and the Euler step then calls its
+plain callables as before.  ``ModelSpec`` checks the diffusion contract,
+``sigma``, the in-place forms and the start state once, at construction,
+so the Euler loop can multiply sigma(x) into the noise without reshaping.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ class ModelSpec:
     is_linear_gaussian: bool = False
     sigma: float | None = None  # the diffusion's value when it is a constant
     params: dict = field(default_factory=dict)
+    # in-place forms (x, out) -> array of the drift's and diffusion's values
+    drift_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    diffusion_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.x_star, numbers.Real) and math.isfinite(self.x_star)):
@@ -73,6 +85,17 @@ class ModelSpec:
             if not np.all(self.diffusion(probe) == self.sigma):
                 raise ValueError(f"{self.name}: sigma {self.sigma!r} disagrees with the "
                                  f"diffusion at x_star")
+        # each in-place form gives its plain callable's bytes, here on a few states
+        states = np.array([self.x_star, -2.5, -0.5, 0.0, 0.75, 3.0])
+        for name in ("drift", "diffusion"):
+            into = getattr(self, name + "_into")
+            if into is not None:
+                with np.errstate(all="ignore"):
+                    want = np.asarray(getattr(self, name)(states))
+                    got = np.asarray(into(states.copy(), np.empty_like(states)))
+                if (got.dtype, got.shape, got.tobytes()) != (want.dtype, want.shape, want.tobytes()):
+                    raise ValueError(f"{self.name}: {name}_into disagrees with {name} "
+                                     f"at the states {states.tolist()}")
 
 
 def _is_real(value) -> bool:
@@ -91,7 +114,8 @@ def langevin_drift(x, nu: float):
     return -(nu + 1.0) * x / (2.0 * (nu + x * x))
 
 
-def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, sigma=None):
+def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, sigma=None,
+                  drift_into=None, diffusion_into=None):
     return ModelSpec(
         name=name,
         drift=drift,
@@ -101,7 +125,46 @@ def _scalar_model(name, drift, diffusion, x_star, params, *, linear=False, sigma
         is_linear_gaussian=linear,
         sigma=sigma,
         params=dict(params),
+        drift_into=drift_into,
+        diffusion_into=diffusion_into,
     )
+
+
+def _reverting_into(th, mu):
+    """In place, th * (mu - x)."""
+    th, mu = np.array(th), np.array(mu)
+    sub, mul = np.subtract, np.multiply
+    return lambda x, out: mul(th, sub(mu, x, out), out)
+
+
+def _scaled_into(c):
+    """In place, c * x."""
+    c = np.array(c)
+    return lambda x, out: np.multiply(c, x, out)
+
+
+def _langevin_into(nu):
+    """In place, ``langevin_drift(x, nu)``: -(nu+1) * x / (2 * (nu + x*x)),
+    with one temporary."""
+    c, nu, two = np.array(-(nu + 1.0)), np.array(nu), np.array(2.0)
+    mul, add = np.multiply, np.add
+
+    def drift_into(x, out):
+        t = mul(x, x)
+        mul(two, add(nu, t, t), t)
+        return np.divide(mul(c, x, out), t, out)
+
+    return drift_into
+
+
+_ONE = np.array(1.0)
+
+
+def _bounded_into(x, out):
+    """In place, 1 / sqrt(1 + x*x): nonlinear_sigma's diffusion."""
+    np.multiply(x, x, out)
+    np.add(_ONE, out, out)
+    return np.divide(_ONE, np.sqrt(out, out), out)
 
 
 def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
@@ -126,7 +189,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
             "ou",
             lambda x: th * (mu - x),
             lambda x: np.full(np.shape(x), sg),
-            p["x_star"], p, linear=True, sigma=sg,
+            p["x_star"], p, linear=True, sigma=sg, drift_into=_reverting_into(th, mu),
         )
     if name == "langevin":
         p = _take(params, nu=10.0, x_star=0.0)
@@ -137,7 +200,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
             "langevin",
             lambda x: langevin_drift(x, nu),
             lambda x: np.ones(np.shape(x)),
-            p["x_star"], p, sigma=1.0,
+            p["x_star"], p, sigma=1.0, drift_into=_langevin_into(nu),
         )
     if name == "gbm":
         # x_star defaults to 1: the process started at 0 is identically 0.
@@ -149,7 +212,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
             "gbm",
             lambda x: mu * x,
             lambda x: sg * x,
-            p["x_star"], p,
+            p["x_star"], p, drift_into=_scaled_into(mu), diffusion_into=_scaled_into(sg),
         )
     if name == "nonlinear_sigma":
         p = _take(params, theta=0.0, mu=0.0, x_star=0.0)
@@ -160,7 +223,7 @@ def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
             # a float state stays a float; both square roots are correctly rounded
             lambda x: 1.0 / (math.sqrt(1.0 + x * x) if isinstance(x, float)
                              else np.sqrt(1.0 + x * x)),
-            p["x_star"], p,
+            p["x_star"], p, drift_into=_reverting_into(th, mu), diffusion_into=_bounded_into,
         )
     raise ValueError(f"unknown model {name!r}; expected one of {BUILTIN_NAMES}")
 

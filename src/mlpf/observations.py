@@ -116,8 +116,8 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     square in a drift or diffusion stays ``**``, libm ``pow`` on either
     type, since ``x * x`` may round differently.
     """
-    if T < 1 or L_data < 1:
-        raise ValueError("need T >= 1 and L_data >= 1")
+    streams.check_count(T, "T", 1)
+    streams.check_count(L_data, "L_data", 1)
     streams.check_seed(seed)
     n = _increment_count(T, L_data)
     delta = 2.0 ** (-L_data)

@@ -262,6 +262,39 @@ def test_bad_particle_count_is_rejected_naming_it(path, run, n):
         run(OU, path, 2, n, ["x"], seed=1)
 
 
+def _at_level(run, path, l):
+    """One call of ``run`` on ``path`` at level ``l``."""
+    if run in ("pf", "cpf"):
+        return (pf_run if run == "pf" else cpf_run)(OU, path, l, 10, ["x"])
+    if run == "kalman":
+        return kalman_run(path, l, 1.0, 0.0, 0.5)
+    return reference_truth(builtin_model("gbm", {}), path, l, 10, ["x"], replicates=2)
+
+
+@pytest.mark.parametrize("run", ["pf", "cpf", "kalman", "reference_truth"])
+@pytest.mark.parametrize("level", [True, 2.5, "2", None, np.float64(2.0)], ids=repr)
+def test_a_level_that_is_not_an_integer_is_rejected_naming_it(path, run, level):
+    """A level is an integer, not a bool, checked before the coupled
+    filter's l >= 1 and before any stream key is derived."""
+    with pytest.raises(ValueError, match=r"^level must be an integer, got "):
+        _at_level(run, path, level)
+
+
+@pytest.mark.parametrize("run", ["pf", "cpf", "kalman", "reference_truth"])
+def test_a_negative_level_is_rejected_naming_it(path, run):
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+        _at_level(run, path, -1)
+
+
+@pytest.mark.parametrize("run", ["pf", "cpf", "kalman", "reference_truth"])
+def test_a_numpy_integer_level_is_accepted(path, run):
+    got, want = _at_level(run, path, np.int64(2)), _at_level(run, path, 2)
+    if run == "kalman":
+        assert got.means.tobytes() == want.means.tobytes()
+    else:
+        assert got.estimates == want.estimates
+
+
 def test_numpy_integer_seeds_and_counts_are_accepted(path):
     out = pf_run(OU, path, 2, np.int64(10), ["x"], seed=(np.uint64(3),))
     assert out == (pf_run(OU, path, 2, 10, ["x"], seed=3),)

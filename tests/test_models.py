@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mlpf.filters import cpf_run, pf_run
 from mlpf.models import BUILTIN_NAMES, ModelParameterError, ModelSpec, builtin_model, langevin_drift
+from mlpf.observations import simulate_observations
 
 
 def test_ou_defaults():
@@ -189,3 +191,58 @@ def test_non_positive_scale_names_the_parameter():
         with pytest.raises(ModelParameterError, match=key) as info:
             builtin_model(name, {key: 0.0})
         assert info.value.key == key
+
+
+# the in-place forms of the drift and diffusion
+
+GRID = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e150, -1e150, 1e300, -1e300])
+PARAMS = {"ou": {"theta": 0.7, "mu": -1.3}, "langevin": {"nu": 3.5}, "gbm": {"mu": -0.3, "sigma": 1.7},
+          "nonlinear_sigma": {"theta": 2.0, "mu": 0.4}}
+
+
+@pytest.mark.parametrize("params", ["default", "set"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_in_place_forms_give_the_plain_bytes(name, params):
+    """Each built-in's in-place drift and diffusion return ``out`` holding the
+    plain callable's bytes, x_star and signed zeros, subnormals and huge
+    states included, and leave the states as they were; a constant
+    diffusion has none, since ``sigma`` takes its place."""
+    m = builtin_model(name, PARAMS[name] if params == "set" else {})
+    assert m.drift_into is not None
+    assert (m.diffusion_into is None) == (m.sigma is not None)
+    x = np.concatenate([[m.x_star], GRID])
+    for plain, into in ((m.drift, m.drift_into), (m.diffusion, m.diffusion_into)):
+        if into is None:
+            continue
+        out, states = np.empty_like(x), x.copy()
+        with np.errstate(all="ignore"):
+            got, want = into(states, out), plain(x)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert states.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("field", ["drift_into", "diffusion_into"])
+def test_model_spec_rejects_an_in_place_form_that_disagrees(field):
+    gbm = builtin_model("gbm", {})
+    off = {"drift_into": lambda x, out: np.multiply(0.02 + 1e-17, x, out),
+           "diffusion_into": lambda x, out: np.multiply(0.2 + 1e-16, x, out)}
+    with pytest.raises(ValueError, match=f"{field} disagrees with {field.removesuffix('_into')}"):
+        ModelSpec(name="off", drift=gbm.drift, diffusion=gbm.diffusion, observation=lambda x: x,
+                  x_star=1.0, **{field: off[field]})
+
+
+@pytest.mark.parametrize("name", ["gbm", "langevin"])
+def test_a_model_with_plain_callables_only_filters_as_the_builtin(name):
+    """A user-built model without in-place forms takes the plain callables
+    in the Euler step, with the built-in's bytes."""
+    builtin = builtin_model(name, {})
+    plain = ModelSpec(name=name, drift=builtin.drift, diffusion=builtin.diffusion,
+                      observation=builtin.observation, x_star=builtin.x_star, sigma=builtin.sigma)
+    assert plain.drift_into is None and plain.diffusion_into is None
+    path = simulate_observations("p", builtin, 3, 6, seed=5)
+    runs = [lambda m: pf_run(m, path, 4, 40, ["x", "x2"], seed=(1, 2)),
+            lambda m: pf_run(m, path, 0, 300, ["x"], resample_policy="always", seed=3)]
+    runs += [lambda m, c=c: cpf_run(m, path, 5, 30, ["x"], seed=(4, 5), coupling=c)
+             for c in ("maximal", "sorted")]
+    for run in runs:
+        assert repr(run(plain)) == repr(run(builtin))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlpf import streams
 from mlpf.euler import NonFiniteStateError
 from mlpf.models import builtin_model
 from mlpf.observations import (
@@ -244,6 +245,19 @@ def test_bad_dimension_or_seed_is_named(T, L_data, size, seed, field):
     one, fails when built, naming the field, whatever its increments."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ObservationPath(T, L_data, np.zeros(size), "pbar", seed)
+
+
+@pytest.mark.parametrize("T,L_data,field", [
+    (2.0, 3, "T"), (True, 3, "T"), ("2", 3, "T"), (0, 3, "T"),
+    (2, 3.0, "L_data"), (2, True, "L_data"), (2, 0, "L_data"),
+], ids=repr)
+def test_simulation_names_a_bad_dimension_before_any_draw(monkeypatch, T, L_data, field):
+    def no_draw(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(streams, "generator", no_draw)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+        simulate_observations("p", OU, T, L_data, seed=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
+from mlpf import resampling
 from mlpf.resampling import (
     FULL_COUPLING_EPS,
+    SORT_QUERIES,
     DegenerateWeightsError,
     IndexPairs,
     ess,
@@ -17,6 +19,7 @@ from mlpf.resampling import (
     normalize_log_weights,
     sorted_coupling_indices,
 )
+from mlpf.resampling import _inverse_cdf
 
 
 def one_pair(branch, common, fine, coarse):
@@ -295,3 +298,73 @@ class TestGroupReduction:
         for i in range(4):
             alone = normalize_log_weights(lw[i])
             assert np.array_equal(idx[i] - 30 * i, multinomial_indices(alone[None], u[i:i + 1]))
+
+
+# the inverse CDF searches a long row's uniforms in sorted order
+
+
+def one_row_search(cdf, q):
+    """The one-row search, of the uniforms in draw order."""
+    cdf = cdf.copy()
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, q, side="right"), cdf.size - 1)
+
+
+@st.composite
+def cdf_queries(draw):
+    """(k, N) running sums, (k, m) uniforms and a mask or None.  Rows have
+    zero weights (ties in the CDF) and a last entry short of 1; uniforms
+    repeat, equal CDF entries or fall above the last one; a masked row may
+    have no queries, and the rows' query counts fall below and above
+    ``SORT_QUERIES``."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 3, 46, SORT_QUERIES + 7]))
+    m = draw(st.sampled_from([0, 1, 5, SORT_QUERIES - 1, SORT_QUERIES, SORT_QUERIES + 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.random((k, n)) * (rng.random((k, n)) < draw(st.sampled_from([0.2, 0.7, 1.0])))
+    w[:, rng.integers(n)] += 0.5
+    cdf = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
+    cdf[:, -1] = draw(st.sampled_from([1.0, 0.9, 1.0 - 2 ** -53]))  # forced back to 1
+    u = rng.random((k, m))
+    if m:
+        picks = rng.random((k, m)) < 0.3
+        u[picks] = np.take_along_axis(cdf, rng.integers(n, size=(k, m)), -1)[picks]
+        u[:, rng.integers(m)] = 0.0
+        u[:, : m // 4] = u[:, m // 4: 2 * (m // 4)]  # repeated uniforms
+    if not draw(st.booleans()):
+        return cdf, u, None
+    mask = rng.random((k, m)) < draw(st.sampled_from([0.0, 0.05, 0.96, 1.0]))
+    mask[draw(st.integers(0, k - 1))] = False  # a row with no queries
+    return cdf, u, mask
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cdf_queries())
+def test_sorted_search_equals_the_search_in_draw_order(case):
+    cdf, u, mask = case
+    rows = u if mask is None else [q[sel] for q, sel in zip(u, mask)]
+    want = [one_row_search(c, q) for c, q in zip(cdf, rows)]
+    got = _inverse_cdf(cdf.copy(), u, mask)
+    if mask is None:
+        assert got.shape == u.shape and np.array_equal(got, np.stack(want))
+    else:
+        assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("n", [46, 1723, 4871])
+def test_sort_queries_changes_no_index(monkeypatch, n):
+    """Any ``SORT_QUERIES`` gives the default's indices: every row sorted,
+    and none."""
+    rng = np.random.default_rng(n)
+    lw = rng.normal(0.0, 2.0, (3, n))
+    wf, wc = normalize_log_weights(lw), normalize_log_weights(lw + rng.normal(0.0, 0.1, (3, n)))
+    u = rng.random((3, 4, n))
+
+    def draws():
+        pairs = maximal_coupling_indices(wf, wc, u)
+        return multinomial_indices(wf, u[:, 0]), pairs.fine, pairs.coarse, pairs.coupled
+
+    default = draws()
+    for knob in (1, 10 ** 9):
+        monkeypatch.setattr(resampling, "SORT_QUERIES", knob)
+        assert all(np.array_equal(a, b) for a, b in zip(draws(), default))
