@@ -33,13 +33,13 @@ all its steps in a few calls; they are added to the running sum, its own
 (N,) array from 0, by one ``np.add`` per step in step order.  So a step makes
 about six numpy calls where it made eleven, every output byte is that of the
 step-by-step loop, and the fixed cost of a step falls where N is small.  The
-buffers, three (K, N) blocks and the sum, are made once per call; a step's
-drift term and the block's (delta/2)*(h*h) reuse rows that are free by then.
-With K 1 the first step reads x0 where it lies and its output becomes the
-state buffer, so such a call holds no more arrays than the step-by-step loop
-did.  With the built-ins' in-place forms a step allocates nothing but
-langevin's one temporary; a model's plain callables allocate their
-results, as they did before the forms existed.  Neither the
+buffers, three (K, N) blocks and the sum, are made once per call, and x0 is
+copied into row 0 of the state block; a step's drift term and the block's
+(delta/2)*(h*h) reuse rows that are free by then.  With K 1 a call so holds
+four arrays of N floats, the three rows and the sum, besides what the
+model's callables allocate.  With the built-ins' in-place forms a step
+allocates nothing but langevin's one temporary; a model's plain callables
+allocate their results, as they did before the forms existed.  Neither the
 caller's states nor its noise block is written, except for a coupled step's
 pair sums when the caller passes the noise's own even columns to hold them.
 """
@@ -150,26 +150,22 @@ def propagate_unit(
     diffusion_at = ((lambda x, out: sigma) if sigma is not None
                     else model.diffusion_into or (lambda x, out: diffusion(x)))
     mul, add, sub = np.multiply, np.add, np.subtract
-    # row j: the block's state before its step j.  Blocks of one step read
-    # x0 where it lies, and the first step's output becomes the buffer, as
-    # in the step-by-step loop; longer blocks copy x0 into row 0
-    x = None if k_most == 1 else np.empty((k_most, n))
+    x = np.empty((k_most, n))  # row j: the block's state before its step j
     g = np.empty((k_most, n))  # the block's log-potentials; row 0 also a step's drift term
     b = np.empty((k_most, n))  # a step's xi*s; (delta/2)*(h*h) of the block's states
     a, total = g[0], np.zeros(n)
-    if x is not None:
-        x[0] = x0
+    x[0] = x0
     k_views = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, k_most):
             k = min(k_most, steps - k0)
             if k != k_views:  # the views of a block of k steps: the first, and a shorter last
                 k_views = k
-                states, scaled, terms = x0[None] if x is None else x[:k], b[:k], g[:k]
+                states, scaled, terms = x[:k], b[:k], g[:k]
                 flat, term_rows = states.reshape(-1), list(terms)
                 # step j reads row j and writes row j+1; the last step writes the endpoint
                 # over row 0, after the block's log-potentials have read it
-                plan = list(zip(states, scaled, [*states[1:], None if x is None else states[0]]))
+                plan = list(zip(states, scaled, [*states[1:], states[0]]))
             for j, (xj, bj, out) in enumerate(plan):
                 if j == k - 1:
                     # every pre-step state of the block is in place: their
@@ -182,9 +178,7 @@ def propagate_unit(
                         add(total, term, total)
                 add(xj, mul(drift_at(xj, a), delta, a), a)
                 mul(xi[k0 + j], diffusion_at(xj, bj), bj)
-                end = add(a, bj, out)
-            if x is None:  # the first step's output: the buffer from now on
-                x, k_views = end[None], 0
+                add(a, bj, out)
     endpoint = x[0]  # a view: the buffer holds at most max(n, BLOCK_PARTICLE_STEPS) states
     _check_finite(endpoint)
     return UnitPropagation(l, endpoint, total)

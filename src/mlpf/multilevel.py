@@ -17,7 +17,7 @@ import numpy as np
 
 from . import streams
 from .filters import _call_bytes, _call_keys, _report_times, cpf_run, pf_run, seed_tuple
-from .models import ModelSpec
+from .models import ModelSpec, _is_real
 from .observations import ObservationPath
 
 __all__ = ["LevelAllocation", "MLPFOutput", "allocate", "total_cost", "mlpf_run", "ALLOCATION_RULES"]
@@ -56,9 +56,8 @@ def allocate(rule: str, L: int, base: float, constant_diffusion: bool = True) ->
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"rule must be one of {ALLOCATION_RULES}")
-    if L < 0:
-        raise ValueError(f"L must be >= 0, got {L}")
-    if not 0 < base < math.inf:
+    streams.check_count(L, "L", 0)
+    if not (_is_real(base) and 0 < base < math.inf):
         raise ValueError(f"base must be a finite number > 0, got {base}")
     try:
         inv_eps2 = math.ldexp(1.0, L)  # 2**L, without building the integer

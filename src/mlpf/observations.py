@@ -119,14 +119,14 @@ def simulate_observations(mode: str, model: ModelSpec, T: int, L_data: int, seed
     streams.check_count(T, "T", 1)
     streams.check_count(L_data, "L_data", 1)
     streams.check_seed(seed)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     n = _increment_count(T, L_data)
     delta = 2.0 ** (-L_data)
     g_obs = streams.generator(seed, streams.TAG_OBS)
     brownian = np.sqrt(delta) * g_obs.standard_normal(n)
     if mode == "pbar":
         return ObservationPath(T, L_data, brownian, "pbar", seed)
-    if mode != "p":
-        raise ValueError(f"mode must be one of {MODES}")
     g_lat = streams.generator(seed, streams.TAG_LATENT)
     xi = (np.sqrt(delta) * g_lat.standard_normal(n)).tolist()
     x = model.x_star

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` exists, so ``import *`` works,
-and every module attribute that README.md or a docstring names exists."""
+every module attribute that README.md or a docstring names exists, and
+every script README.md names exists and is run by a CLI test."""
 
 import ast
 import importlib
@@ -44,3 +45,22 @@ def test_docstring_constants_resolve(name):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
     names = {n for doc in docs for n in re.findall(r"``([A-Z][A-Z0-9_]+)``", doc)}
     assert sorted(n for n in names if not hasattr(module, n)) == []
+
+
+def test_readme_scripts_exist():
+    """Each `scripts/<name>.py` that README.md names is a file in scripts/."""
+    named = set(re.findall(r"scripts/(\w+\.py)", README.read_text()))
+    assert named
+    assert sorted(n for n in named if not (README.parent / "scripts" / n).is_file()) == []
+
+
+def test_every_script_is_smoke_tested():
+    """Each file in scripts/ is named by a test in tests/test_cli.py, which
+    runs it, so no script drops out of the test suite."""
+    tree = ast.parse((pathlib.Path(__file__).parent / "test_cli.py").read_text())
+    named = {node.value for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("test")
+             for node in ast.walk(fn) if isinstance(node, ast.Constant)}
+    scripts = sorted(p.name for p in (README.parent / "scripts").iterdir() if p.is_file())
+    assert scripts
+    assert [name for name in scripts if name not in named] == []

@@ -20,6 +20,8 @@ from mlpf.resampling import (
     sorted_coupling_indices,
 )
 
+from test_euler import reference_propagate
+
 # one-row references, in the plain form of one (N,) vector and one generator
 
 
@@ -243,17 +245,7 @@ def test_ess_gated_subsets_equal_single_runs(n, l, seeds, coupling):
     assert run(tuple(seeds)) == tuple(run(s) for s in seeds)
 
 
-# the block kernel against a plain loop of one step at a time
-
-
-def ref_propagate(model, l, x0, obs, noise):
-    delta = 2.0 ** -l
-    x, log_g = x0, np.zeros(x0.shape[0])
-    for k in range(1 << l):
-        h = model.observation(x)
-        log_g = log_g + (h * float(obs[k]) - 0.5 * delta * (h * h))
-        x = x + model.drift(x) * delta + model.diffusion(x) * noise[:, k]
-    return x, log_g
+# the block kernel against the plain loop of one step at a time in test_euler
 
 
 KERNEL_MODELS = {
@@ -288,7 +280,7 @@ def test_block_kernel_equals_one_step_at_a_time(name, l, n):
     obs = 0.2 * rng.standard_normal(1 << l)
     noise = np.sqrt(2.0 ** -l) * rng.standard_normal((n, 1 << l))
     prop = propagate_unit(model, l, x0, obs, noise)
-    endpoint, log_g = ref_propagate(model, l, x0, obs, noise)
+    endpoint, log_g = reference_propagate(model, l, x0, obs, noise)
     assert np.array_equal(prop.endpoint, endpoint)
     assert np.array_equal(prop.log_g_total, log_g)
 

@@ -509,12 +509,3 @@ def test_tile_curve_rows_smoke():
     assert header.split()[6:8] == ["us/step", "ns/step"]
     assert [row.split()[:5] for row in rows] == [
         [l, n, "2", n, "1"] for l in ("3", "6") for n in ("16", "300")]
-
-
-def test_stream_cost_smoke():
-    argv = [sys.executable, os.path.join(SCRIPTS, "stream_cost.py"), "--keys", "12", "--k", "1"]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    header, row = done.stdout.strip().split("\n")
-    assert header.split()[:2] == ["keys", "seedseq"]
-    assert row.split()[0] == "12"

@@ -305,12 +305,12 @@ class TestKernelBitIdentity:
                                    np.zeros((3, 4)), coarse_noise=np.empty((3, 4)))
 
 
-@pytest.mark.parametrize("name", ["ou", "gbm"])
+@pytest.mark.parametrize("name", ["ou", "gbm", "nonlinear_sigma"])
 def test_a_one_step_call_holds_no_state_copy(name):
-    """At l 0 the step reads x0 where it lies and makes the endpoint, so a
-    call holds the log-potential rows, one s*xi row, the endpoint and one
-    model temporary: four arrays of N floats, as the step-by-step loop did,
-    besides numpy's fixed-size ufunc buffers."""
+    """At l 0 a call holds the log-potential row, the s*xi row, the sum and
+    the state buffer, which takes x0 and then the endpoint: four arrays of
+    N floats, besides numpy's fixed-size ufunc buffers.  The built-ins'
+    in-place forms add no temporary beside them."""
     model, n = builtin_model(name, {}), 1 << 16
     x0, obs = np.full(n, 0.5), np.array([0.01])
     noise = streams.noise_block(3, 0, 0, n)

@@ -61,6 +61,12 @@ class TestAllocate:
             allocate("bogus", 3, 1.0)
         with pytest.raises(ValueError):
             allocate("single_pf", 3, -1.0)
+        for L in (True, 2.5, 3.0, "3", -1):
+            with pytest.raises(ValueError, match="^L must be an integer >= 0"):
+                allocate("mlpf_constant", L, 4.0)
+        for base in (True, "4", None):
+            with pytest.raises(ValueError, match="^base must be a finite number > 0"):
+                allocate("mlpf_constant", 3, base)
 
 
 class TestTotalCost:

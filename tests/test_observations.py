@@ -247,17 +247,27 @@ def test_bad_dimension_or_seed_is_named(T, L_data, size, seed, field):
         ObservationPath(T, L_data, np.zeros(size), "pbar", seed)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """``streams.generator`` made to fail, so a test fails if a stream is opened."""
+    def fail(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(streams, "generator", fail)
+
+
 @pytest.mark.parametrize("T,L_data,field", [
     (2.0, 3, "T"), (True, 3, "T"), ("2", 3, "T"), (0, 3, "T"),
     (2, 3.0, "L_data"), (2, True, "L_data"), (2, 0, "L_data"),
 ], ids=repr)
-def test_simulation_names_a_bad_dimension_before_any_draw(monkeypatch, T, L_data, field):
-    def no_draw(*args):
-        raise AssertionError("a stream was opened")
-
-    monkeypatch.setattr(streams, "generator", no_draw)
+def test_simulation_names_a_bad_dimension_before_any_draw(no_draw, T, L_data, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
         simulate_observations("p", OU, T, L_data, seed=0)
+
+
+def test_simulation_names_a_bad_mode_before_any_draw(no_draw):
+    with pytest.raises(ValueError, match="^mode must be one of "):
+        simulate_observations("x", OU, 64, 20, seed=1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
