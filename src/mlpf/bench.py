@@ -2,9 +2,14 @@
 
 A benchmark fixes one observation path (or several, via ``paths``), computes
 the truth once per path at a reference level, then sweeps estimators over a
-range of highest levels with repeated independent replicates.  Outputs are
-canonical CSV/JSON plus a dependency-free SVG log-log plot.  Everything is
-deterministic given the master seed, including under multiprocess execution.
+range of highest levels with repeated independent replicates.  Only the
+first of the config's functionals is evaluated, the one the sweep records.
+Outputs are canonical CSV/JSON plus a dependency-free SVG log-log plot.
+Each summary row of an (estimator, L) carries, under ``levels``, one
+``LEVEL_FIELDS`` row per rung: the mean and variance of the rung's
+estimates and the mean same-ancestor fraction, from the level outputs of
+the same ``mlpf_run`` calls.  Everything is deterministic given the master
+seed, including under multiprocess execution.
 
 A job is one (estimator, L, path): it carries the seeds of all ``repeats``
 replicates and runs them in one batched ``mlpf_run`` call, so each level's
@@ -55,11 +60,14 @@ __all__ = [
     "emit_outputs",
     "RECORD_FIELDS",
     "SUMMARY_FIELDS",
+    "LEVEL_FIELDS",
 ]
 
 RECORD_FIELDS = ("estimator", "L", "repeat", "seed", "cost_units", "wall_seconds",
                  "estimate", "truth", "squared_error")
 SUMMARY_FIELDS = ("estimator", "L", "mean_cost", "mse", "n_repeats")
+LEVEL_FIELDS = ("estimator", "L", "level", "n_particles", "cost_units", "mean", "variance",
+                "same_ancestor")
 
 
 class ConfigError(ValueError):
@@ -234,7 +242,10 @@ def _run_one(args) -> tuple:
     ``mlpf_run``; module-level for pickling under process pools.
 
     Returns (estimates, total cost units, wall seconds, cost units per
-    replicate), the estimates in seed order.
+    replicate, rungs, level pairs), the estimates in seed order.  The rungs
+    are the (level, particles, cost units) of each rung, lowest first, and
+    each replicate's level pairs the (estimate, same-ancestor fraction) of
+    each rung, the fraction None on the lowest rung.
     """
     (model_name, model_params, inc, T, L_data, mode, data_seed,
      allocation, coupling, policy, functionals, seeds) = args
@@ -246,7 +257,10 @@ def _run_one(args) -> tuple:
     wall = time.perf_counter() - t0
     key = (float(T), functionals[0])
     costs = tuple(out.cost_units for out in outs)
-    return tuple(out.estimates[key] for out in outs), sum(costs), wall, costs
+    rungs = tuple((lo.level, lo.n_particles, lo.cost_units) for lo in outs[0].level_outputs)
+    pairs = tuple(tuple((lo.estimates[key], lo.final_same_ancestor_fraction)
+                        for lo in out.level_outputs) for out in outs)
+    return tuple(out.estimates[key] for out in outs), sum(costs), wall, costs, rungs, pairs
 
 
 def run_benchmark(config: BenchmarkConfig, progress=None):
@@ -266,7 +280,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
         ds = config.data_seed if pi == 0 else int(
             streams.generator(config.data_seed, streams.TAG_OBS, pi).integers(2 ** 63))
         path = simulate_observations(config.data_mode, model, config.T, config.L_data, ds)
-        truth = reference_truth(model, path, truth_level, config.truth_n, list(config.functionals),
+        truth = reference_truth(model, path, truth_level, config.truth_n, [fid],
                                 seed=config.master_seed, report_times=[config.T])
         path_data.append((path, truth.estimates[(t_report, fid)]))
     # one job per (estimator, L, path); replicate seeds are numbered in that order.
@@ -289,7 +303,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
                         config.model, config.model_params, path.increments, config.T,
                         config.L_data, path.mode, path.seed,
                         allocation, est.coupling, est.resample_policy,
-                        tuple(config.functionals), seeds[a:b],
+                        (fid,), seeds[a:b],
                     ))
                     meta.append((est.id, L, pi * config.repeats + a, seeds[a:b], truth_val))
                     planned.append(total_cost(allocation, config.T) * (b - a))
@@ -312,14 +326,23 @@ def run_benchmark(config: BenchmarkConfig, progress=None):
             done += len(meta[i][3])
             if progress:
                 progress(done, n_seeds)
-    records = []
-    for (est_id, L, rep0, seeds, truth_val), (estimates, _, wall, costs) in zip(meta, results):
+    # meta holds each (estimator, L)'s replicates in records order, so its
+    # level pairs are gathered in that order
+    records, rungs, pairs = [], {}, {}
+    for (est_id, L, rep0, seeds, truth_val), (estimates, _, wall, costs, job_rungs, job_pairs) \
+            in zip(meta, results):
+        rungs[est_id, L] = job_rungs
+        pairs.setdefault((est_id, L), []).extend(job_pairs)
         for r, (seed, estimate, cost) in enumerate(zip(seeds, estimates, costs)):
             err = estimate - truth_val
             records.append(BenchmarkRecord(est_id, L, rep0 + r, seed, cost, wall / len(seeds),
                                            estimate, truth_val, err * err))
     records.sort(key=lambda r: (r.estimator, r.L, r.repeat))
-    return records, summarize(records)
+    summary = summarize(records)
+    for row in summary:
+        key = (row["estimator"], row["L"])
+        row["levels"] = _level_rows(key, rungs[key], pairs[key])
+    return records, summary
 
 
 def _seed_slices(repeats: int, workers: int) -> list:
@@ -352,6 +375,18 @@ def summarize(records):
     return rows
 
 
+def _level_rows(key, rungs, pairs) -> list:
+    """One ``LEVEL_FIELDS`` row per rung of an (estimator, L), over its
+    replicates' level pairs in records order."""
+    rows = []
+    for i, (level, n, cost) in enumerate(rungs):
+        values = [pair[i][0] for pair in pairs]
+        rows.append(dict(zip(LEVEL_FIELDS, (
+            *key, level, n, cost, float(np.mean(values)), float(np.var(values, ddof=1)),
+            None if i == 0 else float(np.mean([pair[i][1] for pair in pairs]))))))
+    return rows
+
+
 def fit_slope(points):
     """OLS of log10(cost) on log10(mse); returns (slope, intercept, r2).
 
@@ -381,6 +416,8 @@ def fit_slope(points):
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -397,31 +434,44 @@ def records_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_csv(summary) -> str:
-    lines = [",".join(SUMMARY_FIELDS)]
-    for row in summary:
-        lines.append(",".join(_fmt(row[k]) for k in SUMMARY_FIELDS))
+def _rows_csv(columns, rows) -> str:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[k]) for k in columns))
     return "\n".join(lines) + "\n"
 
 
+def summary_csv(summary) -> str:
+    return _rows_csv(SUMMARY_FIELDS, summary)
+
+
+def levels_csv(summary) -> str:
+    """The level rows of every summary row, in summary order; an empty
+    ``same_ancestor`` marks the lowest rung."""
+    return _rows_csv(LEVEL_FIELDS, [level for row in summary for level in row["levels"]])
+
+
 def emit_outputs(records, summary, output_dir) -> dict:
-    """Write the CSV, JSON and SVG outputs; returns {format: [paths]}."""
+    """Write the CSV, JSON and SVG outputs; returns {format: [paths]}.  The
+    plot is rendered before any file is opened."""
     if not records:
         raise ValueError("refusing to emit outputs for zero records")
+    svg = render_svg(summary)
     os.makedirs(output_dir, exist_ok=True)
     rp = os.path.join(output_dir, "records.csv")
     sp = os.path.join(output_dir, "summary.csv")
-    with open(rp, "w") as f:
-        f.write(records_csv(records))
-    with open(sp, "w") as f:
-        f.write(summary_csv(summary))
+    lp = os.path.join(output_dir, "levels.csv")
+    for path, text in ((rp, records_csv(records)), (sp, summary_csv(summary)),
+                       (lp, levels_csv(summary))):
+        with open(path, "w") as f:
+            f.write(text)
     jp = os.path.join(output_dir, "results.json")
     with open(jp, "w") as f:
         json.dump({"records": [asdict(r) for r in records], "summary": summary}, f, indent=1)
     vp = os.path.join(output_dir, "cost_vs_mse.svg")
     with open(vp, "w") as f:
-        f.write(render_svg(summary))
-    return {"csv": [rp, sp], "json": [jp], "svg": [vp]}
+        f.write(svg)
+    return {"csv": [rp, sp, lp], "json": [jp], "svg": [vp]}
 
 
 _PALETTE = ("#c8a400", "#000000", "#6fb7e8", "#c04040", "#40a060", "#8040c0")
@@ -429,15 +479,17 @@ _SVG_WIDTH, _SVG_HEIGHT = 640, 480
 
 
 def render_svg(summary) -> str:
-    """Self-contained log-log scatter of cost against MSE with OLS fit lines."""
+    """Self-contained log-log scatter of cost against MSE with OLS fit lines.
+
+    A row whose MSE is 0 is left out, and so is an estimator's fit line
+    where ``fit_slope`` rejects its points (fewer than 3, or too close to
+    fit)."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     by_est: dict = {}
     for row in summary:
         by_est.setdefault(row["estimator"], []).append(row)
-    xs = [math.log10(r["mse"]) for r in summary if r["mse"] > 0]
+    xs = [math.log10(r["mse"]) for r in summary if r["mse"] > 0] or [0.0]  # an empty plot's axis
     ys = [math.log10(r["mean_cost"]) for r in summary]
-    if not xs:
-        raise ValueError("no positive MSE values to plot")
     pad = 0.3
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
@@ -471,15 +523,16 @@ def render_svg(summary) -> str:
         for cost, mse in pts:
             parts.append(f'<circle cx="{px(math.log10(mse)):.2f}" cy="{py(math.log10(cost)):.2f}" '
                          f'r="4" fill="{color}"/>')
-        if len(pts) >= 3:
+        try:
             slope, intercept, _ = fit_slope(pts)
+        except ValueError:
+            label = est
+        else:
             xa, xb = min(math.log10(m) for _, m in pts), max(math.log10(m) for _, m in pts)
             parts.append(f'<line x1="{px(xa):.2f}" y1="{py(slope * xa + intercept):.2f}" '
                          f'x2="{px(xb):.2f}" y2="{py(slope * xb + intercept):.2f}" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             label = f"{est} (slope {slope:.2f})"
-        else:
-            label = est
         parts.append(f'<text x="{width - mr - 200}" y="{mt + 16 + 16 * i}" font-size="12" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")

@@ -31,16 +31,16 @@ observation is evaluated on the flat (K*N,) view of
 the block's pre-step states, and the log-potentials h*dy - (delta/2)*(h*h) of
 all its steps in a few calls; they are added to the running sum, its own
 (N,) array from 0, by one ``np.add`` per step in step order.  So a step makes
-about six numpy calls where it made eleven, every output byte is that of the
-step-by-step loop, and the fixed cost of a step falls where N is small.  The
+about six numpy calls, the fixed cost that dominates where N is small, and
+every output byte is that of a step-by-step loop.  The
 buffers, three (K, N) blocks and the sum, are made once per call, and x0 is
 copied into row 0 of the state block; a step's drift term and the block's
 (delta/2)*(h*h) reuse rows that are free by then.  With K 1 a call so holds
 four arrays of N floats, the three rows and the sum, besides what the
 model's callables allocate.  With the built-ins' in-place forms a step
 allocates nothing but langevin's one temporary; a model's plain callables
-allocate their results, as they did before the forms existed.  Neither the
-caller's states nor its noise block is written, except for a coupled step's
+allocate their results.  Neither the caller's states nor its noise block
+is written, except for a coupled step's
 pair sums when the caller passes the noise's own even columns to hold them.
 """
 

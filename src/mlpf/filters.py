@@ -132,8 +132,9 @@ AHEAD_TILE_ROWS = 1024
 # of at most RESAMPLE_CHUNK_ROWS particles per chain (and at least one
 # replicate), and the estimates and final weights of a call's rows are
 # reduced in chunks of as many rows; this bounds the temporaries of a pass
-# as the per-replicate loop did, where a large call would otherwise grow
-# its process's peak memory
+# by those of RESAMPLE_CHUNK_ROWS particles or of one replicate, whichever
+# is larger, where a large call would otherwise grow its process's peak
+# memory
 RESAMPLE_CHUNK_ROWS = 1 << 12
 # the stream purposes a filter call draws from, as a column to broadcast
 _PURPOSES = np.array([[streams.TAG_NOISE], [streams.TAG_RESAMPLE]])

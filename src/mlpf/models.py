@@ -21,9 +21,9 @@ nothing and converts no Python float for the model.  ``out`` never aliases
 lambdas' operations in the same order, so both forms give the same bytes;
 a constant diffusion needs none, since ``sigma`` takes its place.  A
 user-built model may leave both None, and the Euler step then calls its
-plain callables as before.  ``ModelSpec`` checks the diffusion contract,
-``sigma``, the in-place forms and the start state once, at construction,
-so the Euler loop can multiply sigma(x) into the noise without reshaping.
+plain callables, which allocate their results.  ``ModelSpec`` checks the
+diffusion contract, ``sigma``, the in-place forms and the start state once,
+at construction, so the Euler loop can multiply sigma(x) into the noise without reshaping.
 """
 
 from __future__ import annotations

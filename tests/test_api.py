@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` exists, so ``import *`` works,
 every module attribute that README.md or a docstring names exists, and
-every script README.md names exists and is run by a CLI test."""
+every script README.md names exists and is run by a CLI test, and
+README.md names every file a benchmark run writes."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import re
 import pytest
 
 import mlpf
+from mlpf.bench import emit_outputs, parse_config, run_benchmark
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mlpf.__path__, "mlpf."))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -64,3 +66,13 @@ def test_every_script_is_smoke_tested():
     scripts = sorted(p.name for p in (README.parent / "scripts").iterdir() if p.is_file())
     assert scripts
     assert [name for name in scripts if name not in named] == []
+
+
+def test_readme_names_every_benchmark_output(tmp_path):
+    """Each file ``emit_outputs`` writes is named in README.md."""
+    cfg = parse_config({"model": "ou", "T": 1, "L_data": 1, "repeats": 2, "master_seed": 0,
+                        "output_dir": str(tmp_path), "estimators": [
+                            {"id": "pf", "rule": "single_pf", "L_min": 1, "L_max": 1, "base": 2.0}]})
+    written = emit_outputs(*run_benchmark(cfg), cfg.output_dir)
+    names = sorted(pathlib.Path(p).name for paths in written.values() for p in paths)
+    assert [name for name in names if name not in README.read_text()] == []

@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlpf import bench
+from mlpf import bench, filters, streams
 from mlpf.bench import (
+    LEVEL_FIELDS,
     BenchmarkConfig,
     ConfigError,
     EstimatorConfig,
     _seed_slices,
     emit_outputs,
     fit_slope,
+    levels_csv,
     parse_config,
     records_csv,
     render_svg,
     run_benchmark,
     summary_csv,
 )
+from mlpf.models import builtin_model
+from mlpf.multilevel import allocate, mlpf_run
+from mlpf.observations import simulate_observations
 
 BASE_CONFIG = {
     "model": "ou",
@@ -338,6 +343,8 @@ class TestOutputs:
         with open(written["json"][0]) as f:
             payload = json.load(f)
         assert len(payload["records"]) == len(records)
+        assert payload["summary"] == summary  # with each row's level rows
+        assert (tmp_path / "levels.csv").read_text() == levels_csv(summary)
         with open(written["svg"][0]) as f:
             svg = f.read()
         assert svg.count("<circle") == len(summary)
@@ -352,3 +359,107 @@ class TestOutputs:
         svg = render_svg(summary)
         # one fitted line per estimator with >= 3 levels, plus the two axes
         assert svg.count("<line") == 2 + 2
+
+    def test_svg_leaves_out_a_fit_of_equal_mses(self):
+        """Three rows of one MSE: fit_slope rejects them, so the plot has
+        their points and no fit line."""
+        summary = [{"estimator": "pf", "L": L, "mean_cost": 10.0 ** L, "mse": 0.5, "n_repeats": 2}
+                   for L in (1, 2, 3)]
+        svg = render_svg(summary)
+        assert svg.count("<circle") == 3
+        assert svg.count("<line") == 2  # the axes
+
+
+def test_only_the_recorded_functional_is_evaluated(monkeypatch):
+    """The sweep records ``functionals[0]``; the others are never called,
+    neither by the reference-PF truth nor by the estimators."""
+    calls = {"x": 0, "x2": 0}
+
+    def counting(name):
+        phi = filters.DEFAULT_FUNCTIONALS[name]
+
+        def counted(x):
+            calls[name] += 1
+            return phi(x)
+        return counted
+
+    for name in calls:
+        monkeypatch.setitem(filters.DEFAULT_FUNCTIONALS, name, counting(name))
+    cfg = make_config(model="gbm", functionals=["x2", "x"], truth_level=2, truth_n=40,
+                      estimators=[BASE_CONFIG["estimators"][0]])
+    run_benchmark(cfg)
+    assert calls["x"] == 0 and calls["x2"] > 0
+
+
+LEVELS_CONFIG = dict(paths=2, estimators=[
+    {"id": "ml", "rule": "mlpf_constant", "L_min": 1, "L_max": 3, "base": 4.0},
+    {"id": "sort", "rule": "mlpf_nonconstant", "L_min": 2, "L_max": 2, "base": 2.0,
+     "coupling": "sorted", "resample_policy": "always"},
+    {"id": "pf", "rule": "single_pf", "L_min": 1, "L_max": 2, "base": 20.0},
+])
+
+
+@pytest.fixture(scope="module")
+def levels_result():
+    cfg = make_config(**LEVELS_CONFIG)
+    return cfg, run_benchmark(cfg)
+
+
+class TestLevels:
+    def test_columns_and_rows(self, levels_result):
+        _, (_, summary) = levels_result
+        lines = levels_csv(summary).strip().split("\n")
+        assert lines[0] == ",".join(LEVEL_FIELDS) == (
+            "estimator,L,level,n_particles,cost_units,mean,variance,same_ancestor")
+        # a rung per level 0..L above each multilevel L, one rung for single_pf
+        assert len(lines) - 1 == (2 + 3 + 4) + 3 + 2
+        for line in lines[1:]:
+            est, L, level, *_, same = line.split(",")
+            lowest = L if est == "pf" else "0"
+            assert (same == "") == (level == lowest)
+
+    @pytest.mark.parametrize("workers", (1, 2, 8))
+    def test_levels_csv_is_deterministic(self, levels_result, workers):
+        _, (_, summary) = levels_result
+        _, rerun = run_benchmark(make_config(workers=workers, **LEVELS_CONFIG))
+        assert levels_csv(rerun) == levels_csv(summary)
+
+    def test_rows_are_the_level_outputs_of_the_jobs(self, levels_result):
+        """Each row is the mean and variance (ddof 1) of its rung's time-T
+        estimates, and the mean same-ancestor fraction above the lowest rung,
+        over the level outputs of direct ``mlpf_run`` calls on the records'
+        seeds, every replicate of every path in records order."""
+        cfg, (records, summary) = levels_result
+        model = builtin_model(cfg.model, cfg.model_params)
+        paths = [simulate_observations(cfg.data_mode, model, cfg.T, cfg.L_data, seed) for seed in (
+            cfg.data_seed, int(streams.generator(cfg.data_seed, streams.TAG_OBS, 1).integers(2 ** 63)))]
+        key = (float(cfg.T), "x")
+        for est in cfg.estimators:
+            for L in range(est.L_min, est.L_max + 1):
+                recs = [r for r in records if (r.estimator, r.L) == (est.id, L)]
+                outs = []
+                for pi, path in enumerate(paths):
+                    seeds = tuple(r.seed for r in recs if r.repeat // cfg.repeats == pi)
+                    outs += mlpf_run(model, path, allocate(est.rule, L, est.base), ["x"],
+                                     report_times=[cfg.T], resample_policy=est.resample_policy,
+                                     coupling=est.coupling, seed=seeds)
+                assert [out.estimates[key] for out in outs] == [r.estimate for r in recs]
+                want = []
+                for i, lo in enumerate(outs[0].level_outputs):
+                    values = [out.level_outputs[i].estimates[key] for out in outs]
+                    fracs = [out.level_outputs[i].final_same_ancestor_fraction for out in outs]
+                    want.append({
+                        "estimator": est.id, "L": L, "level": lo.level,
+                        "n_particles": lo.n_particles, "cost_units": lo.cost_units,
+                        "mean": float(np.mean(values)), "variance": float(np.var(values, ddof=1)),
+                        "same_ancestor": None if i == 0 else float(np.mean(fracs))})
+                row, = (s for s in summary if (s["estimator"], s["L"]) == (est.id, L))
+                assert row["levels"] == want
+
+    def test_level_means_telescope_to_the_mean_estimate(self, levels_result):
+        _, (records, summary) = levels_result
+        for row in summary:
+            mean = np.mean([r.estimate for r in records
+                            if (r.estimator, r.L) == (row["estimator"], row["L"])])
+            total = math.fsum(level["mean"] for level in row["levels"])
+            assert abs(total - mean) <= 1e-12 * abs(mean)

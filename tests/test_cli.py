@@ -275,6 +275,19 @@ class TestBenchmarkCommand:
         slopes = read_json(capsys)
         assert "pf" in slopes and slopes["pf"]["points"] == 3
 
+    def test_zero_mse_sweep_exits_ok(self, tmp_path, capsys):
+        """With the functional "one" every estimate is exact and every MSE 0:
+        the run exits 0 with every output written, and the plot has its axes
+        and no points."""
+        cfg = self.config(tmp_path, functionals=["one"])
+        assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        written = read_json(capsys)["outputs"]
+        with open(tmp_path / "out" / "summary.csv") as f:
+            assert {line.split(",")[3] for line in f.read().split()[1:]} == {"0"}
+        with open(written["svg"][0]) as f:
+            svg = f.read()
+        assert svg.startswith("<svg") and "<circle" not in svg
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = self.config(tmp_path, repeats=1)
         assert main(["benchmark", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
@@ -474,16 +487,6 @@ def test_corrupted_path_files_exit_cleanly(fuzz_dir, valid_path_bytes, capsys, d
 
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
-
-
-def test_coupling_study_smoke():
-    argv = [sys.executable, os.path.join(SCRIPTS, "coupling_study.py"), "strong", "ancestors", "variance",
-            "--samples", "200", "--l-min", "1", "--l-max", "3", "--T", "1", "--n", "50", "--repeats", "2"]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    for header in ("strong coupling", "same-ancestor fraction", "variance of the time-T"):
-        assert header in done.stdout
-    assert done.stdout.count("l=") == 3 + 3 + 3
 
 
 def test_tile_curve_smoke():
